@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp, model
-from .errors import SolverFailure, TreeTooLarge
+from .errors import TreeTooLarge
 from .weather import SamplingLattice, WeatherPath
 
 _TREE_LIMIT = 10_000
@@ -90,16 +90,6 @@ class BenchmarkResult:
                 "prices": "\n".join(prices) + "\n"}
 
 
-def _solve(inst: lp.LpInstance, what: str) -> lp.LpSolution:
-    try:
-        sol = lp.solve(inst)
-    except Exception as exc:
-        raise SolverFailure(f"{what}: {exc}") from exc
-    if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"{what}: solve ended {sol.status}")
-    return sol
-
-
 def _add_capacity_variables(b: lp.LpBuilder, catalog):
     """Shared first-stage variables; returns label -> column map."""
     cols = {}
@@ -127,6 +117,15 @@ def _add_capacity_variables(b: lp.LpBuilder, catalog):
         "cap:ltc", cost=catalog.ltc_price * model._ENERGY_COST_SCALE,
         upper=catalog.ltc_max if catalog.ltc_max > 0 else 0.0)
     return cols
+
+
+def _capacity_state(cap_cols):
+    """State lookup on the capacity variables: a long-duration store
+    opens at its ``ini`` level, every other label maps to itself."""
+    def state_col(label):
+        kind, _, name = label.partition(":")
+        return cap_cols["ini:" + name] if kind == "level" else cap_cols[label]
+    return state_col
 
 
 def _read_capacities(catalog, value) -> model.CapacityDecision:
@@ -333,6 +332,37 @@ def _tree_nodes(lattice, start_stage):
             yield nid, t, nid[-1], parent, prob
 
 
+def _unroll_tree(b, catalog, scenario, lattice, start_stage, root_parent_of):
+    """Add a cloned state and a dispatch block for every tree node.
+
+    Nodes of ``start_stage`` pin their incoming state through
+    ``root_parent_of`` (see :func:`_clone_state`); deeper nodes link to
+    their parent's state clone, with long-duration levels taken from
+    the parent block's closing energy. Returns node id -> block.
+    """
+    layout = model.StateLayout(catalog)
+    states = {}
+    blocks = {}
+    T = lattice.n_stages
+    for nid, t, i, parent, prob in _tree_nodes(lattice, start_stage):
+        prefix = "n" + "-".join(map(str, nid))
+        if parent == ():
+            parent_of = root_parent_of
+        else:
+            def parent_of(label, _s=states[parent], _b=blocks[parent]):
+                kind, _, name = label.partition(":")
+                if kind == "level":
+                    return _b.closing_energy[name]
+                return _s[label]
+        state = _clone_state(b, catalog, layout, prefix, parent_of)
+        weather = lattice.realizations(t)[i]
+        blocks[nid] = _Block(b, catalog, scenario, weather, prefix, prob,
+                             lambda lab, _s=state: _s[lab],
+                             terminal=(t == T))
+        states[nid] = state
+    return blocks
+
+
 def enumerate_paths(lattice: SamplingLattice) -> list:
     """Every distinct path through the lattice, in index order.
 
@@ -371,36 +401,12 @@ def extensive_form(catalog: model.TechnologyCatalog,
     if lattice.path_count > _TREE_LIMIT:
         raise TreeTooLarge(
             f"{lattice.path_count} paths exceed the {_TREE_LIMIT} limit")
-    layout = model.StateLayout(catalog)
     b = lp.LpBuilder()
     cap_cols = _add_capacity_variables(b, catalog)
-    states = {}
-    blocks = {}
+    blocks = _unroll_tree(b, catalog, scenario, lattice, 1,
+                          _capacity_state(cap_cols))
+    sol = lp.solve_optimal(b.build(), "extensive form")
     T = lattice.n_stages
-    for nid, t, i, parent, prob in _tree_nodes(lattice, 1):
-        prefix = "n" + "-".join(map(str, nid))
-        if parent == ():
-            def parent_of(label, _c=cap_cols):
-                kind = label.split(":")[0]
-                if kind == "level":
-                    return _c["ini:" + label.split(":", 1)[1]]
-                return _c[label]
-        else:
-            pstate = states[parent]
-            pblock = blocks[parent]
-
-            def parent_of(label, _s=pstate, _b=pblock):
-                kind, _, name = label.partition(":")
-                if kind == "level":
-                    return _b.closing_energy[name]
-                return _s[label]
-        state = _clone_state(b, catalog, layout, prefix, parent_of)
-        weather = lattice.realizations(t)[i]
-        blocks[nid] = _Block(b, catalog, scenario, weather, prefix, prob,
-                             lambda lab, _s=state: _s[lab],
-                             terminal=(t == T))
-        states[nid] = state
-    sol = _solve(b.build(), "extensive form")
     cap = _read_capacities(catalog, sol.value)
     leaves = [nid for nid in blocks if len(nid) == T]
     leaves.sort()
@@ -439,30 +445,9 @@ def expected_cost_to_go(catalog: model.TechnologyCatalog,
         raise TreeTooLarge(
             f"{subtree} subtree paths exceed the {_TREE_LIMIT} limit")
     b = lp.LpBuilder()
-    states = {}
-    blocks = {}
-    T = lattice.n_stages
-    for nid, t, i, parent, prob in _tree_nodes(lattice, stage):
-        prefix = "n" + "-".join(map(str, nid))
-        if parent == ():
-            def parent_of(label, _x=x, _lay=layout):
-                return float(_x[_lay.position(label)])
-        else:
-            pstate = states[parent]
-            pblock = blocks[parent]
-
-            def parent_of(label, _s=pstate, _b=pblock):
-                kind, _, name = label.partition(":")
-                if kind == "level":
-                    return _b.closing_energy[name]
-                return _s[label]
-        state_cols = _clone_state(b, catalog, layout, prefix, parent_of)
-        weather = lattice.realizations(t)[i]
-        blocks[nid] = _Block(b, catalog, scenario, weather, prefix, prob,
-                             lambda lab, _s=state_cols: _s[lab],
-                             terminal=(t == T))
-        states[nid] = state_cols
-    sol = _solve(b.build(), f"cost-to-go subtree at stage {stage}")
+    _unroll_tree(b, catalog, scenario, lattice, stage,
+                 lambda label: float(x[layout.position(label)]))
+    sol = lp.solve_optimal(b.build(), f"cost-to-go subtree at stage {stage}")
     return float(sol.objective)
 
 
@@ -485,16 +470,8 @@ def perfect_foresight(catalog: model.TechnologyCatalog,
         weights = [1.0 / len(paths)] * len(paths)
     if len(weights) != len(paths):
         raise ValueError("one weight per year required")
-    layout = model.StateLayout(catalog)
     b = lp.LpBuilder()
-    cap_cols = _add_capacity_variables(b, catalog)
-
-    def cap_of(label):
-        kind = label.split(":")[0]
-        if kind == "level":
-            return cap_cols["ini:" + label.split(":", 1)[1]]
-        return cap_cols[label]
-
+    cap_of = _capacity_state(_add_capacity_variables(b, catalog))
     blocks = []
     labels = []
     for k, (path, w) in enumerate(zip(paths, weights)):
@@ -503,7 +480,7 @@ def perfect_foresight(catalog: model.TechnologyCatalog,
         labels.append(str(lab))
         blocks.append(_Block(b, catalog, scenario, stitched, f"y{k}",
                              float(w), cap_of, terminal=True))
-    sol = _solve(b.build(), "perfect foresight")
+    sol = lp.solve_optimal(b.build(), "perfect foresight")
     cap = _read_capacities(catalog, sol.value)
     levels = tuple({s.name: bl.level_series(sol.primal, s.name)
                     for s in catalog.storages} for bl in blocks)

@@ -26,8 +26,7 @@ Schema version 1. Top-level keys:
     Optional; required by the train command. ``seed`` is mandatory
     when the block is present. Other fields mirror the training
     options: ``max_iterations``, ``time_limit``, ``threads``,
-    ``trust_region``, ``stop_on_gap``, ``gap_paths``,
-    ``gap_check_every``, ``forward_batch``.
+    ``stop_on_gap``, ``gap_paths``, ``gap_check_every``.
 ``simulation``
     Optional; required by the simulate and curves commands. ``seed``
     is mandatory when present; ``n_paths`` defaults to 200.
@@ -68,11 +67,9 @@ _TRAINING_FIELDS = {
     "max_iterations": int,
     "time_limit": float,
     "threads": int,
-    "trust_region": bool,
     "stop_on_gap": bool,
     "gap_paths": int,
     "gap_check_every": int,
-    "forward_batch": int,
 }
 
 _GENERATOR_FIELDS = {
@@ -532,9 +529,6 @@ def _parse_training(raw, errors) -> TrainOptions | None:
     if kwargs.get("threads", 1) < 1:
         errors.error("training.threads", "must be >= 1")
         return None
-    if kwargs.get("forward_batch", 1) < 1:
-        errors.error("training.forward_batch", "must be >= 1")
-        return None
     return TrainOptions(**kwargs)
 
 
@@ -628,11 +622,9 @@ def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, training,
             "max_iterations": training.max_iterations,
             "time_limit": training.time_limit,
             "threads": training.threads,
-            "trust_region": training.trust_region,
             "stop_on_gap": training.stop_on_gap,
             "gap_paths": training.gap_paths,
             "gap_check_every": training.gap_check_every,
-            "forward_batch": training.forward_batch,
         }
     source = {"config_sha256": cfg_bytes_hash}
     if series_hash:

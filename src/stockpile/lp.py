@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotOptimal, NumericalFailure, UnknownVariable
+from .errors import (NotOptimal, NumericalFailure, SolverFailure,
+                     UnknownVariable)
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -56,13 +57,38 @@ def _index_array(seq) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(seq, dtype=np.intp))
 
 
+def _sparse_row(terms, sense: str, var_index: dict, n_vars: int):
+    """Sorted column indices and coefficients of one row.
+
+    ``terms`` pairs a variable index or label with a coefficient;
+    duplicate variables are coalesced by summing. Raises
+    :class:`UnknownVariable` for a label or index not among the
+    ``n_vars`` variables of ``var_index``.
+    """
+    if sense not in _SENSES:
+        raise ValueError(f"unknown row sense {sense!r}")
+    acc = {}
+    for var, coef in terms:
+        if isinstance(var, (int, np.integer)):
+            j = int(var)
+            if not 0 <= j < n_vars:
+                raise UnknownVariable(f"variable index {j} out of range")
+        elif var in var_index:
+            j = var_index[var]
+        else:
+            raise UnknownVariable(f"unknown variable {var!r}")
+        acc[j] = acc.get(j, 0.0) + float(coef)
+    cols = sorted(acc)
+    return _index_array(cols), _as_readonly([acc[j] for j in cols])
+
+
 @dataclass(frozen=True)
 class LpInstance:
     """Immutable LP description with sparse rows and labeled components.
 
     Rows are stored as parallel tuples of index/value arrays. Use
     :class:`LpBuilder` for incremental construction and
-    :func:`append_constraint` to derive a new instance with one extra row.
+    :func:`extend_rows` to derive a new instance with extra rows.
     """
 
     objective: np.ndarray
@@ -198,17 +224,10 @@ class LpBuilder:
         coefficient; duplicate variables are coalesced by summing."""
         if label in self._row_set:
             raise ValueError(f"duplicate row label {label!r}")
-        if sense not in _SENSES:
-            raise ValueError(f"unknown row sense {sense!r}")
-        acc = {}
-        for var, coef in terms:
-            j = int(var) if isinstance(var, (int, np.integer)) else self.variable_index(var)
-            if not 0 <= j < len(self._var_labels):
-                raise UnknownVariable(f"variable index {j} out of range")
-            acc[j] = acc.get(j, 0.0) + float(coef)
-        cols = sorted(acc)
-        self._row_cols.append(_index_array(cols))
-        self._row_vals.append(np.array([acc[j] for j in cols], dtype=float))
+        cols, vals = _sparse_row(terms, sense, self._var_index,
+                                 len(self._var_labels))
+        self._row_cols.append(cols)
+        self._row_vals.append(vals)
         self._senses.append(sense)
         self._rhs.append(float(rhs))
         self._row_labels.append(label)
@@ -228,50 +247,13 @@ class LpBuilder:
         )
 
 
-def append_constraint(instance: LpInstance, terms, sense: str, rhs: float,
-                      label: str | None = None) -> LpInstance:
-    """Return a new instance with one extra row; the original is untouched.
-
-    ``terms`` pairs variable labels (or indices) with coefficients.
-    Raises :class:`UnknownVariable` for labels not present in the instance.
-    """
-    if sense not in _SENSES:
-        raise ValueError(f"unknown row sense {sense!r}")
-    acc = {}
-    for var, coef in terms:
-        if isinstance(var, (int, np.integer)):
-            j = int(var)
-            if not 0 <= j < instance.n_vars:
-                raise UnknownVariable(f"variable index {j} out of range")
-        else:
-            if var not in instance.var_index:
-                raise UnknownVariable(f"unknown variable {var!r}")
-            j = instance.var_index[var]
-        acc[j] = acc.get(j, 0.0) + float(coef)
-    if label is None:
-        label = f"r{instance.n_rows}"
-    if label in instance.row_index:
-        raise ValueError(f"duplicate row label {label!r}")
-    cols = sorted(acc)
-    return LpInstance(
-        objective=instance.objective,
-        row_cols=instance.row_cols + (_index_array(cols),),
-        row_vals=instance.row_vals + (_as_readonly([acc[j] for j in cols]),),
-        senses=instance.senses + (sense,),
-        rhs=_as_readonly(np.append(instance.rhs, float(rhs))),
-        lower=instance.lower,
-        upper=instance.upper,
-        var_labels=instance.var_labels,
-        row_labels=instance.row_labels + (label,),
-    )
-
-
 def extend_rows(instance: LpInstance, rows) -> LpInstance:
     """Return a new instance with a batch of extra rows appended.
 
-    ``rows`` is an iterable of ``(terms, sense, rhs, label)`` tuples in
-    :func:`append_constraint` form. One call is much cheaper than a
-    chain of single appends because the instance is rebuilt once.
+    ``rows`` is an iterable of ``(terms, sense, rhs, label)`` tuples;
+    ``terms`` pairs variable labels (or indices) with coefficients, as
+    in :meth:`LpBuilder.add_row`. The original instance is untouched.
+    Raises :class:`UnknownVariable` for variables not in the instance.
     """
     new_cols = []
     new_vals = []
@@ -280,25 +262,13 @@ def extend_rows(instance: LpInstance, rows) -> LpInstance:
     new_labels = []
     seen = set(instance.row_index)
     for terms, sense, rhs, label in rows:
-        if sense not in _SENSES:
-            raise ValueError(f"unknown row sense {sense!r}")
-        acc = {}
-        for var, coef in terms:
-            if isinstance(var, (int, np.integer)):
-                j = int(var)
-                if not 0 <= j < instance.n_vars:
-                    raise UnknownVariable(f"variable index {j} out of range")
-            else:
-                if var not in instance.var_index:
-                    raise UnknownVariable(f"unknown variable {var!r}")
-                j = instance.var_index[var]
-            acc[j] = acc.get(j, 0.0) + float(coef)
+        cols, vals = _sparse_row(terms, sense, instance.var_index,
+                                 instance.n_vars)
         if label in seen:
             raise ValueError(f"duplicate row label {label!r}")
         seen.add(label)
-        cols = sorted(acc)
-        new_cols.append(_index_array(cols))
-        new_vals.append(_as_readonly([acc[j] for j in cols]))
+        new_cols.append(cols)
+        new_vals.append(vals)
         new_senses.append(sense)
         new_rhs.append(float(rhs))
         new_labels.append(label)
@@ -314,28 +284,6 @@ def extend_rows(instance: LpInstance, rows) -> LpInstance:
         upper=instance.upper,
         var_labels=instance.var_labels,
         row_labels=instance.row_labels + tuple(new_labels),
-    )
-
-
-def with_bounds(instance: LpInstance, indices, lower, upper) -> LpInstance:
-    """Return a new instance with the bounds of ``indices`` replaced."""
-    lo = np.array(instance.lower)
-    hi = np.array(instance.upper)
-    idx = _index_array(indices)
-    lo[idx] = lower
-    hi[idx] = upper
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return LpInstance(
-        objective=instance.objective,
-        row_cols=instance.row_cols,
-        row_vals=instance.row_vals,
-        senses=instance.senses,
-        rhs=instance.rhs,
-        lower=lo,
-        upper=hi,
-        var_labels=instance.var_labels,
-        row_labels=instance.row_labels,
     )
 
 
@@ -729,6 +677,24 @@ def solve(instance: LpInstance, *, max_pivots: int | None = None) -> LpSolution:
 
     return LpSolution(OPTIMAL, obj, _as_readonly(primal), _as_readonly(duals),
                       _as_readonly(red), sx.pivots, instance)
+
+
+def solve_optimal(instance: LpInstance, where: str) -> LpSolution:
+    """Solve and return an optimal solution, or raise.
+
+    Any solver error or non-optimal status becomes a
+    :class:`SolverFailure` whose message starts with ``where``, the
+    caller's name for the problem (a stage and realization, or a
+    reference model). Calls :func:`solve` through the module namespace,
+    so a replacement installed on the module takes effect here too.
+    """
+    try:
+        sol = solve(instance)
+    except Exception as exc:
+        raise SolverFailure(f"{where}: {exc}") from exc
+    if sol.status != OPTIMAL:
+        raise SolverFailure(f"{where}: solve ended {sol.status}")
+    return sol
 
 
 def dump_instance(instance: LpInstance, path) -> None:

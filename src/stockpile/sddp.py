@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import lp, model
-from .errors import DimensionMismatch, SolverFailure
+from .errors import DimensionMismatch
 from .weather import SamplingLattice, WeatherPath, sample_path
 
 POLICY_FORMAT_VERSION = 1
@@ -122,21 +122,15 @@ class TrainOptions:
 
     ``time_limit`` is wall-clock seconds; when exceeded the best policy
     so far is returned with ``stopped_reason`` set to ``"time_limit"``.
-    ``trust_region`` boxes the capacity variables around the incumbent
-    (best lower bound) decision, halving the radius after every 50
-    iterations without lower-bound improvement, never below 1e-6 of
-    the capacity scale. The lower bound itself is always computed from
-    the unboxed capacity stage. ``stop_on_gap`` enables the classical
-    rule that stops once the lower bound reaches the sampled
-    upper-bound confidence interval; it is off by default.
+    ``stop_on_gap`` enables the classical rule that stops once the
+    lower bound reaches the sampled upper-bound confidence interval;
+    it is off by default.
     """
 
     max_iterations: int = 100
     time_limit: float | None = None
-    trust_region: bool = False
     seed: int = 0
     threads: int = 1
-    forward_batch: int = 1
     stop_on_gap: bool = False
     gap_paths: int = 50
     gap_check_every: int = 10
@@ -173,8 +167,7 @@ class Policy:
         self.training_log: list[tuple[int, float, float]] = []
         self.stopped_reason: str | None = None
         self._templates: dict = {}
-        self.capacities = model.extract_state(
-            *self._solve_stage0(box=None))
+        self._refresh_capacities()
 
     # -- stage problem materialization ---------------------------------
 
@@ -203,29 +196,22 @@ class Policy:
             rows.append((terms, lp.GREATER_EQUAL, cut.intercept, f"cut:{c}"))
         return tuple(rows)
 
-    def _materialize(self, t: int, node: int, x_in=None, box=None):
+    def _solve(self, t: int, node: int, x_in=None):
+        """Solve problem ``t`` at realization ``node`` to optimality.
+
+        The problem carries the current cut pool on its cost-to-go
+        variable and, when ``x_in`` is given, that incoming state.
+        Returns the problem and its solution.
+        """
         problem = self._template(t, node)
         if x_in is not None:
             problem = model.apply_incoming_state(problem, x_in)
         inst = lp.extend_rows(problem.instance, self._cut_rows(problem))
-        if box is not None:
-            center, radius = box
-            idx, lo, hi = [], [], []
-            skip = set(self.layout.ini_positions) | set(
-                self.layout.level_positions)
-            for p, col in enumerate(problem.state_columns):
-                if p in skip:
-                    continue
-                idx.append(col)
-                lo.append(max(inst.lower[col], center[p] - radius))
-                hi.append(min(inst.upper[col], center[p] + radius))
-            inst = lp.with_bounds(inst, idx, lo, hi)
-        return problem, inst
+        where = f"stage {t}" if t == 0 else f"stage {t} realization {node}"
+        return problem, lp.solve_optimal(inst, where)
 
-    def _solve_stage0(self, box):
-        problem, inst = self._materialize(0, 0, box=box)
-        sol = _solve(inst, 0, None)
-        return problem, sol
+    def _refresh_capacities(self) -> None:
+        self.capacities = model.extract_state(*self._solve(0, 0))
 
     # -- serialization ---------------------------------------------------
 
@@ -302,38 +288,21 @@ def load_policy(path, catalog: model.TechnologyCatalog,
     return policy
 
 
-def _solve(inst: lp.LpInstance, stage: int, node: int | None):
-    where = f"stage {stage}" + ("" if node is None else f" realization {node}")
-    try:
-        sol = lp.solve(inst)
-    except Exception as exc:
-        raise SolverFailure(f"{where}: {exc}") from exc
-    if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"{where}: solve ended {sol.status}")
-    return sol
+def _rollout(policy: Policy, path: WeatherPath,
+             first: StageRecord) -> Trajectory:
+    """Chain dispatch-stage solves 1..T along one weather path.
 
-
-def forward_pass(policy: Policy, path: WeatherPath,
-                 box=None) -> Trajectory:
-    """Chain stage solves along one weather path, collecting states.
-
-    The capacity stage is solved against the current cut pool (inside
-    the trust-region box when one is passed); each dispatch stage then
-    receives the previous stage's outgoing state.
+    Stage 1 receives the outgoing state of the capacity-stage record
+    ``first``; each later stage receives the previous stage's.
     """
     if path.n_stages != policy.n_stages:
         raise DimensionMismatch(
             f"path has {path.n_stages} stages, lattice {policy.n_stages}")
-    problem, sol = policy._solve_stage0(box)
-    x = model.extract_state(problem, sol)
-    theta = sol.primal[problem.theta_column]
-    records = [StageRecord(stage=0, node=None, incoming=None, outgoing=x,
-                           stage_cost=float(sol.objective - theta),
-                           theta=float(theta), dispatch=None)]
+    records = [first]
+    x = first.outgoing
     for t in range(1, policy.n_stages + 1):
         node = path.node_indices[t - 1]
-        problem, inst = policy._materialize(t, node, x_in=x)
-        sol = _solve(inst, t, node)
+        problem, sol = policy._solve(t, node, x)
         x_out = model.extract_state(problem, sol)
         dispatch = model.extract_dispatch(problem, sol, policy.catalog)
         theta = (None if problem.theta_column is None
@@ -345,9 +314,23 @@ def forward_pass(policy: Policy, path: WeatherPath,
     return Trajectory(records=tuple(records))
 
 
+def forward_pass(policy: Policy, path: WeatherPath) -> Trajectory:
+    """Chain stage solves along one weather path, collecting states.
+
+    The capacity stage is solved against the current cut pool; each
+    dispatch stage then receives the previous stage's outgoing state.
+    """
+    problem, sol = policy._solve(0, 0)
+    theta = sol.primal[problem.theta_column]
+    first = StageRecord(stage=0, node=None, incoming=None,
+                        outgoing=model.extract_state(problem, sol),
+                        stage_cost=float(sol.objective - theta),
+                        theta=float(theta), dispatch=None)
+    return _rollout(policy, path, first)
+
+
 def _child_solve(policy: Policy, t: int, node: int, x_in):
-    problem, inst = policy._materialize(t, node, x_in=x_in)
-    sol = _solve(inst, t, node)
+    problem, sol = policy._solve(t, node, x_in)
     return float(sol.objective), model.fishing_duals(problem, sol)
 
 
@@ -381,8 +364,8 @@ def backward_pass(policy: Policy, trajectory: Trajectory,
 
 
 def lower_bound(policy: Policy) -> float:
-    """Optimum of the unboxed capacity stage under the current pool."""
-    _, sol = policy._solve_stage0(box=None)
+    """Optimum of the capacity stage under the current pool."""
+    _, sol = policy._solve(0, 0)
     return float(sol.objective)
 
 
@@ -399,29 +382,11 @@ def simulate(policy: Policy, paths) -> list:
     Every trajectory shares the policy's capacity decision; dispatch
     follows the learned cost-to-go pools.
     """
-    out = []
     x0 = np.asarray(policy.capacities, dtype=float)
-    capital = _capital_cost(policy, x0)
-    for path in paths:
-        records = [StageRecord(stage=0, node=None, incoming=None,
-                               outgoing=x0, stage_cost=capital, theta=None,
-                               dispatch=None)]
-        x = x0
-        for t in range(1, policy.n_stages + 1):
-            node = path.node_indices[t - 1]
-            problem, inst = policy._materialize(t, node, x_in=x)
-            sol = _solve(inst, t, node)
-            x_out = model.extract_state(problem, sol)
-            dispatch = model.extract_dispatch(problem, sol, policy.catalog)
-            theta = (None if problem.theta_column is None
-                     else float(sol.primal[problem.theta_column]))
-            records.append(StageRecord(
-                stage=t, node=node, incoming=x, outgoing=x_out,
-                stage_cost=dispatch.stage_cost, theta=theta,
-                dispatch=dispatch))
-            x = x_out
-        out.append(Trajectory(records=tuple(records)))
-    return out
+    first = StageRecord(stage=0, node=None, incoming=None, outgoing=x0,
+                        stage_cost=_capital_cost(policy, x0), theta=None,
+                        dispatch=None)
+    return [_rollout(policy, path, first) for path in paths]
 
 
 def upper_bound_estimate(policy: Policy, n_paths: int,
@@ -443,46 +408,26 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
           options: TrainOptions | None = None) -> Policy:
     """Run the full training loop and return the resulting policy.
 
-    Each iteration samples forward paths, adds one cut per stage per
-    path in the backward pass, and records the new lower bound. The
-    final capacity decision is the unboxed capacity-stage optimum
-    under the final pool.
+    Each iteration samples one forward path, adds one cut per stage in
+    the backward pass, and records the new lower bound. The final
+    capacity decision is the capacity-stage optimum under the final
+    pool.
     """
     opt = options or TrainOptions()
     policy = Policy(catalog, scenario, lattice)
     rng = np.random.default_rng(opt.seed)
     start = time.monotonic()
     log_rows = []
-    best_lb = -np.inf
-    incumbent = policy.capacities.copy()
-    stall = 0
-    scale = _capacity_scale(policy)
-    radius = scale
     policy.stopped_reason = "iteration_limit"
     for k in range(1, opt.max_iterations + 1):
-        box = (incumbent, radius) if opt.trust_region else None
-        forward_cost = np.nan
-        for _ in range(max(1, opt.forward_batch)):
-            path = sample_path(lattice, rng)
-            trajectory = forward_pass(policy, path, box=box)
-            forward_cost = trajectory.total_cost
-            backward_pass(policy, trajectory, iteration=k,
-                          threads=opt.threads)
+        trajectory = forward_pass(policy, sample_path(lattice, rng))
+        backward_pass(policy, trajectory, iteration=k, threads=opt.threads)
         lb = lower_bound(policy)
+        forward_cost = trajectory.total_cost
         policy.training_log.append((k, lb, forward_cost))
         log_rows.append((k, time.monotonic() - start, lb, forward_cost))
-        if lb > best_lb + 1e-9 * (1 + abs(best_lb)):
-            best_lb = lb
-            _, sol0 = policy._solve_stage0(box=None)
-            incumbent = model.extract_state(policy._template(0, 0), sol0)
-            stall = 0
-        else:
-            stall += 1
-            if opt.trust_region and stall >= 50:
-                radius = max(radius * 0.5, 1e-6 * scale)
-                stall = 0
         if opt.stop_on_gap and k % opt.gap_check_every == 0:
-            _refresh_capacities(policy)
+            policy._refresh_capacities()
             ub = upper_bound_estimate(policy, opt.gap_paths,
                                       rng_seed=opt.seed + k)
             if lb >= ub.mean - 2 * ub.std_error:
@@ -492,7 +437,7 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
                 time.monotonic() - start) > opt.time_limit:
             policy.stopped_reason = "time_limit"
             break
-    _refresh_capacities(policy)
+    policy._refresh_capacities()
     if opt.log_path:
         with open(opt.log_path, "w") as fh:
             fh.write("iteration,seconds,lower_bound,forward_cost\n")
@@ -500,14 +445,3 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
                 fh.write(f"{k},{secs:.3f},{lb!r},{fc!r}\n")
     return policy
 
-
-def _refresh_capacities(policy: Policy) -> None:
-    problem, sol = policy._solve_stage0(box=None)
-    policy.capacities = model.extract_state(problem, sol)
-
-
-def _capacity_scale(policy: Policy) -> float:
-    inst = policy._template(0, 0).instance
-    finite = inst.upper[np.isfinite(inst.upper)]
-    positive = finite[finite > 0]
-    return float(positive.max()) if positive.size else 1.0

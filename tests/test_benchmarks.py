@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_vector
-from stockpile import benchmarks, model, sddp
-from stockpile.errors import TreeTooLarge
+from stockpile import benchmarks, lp, model, sddp
+from stockpile.errors import SolverFailure, TreeTooLarge
 from stockpile.weather import SamplingLattice, WeatherPath
 
 
@@ -75,6 +75,20 @@ def test_tree_size_guard():
     with pytest.raises(TreeTooLarge):
         benchmarks.expected_cost_to_go(catalog, scenario, big, 1,
                                        np.zeros(layout.size))
+
+
+def test_extensive_form_solver_failure_is_named(monkeypatch):
+    """A non-optimal monolithic solve raises SolverFailure naming the
+    extensive form."""
+    v = make_vector([1.0], {"wind": [0.5]})
+    lattice = SamplingLattice.from_vectors([[v], [v]])
+    monkeypatch.setattr(lp, "solve", lambda inst, **kw: lp.LpSolution(
+        lp.UNBOUNDED, None, None, None, None, 0, inst))
+    with pytest.raises(SolverFailure,
+                       match="^extensive form: solve ended unbounded$"):
+        benchmarks.extensive_form(small_catalog(),
+                                  model.MarketScenario(name="ni", voll=1000.0),
+                                  lattice)
 
 
 def test_converged_bound_hits_extensive_form(canonical, canonical_policy):

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import yaml
 
-from stockpile import cli
+from stockpile import cli, lp
 
 CONFIG = textwrap.dedent("""\
 schema_version: 1
@@ -80,6 +80,17 @@ def test_train_zero_iterations_keeps_empty_pools(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "out" / "policy.json").read_text())
     assert all(cuts == [] for cuts in payload["pools"].values())
+
+
+def test_train_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
+    """A stage solve that ends non-optimal stops training with exit
+    code 4 and names the failing stage on stderr."""
+    monkeypatch.setattr(lp, "solve", lambda inst, **kw: lp.LpSolution(
+        lp.INFEASIBLE, None, None, None, None, 0, inst))
+    cfg, out = setup_run(tmp_path)
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 4
+    assert ("solver failure: stage 0: solve ended infeasible"
+            in capsys.readouterr().err)
 
 
 def test_simulate_missing_policy_exits_3(tmp_path, capsys):

@@ -195,11 +195,11 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.reduced_costs, bsol.reduced_costs)
 
 
-def test_append_constraint_immutable_and_warm_equivalent():
+def test_extend_rows_immutable_and_warm_equivalent():
     inst = build([-1.0, -1.0], [[1.0, 1.0]], ["<="], [4.0],
                  [0.0, 0.0], [np.inf, np.inf])
     base = lp.solve(inst)
-    tightened = lp.append_constraint(inst, [("x0", 1.0)], "<=", 1.0, label="cap")
+    tightened = lp.extend_rows(inst, [([("x0", 1.0)], "<=", 1.0, "cap")])
     assert tightened.n_rows == inst.n_rows + 1
     again = lp.solve(inst)
     assert again.objective == base.objective  # original untouched
@@ -211,10 +211,10 @@ def test_append_constraint_immutable_and_warm_equivalent():
     assert np.allclose(resolve.primal, sol.primal, atol=1e-9)
 
 
-def test_append_constraint_unknown_variable():
+def test_extend_rows_unknown_variable():
     inst = build([1.0], [[1.0]], [">="], [1.0], [0.0], [np.inf])
     with pytest.raises(UnknownVariable):
-        lp.append_constraint(inst, [("nope", 1.0)], "<=", 1.0)
+        lp.extend_rows(inst, [([("nope", 1.0)], "<=", 1.0, "r1")])
 
 
 def test_extend_rows_matches_sequential_appends():
@@ -226,23 +226,14 @@ def test_extend_rows_matches_sequential_appends():
             ([("x1", 2.0), ("x0", 1.0)], lp.LESS_EQUAL, 5.0, "extra1")]
     batched = lp.extend_rows(inst, rows)
     oneby = inst
-    for terms, sense, rhs, label in rows:
-        oneby = lp.append_constraint(oneby, terms, sense, rhs, label=label)
+    for row in rows:
+        oneby = lp.extend_rows(oneby, [row])
     sb = lp.solve(batched)
     so = lp.solve(oneby)
     assert sb.objective == so.objective
     assert np.array_equal(sb.primal, so.primal)
     assert np.array_equal(sb.duals, so.duals)
     assert lp.extend_rows(inst, []) is inst
-
-
-def test_with_bounds_tightens_box():
-    """Replacing a variable's bounds moves the optimum to the new box
-    without touching the original instance."""
-    inst = build([-1.0], [[1.0]], ["<="], [10.0], [0.0], [8.0])
-    boxed = lp.with_bounds(inst, [0], [1.0], [2.0])
-    assert lp.solve(boxed).objective == -2.0
-    assert lp.solve(inst).objective == -8.0
 
 
 def test_duplicate_terms_coalesced():

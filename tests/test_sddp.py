@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stockpile import lp, model, sddp
-from stockpile.errors import DataError, DimensionMismatch
+from stockpile.errors import (DataError, DimensionMismatch, NumericalFailure,
+                              SolverFailure)
 from stockpile.weather import SamplingLattice, WeatherPath, sample_path
 
 
@@ -409,15 +410,43 @@ def test_training_log_file(tmp_path):
     assert float(first[2]) > 0.0
 
 
-def test_trust_region_training_still_converges_monotonically():
-    """Stabilized training keeps the bound monotone (the bound is read
-    off the unboxed problem) and ends with finite capacities."""
+def test_stop_on_gap_stops_at_first_check():
+    """On the two-stage lattice the bound already sits inside the
+    sampled upper-bound interval at the first check, so training stops
+    after five of its 200 iterations."""
     catalog = wind_ldes_catalog()
     scenario = model.MarketScenario(name="ni", voll=1000.0)
     policy = sddp.train(catalog, scenario, two_stage_lattice(),
-                        sddp.TrainOptions(max_iterations=30, seed=6,
-                                          trust_region=True))
-    bounds = [row[1] for row in policy.training_log]
-    for prev, nxt in zip(bounds, bounds[1:]):
-        assert nxt >= prev - 1e-9 * (1 + abs(prev))
-    assert np.all(np.isfinite(policy.capacities))
+                        sddp.TrainOptions(max_iterations=200, seed=0,
+                                          stop_on_gap=True,
+                                          gap_check_every=5))
+    assert policy.stopped_reason == "gap"
+    assert len(policy.training_log) == 5
+
+
+def _infeasible(instance, **kwargs):
+    return lp.LpSolution(lp.INFEASIBLE, None, None, None, None, 0, instance)
+
+
+def _singular(instance, **kwargs):
+    raise NumericalFailure("basis matrix is singular")
+
+
+@pytest.mark.parametrize("fake, reason", [
+    (_infeasible, "solve ended infeasible"),
+    (_singular, "basis matrix is singular"),
+], ids=["non_optimal", "raises"])
+def test_stage_solve_failure_names_stage_and_realization(monkeypatch, fake,
+                                                         reason):
+    """A child solve that ends non-optimal or raises becomes a
+    SolverFailure naming the stage and realization; the backward pass
+    solves the last stage's first realization first."""
+    catalog = wind_ldes_catalog()
+    scenario = model.MarketScenario(name="ni", voll=1000.0)
+    lattice = two_stage_lattice()
+    policy = sddp.Policy(catalog, scenario, lattice)
+    trajectory = sddp.forward_pass(policy, singleton_path(lattice))
+    monkeypatch.setattr(lp, "solve", fake)
+    with pytest.raises(SolverFailure) as info:
+        sddp.backward_pass(policy, trajectory)
+    assert str(info.value) == f"stage 2 realization 0: {reason}"
