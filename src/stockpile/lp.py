@@ -11,15 +11,31 @@ minimization that makes the dual of a binding >= row nonnegative, of a
 binding <= row nonpositive, and of an equality row sign-free.
 
 The solver is deterministic: the same instance solved twice in one
-process yields bit-identical results. Anti-cycling is handled by
-switching from Dantzig pricing to Bland's rule after a run of 1000
-degenerate pivots. Rows and columns are max-norm equilibrated
-internally, so the stated tolerances apply to the scaled system; for
-data of order one they coincide with the raw residuals.
+process yields bit-identical results, and the returned solution is
+computed from the final basis alone, whatever pivots reached it.
+Anti-cycling is handled by switching from Dantzig pricing to Bland's
+rule after a run of 1000 degenerate pivots. Rows and columns are
+max-norm equilibrated internally, so the stated tolerances apply to the
+scaled system; for data of order one they coincide with the raw
+residuals.
+
+Restarts: an optimal :class:`LpSolution` carries its basis, and
+:func:`solve` accepts it back for an instance with the same variables
+whose rows extend the earlier rows (new rows start with their slack
+basic). Changing right-hand sides or appending rows keeps such a basis
+dual feasible, so the restart installs it, runs a bounded-variable
+dual simplex until no basic variable violates its bounds (leaving row:
+largest violation; entering column: smallest |z_j / alpha_j|, ties to
+the largest |alpha_j|), then the primal simplex, and then the same
+residual, bound and duality-gap checks as a cold solve. A basis that
+does not fit the instance, a singular basis, any numerical failure and
+any non-optimal end send the solve down the cold two-phase path
+instead, so a restart changes the work done but never whether a solve
+succeeds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +58,7 @@ OPTIMALITY_TOL = 1e-7
 _ENTER_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
+_PRIMAL_TOL = 1e-9
 _RATIO_TIE = 1e-9
 _BLAND_TRIGGER = 1000
 _REFACTOR_EVERY = 100
@@ -247,49 +264,88 @@ class LpBuilder:
         )
 
 
+def _derived(instance: LpInstance, **changes) -> LpInstance:
+    """A copy of ``instance`` with the given fields replaced.
+
+    Skips :class:`LpInstance` validation: what the copy inherits was
+    checked when ``instance`` was built, and the caller checks what it
+    changes. Unreplaced fields, the label indices included, are shared.
+    """
+    new = object.__new__(LpInstance)
+    for f in fields(LpInstance):
+        object.__setattr__(new, f.name,
+                           changes.get(f.name, getattr(instance, f.name)))
+    return new
+
+
 def extend_rows(instance: LpInstance, rows) -> LpInstance:
     """Return a new instance with a batch of extra rows appended.
 
     ``rows`` is an iterable of ``(terms, sense, rhs, label)`` tuples;
     ``terms`` pairs variable labels (or indices) with coefficients, as
     in :meth:`LpBuilder.add_row`. The original instance is untouched.
-    Raises :class:`UnknownVariable` for variables not in the instance.
+    Only the appended rows are validated. Raises
+    :class:`UnknownVariable` for variables not in the instance.
     """
     new_cols = []
     new_vals = []
     new_senses = []
     new_rhs = []
     new_labels = []
-    seen = set(instance.row_index)
+    row_index = dict(instance.row_index)
     for terms, sense, rhs, label in rows:
         cols, vals = _sparse_row(terms, sense, instance.var_index,
                                  instance.n_vars)
-        if label in seen:
+        if label in row_index:
             raise ValueError(f"duplicate row label {label!r}")
-        seen.add(label)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("row coefficients must be finite")
+        rhs = float(rhs)
+        if not np.isfinite(rhs):
+            raise ValueError("rhs must be finite")
+        row_index[label] = len(row_index)
         new_cols.append(cols)
         new_vals.append(vals)
         new_senses.append(sense)
-        new_rhs.append(float(rhs))
+        new_rhs.append(rhs)
         new_labels.append(label)
     if not new_labels:
         return instance
-    return LpInstance(
-        objective=instance.objective,
+    return _derived(
+        instance,
         row_cols=instance.row_cols + tuple(new_cols),
         row_vals=instance.row_vals + tuple(new_vals),
         senses=instance.senses + tuple(new_senses),
         rhs=_as_readonly(np.concatenate([instance.rhs, new_rhs])),
-        lower=instance.lower,
-        upper=instance.upper,
-        var_labels=instance.var_labels,
         row_labels=instance.row_labels + tuple(new_labels),
+        row_index=row_index,
     )
+
+
+def replace_rhs(instance: LpInstance, rows, values) -> LpInstance:
+    """Return a new instance whose right-hand sides at the row positions
+    ``rows`` are ``values``. The original is untouched; only the new
+    values are validated."""
+    rows = list(rows)
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("rhs must be finite")
+    rhs = np.array(instance.rhs)
+    rhs[rows] = values
+    rhs.setflags(write=False)
+    return _derived(instance, rhs=rhs)
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Result of a solve. Primal/dual data is populated only when optimal."""
+    """Result of a solve. Primal/dual data is populated only when optimal.
+
+    ``iterations`` counts the pivots of the solve, dual and primal.
+    ``basis`` is the optimal basis as a read-only pair of status arrays,
+    one entry per variable and one per row slack, for restarting a later
+    :func:`solve`; it is None unless the status is optimal, and also
+    when an artificial variable is still basic.
+    """
 
     status: str
     objective: float | None
@@ -298,6 +354,7 @@ class LpSolution:
     reduced_costs: np.ndarray | None
     iterations: int
     instance: LpInstance = field(repr=False, compare=False)
+    basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def _need_optimal(self):
         if self.status != OPTIMAL:
@@ -324,10 +381,26 @@ _FREE_NB = 3
 _FIXED = 4
 
 
-class _Simplex:
-    """Working state for one solve of an equality-form bounded LP."""
+def _status_fits(status, lower, upper) -> bool:
+    """Whether every nonbasic status names a bound its variable has."""
+    fixed = lower == upper
+    fits = ((status == _BASIC)
+            | ((status == _AT_LOWER) & np.isfinite(lower) & ~fixed)
+            | ((status == _AT_UPPER) & np.isfinite(upper) & ~fixed)
+            | ((status == _FREE_NB) & np.isinf(lower) & np.isinf(upper))
+            | ((status == _FIXED) & fixed))
+    return bool(np.all(fits))
 
-    def __init__(self, a, b, c, lower, upper, max_pivots):
+
+class _Simplex:
+    """Working state for one solve of an equality-form bounded LP.
+
+    ``status`` gives each column's starting status; by default every
+    column is nonbasic at a finite bound (fixed, lower, then upper) or
+    free at zero.
+    """
+
+    def __init__(self, a, b, c, lower, upper, max_pivots, status=None):
         self.a = a                  # dense m x n, slack columns included
         self.b = b
         self.c = c
@@ -338,18 +411,16 @@ class _Simplex:
         self.pivots = 0
         self.degenerate_run = 0
         self.bland = False
-        self.x = np.zeros(self.n)
-        self.status = np.empty(self.n, dtype=np.int8)
-        fixed = self.lower == self.upper
-        fin_lo = np.isfinite(self.lower)
-        fin_hi = np.isfinite(self.upper)
-        self.status[:] = _FREE_NB
-        self.status[fin_hi] = _AT_UPPER
-        self.status[fin_lo] = _AT_LOWER
-        self.status[fixed] = _FIXED
-        self.x[self.status == _AT_LOWER] = self.lower[self.status == _AT_LOWER]
-        self.x[self.status == _AT_UPPER] = self.upper[self.status == _AT_UPPER]
-        self.x[fixed] = self.lower[fixed]
+        if status is None:
+            status = np.full(self.n, _FREE_NB, dtype=np.int8)
+            status[np.isfinite(self.upper)] = _AT_UPPER
+            status[np.isfinite(self.lower)] = _AT_LOWER
+            status[self.lower == self.upper] = _FIXED
+        self.status = status
+        # nonbasics sit at the bound their status names, free ones at
+        # zero; refactor() sets the basics
+        self.x = np.where(status == _AT_UPPER, self.upper, np.where(
+            (status == _AT_LOWER) | (status == _FIXED), self.lower, 0.0))
         self.basis = None
         self.binv = None
 
@@ -370,6 +441,24 @@ class _Simplex:
         xn[self.basis] = 0.0
         self.x[self.basis] = self.binv @ (self.b - self.a @ xn)
 
+    def _leave(self, j, upper):
+        """Make basic column ``j`` nonbasic at its upper or lower bound."""
+        self.x[j] = self.upper[j] if upper else self.lower[j]
+        if self.lower[j] == self.upper[j]:
+            self.status[j] = _FIXED
+        else:
+            self.status[j] = _AT_UPPER if upper else _AT_LOWER
+
+    def _replace(self, r, q, d):
+        """Put column ``q`` into basis position ``r``; ``d`` is its
+        column times the current inverse."""
+        self.status[q] = _BASIC
+        self.basis[r] = q
+        # product-form update of the inverse
+        pivrow = self.binv[r] / d[r]
+        self.binv -= np.outer(d, pivrow)
+        self.binv[r] = pivrow
+
     # -- pricing --------------------------------------------------------
 
     def duals_and_reduced_costs(self):
@@ -377,7 +466,9 @@ class _Simplex:
         z = self.c - y @ self.a
         return y, z
 
-    def _entering(self, z):
+    def _dual_violation(self, z):
+        """How far each nonbasic reduced cost has the sign that makes its
+        column worth entering, beyond the entering tolerance."""
         viol = np.zeros(self.n)
         at_lo = self.status == _AT_LOWER
         at_hi = self.status == _AT_UPPER
@@ -385,6 +476,10 @@ class _Simplex:
         viol[at_lo] = np.maximum(0.0, -z[at_lo] - _ENTER_TOL)
         viol[at_hi] = np.maximum(0.0, z[at_hi] - _ENTER_TOL)
         viol[free] = np.maximum(0.0, np.abs(z[free]) - _ENTER_TOL)
+        return viol
+
+    def _entering(self, z):
+        viol = self._dual_violation(z)
         if not np.any(viol > 0.0):
             return -1, 0
         if self.bland:
@@ -440,22 +535,59 @@ class _Simplex:
             raise NumericalFailure("pivot element below tolerance")
         self.x[self.basis] = xb + delta * t
         self.x[q] = self.x[q] + direction * t
-        if delta[r] < 0.0:
-            self.x[leaving] = self.lower[leaving]
-            self.status[leaving] = _AT_LOWER
-        else:
-            self.x[leaving] = self.upper[leaving]
-            self.status[leaving] = _AT_UPPER
-        if self.lower[leaving] == self.upper[leaving]:
-            self.status[leaving] = _FIXED
-        self.status[q] = _BASIC
-        self.basis[r] = q
-        # product-form update of the inverse
-        pivrow = self.binv[r] / d[r]
-        self.binv -= np.outer(d, pivrow)
-        self.binv[r] = pivrow
+        self._leave(leaving, delta[r] >= 0.0)
+        self._replace(r, q, d)
         self._count_step(t)
         return True
+
+    def dual_run(self):
+        """Bounded dual simplex pivots until the basis is primal feasible.
+
+        The leaving row is the basic variable with the largest bound
+        violation; it leaves at the bound it violates. The entering
+        column minimises |z_j / alpha_j| over the nonbasics whose move
+        in their feasible direction pushes the leaving variable towards
+        that bound (alpha is the leaving row of the tableau), ties going
+        to the largest |alpha_j|. Raises :class:`NumericalFailure` when
+        the basis is not dual feasible or no column can enter.
+        """
+        while True:
+            self._check_pivot_limit()
+            xb = self.x[self.basis]
+            below = self.lower[self.basis] - xb
+            viol = np.maximum(below, xb - self.upper[self.basis])
+            r = int(np.argmax(viol))
+            if viol[r] <= _PRIMAL_TOL:
+                return
+            _, z = self.duals_and_reduced_costs()
+            if self._dual_violation(z).max() > OPTIMALITY_TOL:
+                raise NumericalFailure("dual simplex basis is not dual feasible")
+            rise = below[r] > 0.0
+            alpha = self.binv[r] @ self.a
+            # raising nonbasic j by one moves the leaving variable by -alpha_j
+            g = alpha if rise else -alpha
+            st = self.status
+            cand = np.flatnonzero(
+                ((st == _AT_LOWER) & (g < -_PIVOT_TOL))
+                | ((st == _AT_UPPER) & (g > _PIVOT_TOL))
+                | ((st == _FREE_NB) & (np.abs(g) > _PIVOT_TOL)))
+            if not cand.size:
+                raise NumericalFailure("dual simplex found no entering column")
+            ratio = np.abs(z[cand] / alpha[cand])
+            best = ratio.min()
+            tie = cand[ratio <= best + _RATIO_TIE * (1.0 + best)]
+            q = int(tie[np.argmax(np.abs(alpha[tie]))])
+            d = self.binv @ self.a[:, q]
+            if abs(d[r]) < _PIVOT_TOL:
+                raise NumericalFailure("pivot element below tolerance")
+            leaving = int(self.basis[r])
+            target = self.lower[leaving] if rise else self.upper[leaving]
+            t = (xb[r] - target) / d[r]
+            self.x[self.basis] = xb - d * t
+            self.x[q] = self.x[q] + t
+            self._leave(leaving, not rise)
+            self._replace(r, q, d)
+            self._count_step(best)
 
     def _count_step(self, t):
         self.pivots += 1
@@ -468,13 +600,16 @@ class _Simplex:
         if self.pivots % _REFACTOR_EVERY == 0:
             self.refactor()
 
+    def _check_pivot_limit(self):
+        if self.pivots > self.max_pivots:
+            raise NumericalFailure(
+                f"pivot limit {self.max_pivots} exceeded "
+                f"(degenerate run {self.degenerate_run})")
+
     def run(self):
         """Iterate to optimality. Returns OPTIMAL or UNBOUNDED."""
         while True:
-            if self.pivots > self.max_pivots:
-                raise NumericalFailure(
-                    f"pivot limit {self.max_pivots} exceeded "
-                    f"(degenerate run {self.degenerate_run})")
+            self._check_pivot_limit()
             _, z = self.duals_and_reduced_costs()
             q, direction = self._entering(z)
             if q < 0:
@@ -517,13 +652,41 @@ def _scale(a_struct, b, c, lower, upper):
     return a, b_s, c_s, lo_s, hi_s, r, d
 
 
-def solve(instance: LpInstance, *, max_pivots: int | None = None) -> LpSolution:
-    """Solve the instance and return status, primal, duals, reduced costs.
+@dataclass(frozen=True)
+class _Prepared:
+    """An instance after presolve and scaling, in equality form over its
+    kept (nonempty) rows with one slack column per kept row."""
 
-    Two-phase bounded-variable revised simplex. Infeasible and unbounded
-    instances are reported by status alone. Raises
-    :class:`NumericalFailure` if tolerances cannot be maintained.
-    """
+    instance: LpInstance
+    keep: np.ndarray          # instance row of each kept row
+    b: np.ndarray             # unscaled right-hand sides of the kept rows
+    a: np.ndarray             # scaled structural columns, then the slacks
+    b_s: np.ndarray
+    c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    rscale: np.ndarray
+    dscale: np.ndarray
+    cost_scale: float
+
+    @property
+    def n(self) -> int:
+        return self.instance.n_vars
+
+    @property
+    def m(self) -> int:
+        return len(self.keep)
+
+
+def _readonly_status(status) -> np.ndarray:
+    out = np.array(status, dtype=np.int8)
+    out.setflags(write=False)
+    return out
+
+
+def _prepare(instance: LpInstance):
+    """Presolve and scale. Returns an :class:`LpSolution` instead when
+    presolve alone settles the instance."""
     m_all = instance.n_rows
     n = instance.n_vars
 
@@ -560,9 +723,13 @@ def solve(instance: LpInstance, *, max_pivots: int | None = None) -> LpSolution:
             return LpSolution(UNBOUNDED, None, None, None, None, 0, instance)
         primal = x / dscale
         obj = float(instance.objective @ primal)
+        status = np.where(lo_s == hi_s, _FIXED, np.where(
+            x == lo_s, _AT_LOWER, np.where(x == hi_s, _AT_UPPER, _FREE_NB)))
         return LpSolution(OPTIMAL, obj, _as_readonly(primal),
                           _as_readonly(np.zeros(m_all)),
-                          _as_readonly(instance.objective.copy()), 0, instance)
+                          _as_readonly(instance.objective.copy()), 0, instance,
+                          (_readonly_status(status),
+                           _readonly_status(np.full(m_all, _BASIC))))
 
     # slack columns are exactly identity after scaling (their own column
     # scale cancels the row scale); bounds encode the row sense
@@ -575,19 +742,24 @@ def solve(instance: LpInstance, *, max_pivots: int | None = None) -> LpSolution:
             slack_lo[i], slack_hi[i] = -np.inf, 0.0
         else:
             slack_lo[i], slack_hi[i] = 0.0, 0.0
-    a_work = np.hstack([a_s, np.eye(m)])
-    c_work = np.concatenate([c_s, np.zeros(m)])
-    lo_work = np.concatenate([lo_s, slack_lo])
-    hi_work = np.concatenate([hi_s, slack_hi])
+    return _Prepared(
+        instance=instance, keep=keep, b=b,
+        a=np.hstack([a_s, np.eye(m)]), b_s=b_s,
+        c=np.concatenate([c_s, np.zeros(m)]),
+        lower=np.concatenate([lo_s, slack_lo]),
+        upper=np.concatenate([hi_s, slack_hi]),
+        rscale=rscale, dscale=dscale, cost_scale=cost_scale)
 
-    if max_pivots is None:
-        max_pivots = 20000 + 200 * (m + n)
 
-    sx = _Simplex(a_work, b_s, c_work, lo_work, hi_work, max_pivots)
+def _cold(p: _Prepared, max_pivots: int) -> LpSolution:
+    """Two-phase solve from the slack basis."""
+    n, m = p.n, p.m
+    sx = _Simplex(p.a, p.b_s, p.c, p.lower, p.upper, max_pivots)
 
     # initial point: nonbasics at bounds; rows whose residual fits inside the
     # slack bounds start with a basic slack, the rest get an artificial
-    resid = b_s - a_work @ sx.x
+    slack_lo, slack_hi = p.lower[n:], p.upper[n:]
+    resid = p.b_s - p.a @ sx.x
     absorbable = (resid >= slack_lo - 1e-9) & (resid <= slack_hi + 1e-9)
     art_rows = np.flatnonzero(~absorbable)
     n_art = len(art_rows)
@@ -618,9 +790,9 @@ def solve(instance: LpInstance, *, max_pivots: int | None = None) -> LpSolution:
         if sx.run() != OPTIMAL:
             raise NumericalFailure("phase 1 terminated unbounded")
         art_sum = float(np.abs(sx.x[n + m:]).sum())
-        if art_sum > FEASIBILITY_TOL * (1.0 + float(np.abs(b_s).max())):
+        if art_sum > FEASIBILITY_TOL * (1.0 + float(np.abs(p.b_s).max())):
             return LpSolution(INFEASIBLE, None, None, None, None,
-                              sx.pivots, instance)
+                              sx.pivots, p.instance)
         # freeze artificials at zero, restore the real objective
         sx.c = real_cost
         sx.lower[n + m:] = 0.0
@@ -632,14 +804,52 @@ def solve(instance: LpInstance, *, max_pivots: int | None = None) -> LpSolution:
         sx.bland = False
 
     if sx.run() == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None, None, sx.pivots, instance)
+        return LpSolution(UNBOUNDED, None, None, None, None, sx.pivots,
+                          p.instance)
+    return _finish(p, sx)
 
+
+def _warm(p: _Prepared, basis, max_pivots: int) -> LpSolution | None:
+    """Solve from a given basis: dual simplex to primal feasibility,
+    then primal simplex to optimality. Returns None, sending the caller
+    to the cold path, when the basis does not fit the instance, is
+    singular, or the restart fails or ends non-optimal."""
+    cols, rows = basis
+    m_all = p.instance.n_rows
+    if len(cols) != p.n or len(rows) > m_all:
+        return None
+    slacks = np.full(m_all, _BASIC, dtype=np.int8)
+    slacks[:len(rows)] = rows
+    status = np.concatenate([cols, slacks[p.keep]]).astype(np.int8)
+    if (np.count_nonzero(status == _BASIC) != p.m
+            or not _status_fits(status, p.lower, p.upper)):
+        return None
+    sx = _Simplex(p.a, p.b_s, p.c, p.lower, p.upper, max_pivots, status)
+    try:
+        sx.install_basis(np.flatnonzero(status == _BASIC))
+        sx.dual_run()
+        sx.degenerate_run = 0
+        sx.bland = False
+        if sx.run() != OPTIMAL:
+            return None
+        return _finish(p, sx)
+    except NumericalFailure:
+        return None
+
+
+def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
+    """Verify an optimal basis on the scaled system, then unscale it."""
+    n, m = p.n, p.m
+    instance = p.instance
+    # refactor in column order, so that the output depends on the final
+    # basis alone and not on the pivots that reached it
+    sx.basis.sort()
     sx.refactor()
     y_s, z_s = sx.duals_and_reduced_costs()
 
     # verification on the scaled system
-    resid = np.abs(sx.a @ sx.x - b_s)
-    feas_ref = FEASIBILITY_TOL * (1.0 + float(np.abs(b_s).max()))
+    resid = np.abs(sx.a @ sx.x - p.b_s)
+    feas_ref = FEASIBILITY_TOL * (1.0 + float(np.abs(p.b_s).max()))
     if float(resid.max(initial=0.0)) > feas_ref:
         raise NumericalFailure(
             f"primal residual {resid.max():.3e} exceeds {feas_ref:.3e}")
@@ -655,15 +865,15 @@ def solve(instance: LpInstance, *, max_pivots: int | None = None) -> LpSolution:
     np.clip(sx.x, sx.lower, sx.upper, out=sx.x)
 
     # unscale
-    primal = sx.x[:n] / dscale
-    duals_kept = y_s * cost_scale / rscale
-    duals = np.zeros(m_all)
-    duals[keep] = duals_kept
-    red = z_s[:n] * cost_scale * dscale
+    primal = sx.x[:n] / p.dscale
+    duals_kept = y_s * p.cost_scale / p.rscale
+    duals = np.zeros(instance.n_rows)
+    duals[p.keep] = duals_kept
+    red = z_s[:n] * p.cost_scale * p.dscale
     obj = float(instance.objective @ primal)
 
     # strong duality on the original data
-    dual_obj = float(duals_kept @ b)
+    dual_obj = float(duals_kept @ p.b)
     stat_n = sx.status[:n]
     at_lo = (stat_n == _AT_LOWER) | (stat_n == _FIXED)
     at_hi = stat_n == _AT_UPPER
@@ -675,12 +885,47 @@ def solve(instance: LpInstance, *, max_pivots: int | None = None) -> LpSolution:
     if gap > 1e-6 * (1.0 + abs(obj) + abs(dual_obj)):
         raise NumericalFailure(f"duality gap {gap:.3e} on objective {obj:.6e}")
 
+    basis = None
+    if not np.any(sx.status[n + m:] == _BASIC):      # no basic artificial
+        rows = np.full(instance.n_rows, _BASIC, dtype=np.int8)
+        rows[p.keep] = sx.status[n:n + m]
+        basis = (_readonly_status(stat_n), _readonly_status(rows))
     return LpSolution(OPTIMAL, obj, _as_readonly(primal), _as_readonly(duals),
-                      _as_readonly(red), sx.pivots, instance)
+                      _as_readonly(red), sx.pivots, instance, basis)
 
 
-def solve_optimal(instance: LpInstance, where: str) -> LpSolution:
-    """Solve and return an optimal solution, or raise.
+def solve(instance: LpInstance, *, max_pivots: int | None = None,
+          basis=None) -> LpSolution:
+    """Solve the instance and return status, primal, duals, reduced costs.
+
+    Two-phase bounded-variable revised simplex. Infeasible and unbounded
+    instances are reported by status alone. Raises
+    :class:`NumericalFailure` if tolerances cannot be maintained.
+
+    ``basis`` is the :attr:`LpSolution.basis` of an earlier solve of an
+    instance with the same variables whose rows are a prefix of this
+    instance's rows; the rows beyond that prefix start with their slack
+    basic. The solve then restarts from that basis (see the module
+    docstring) and falls back to the cold two-phase path whenever the
+    restart cannot finish, so a basis never changes whether a solve
+    succeeds.
+    """
+    p = _prepare(instance)
+    if isinstance(p, LpSolution):
+        return p
+    if max_pivots is None:
+        max_pivots = 20000 + 200 * (p.m + p.n)
+    if basis is not None:
+        sol = _warm(p, basis, max_pivots)
+        if sol is not None:
+            return sol
+    return _cold(p, max_pivots)
+
+
+def solve_optimal(instance: LpInstance, where: str,
+                  basis=None) -> LpSolution:
+    """Solve, from ``basis`` if given, and return an optimal solution,
+    or raise.
 
     Any solver error or non-optimal status becomes a
     :class:`SolverFailure` whose message starts with ``where``, the
@@ -689,7 +934,7 @@ def solve_optimal(instance: LpInstance, where: str) -> LpSolution:
     so a replacement installed on the module takes effect here too.
     """
     try:
-        sol = solve(instance)
+        sol = solve(instance, basis=basis)
     except Exception as exc:
         raise SolverFailure(f"{where}: {exc}") from exc
     if sol.status != OPTIMAL:

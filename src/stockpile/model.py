@@ -638,20 +638,7 @@ def apply_incoming_state(problem: StageProblem,
     if x_in.shape != (problem.layout.size,):
         raise DimensionMismatch(
             f"state has shape {x_in.shape}, expected ({problem.layout.size},)")
-    rhs = np.array(problem.instance.rhs)
-    rhs[list(problem.fishing_rows)] = x_in
-    rhs.setflags(write=False)
-    inst = lp.LpInstance(
-        objective=problem.instance.objective,
-        row_cols=problem.instance.row_cols,
-        row_vals=problem.instance.row_vals,
-        senses=problem.instance.senses,
-        rhs=rhs,
-        lower=problem.instance.lower,
-        upper=problem.instance.upper,
-        var_labels=problem.instance.var_labels,
-        row_labels=problem.instance.row_labels,
-    )
+    inst = lp.replace_rhs(problem.instance, problem.fishing_rows, x_in)
     return StageProblem(stage=problem.stage, instance=inst,
                         layout=problem.layout,
                         fishing_rows=problem.fishing_rows,

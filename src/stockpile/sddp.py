@@ -12,11 +12,26 @@ cuts on the cost-to-go variable of problem ``t - 1``, which stands in
 for the expected cost of stages ``t`` onward. Pools only grow; no
 pruning is attempted, which is fine at desk scale.
 
+Warm starts: between two solves of one (stage, realization) only the
+fishing-row right-hand sides change and cut rows are appended, so each
+solve restarts from that problem's last optimal basis (see
+:func:`stockpile.lp.solve`). The bases live in a dict keyed by
+(stage, realization) that belongs to one run: :func:`train` keeps one
+for its forward, backward and lower-bound solves, and each
+:func:`simulate` call starts a fresh one. Neither is stored on the
+policy or in its JSON. The final capacity solve of :func:`train`,
+:func:`lower_bound` and direct calls of :func:`forward_pass` and
+:func:`backward_pass` without a dict solve cold. Within training, the
+lower bound's capacity-stage solve also serves the next iteration's
+forward pass, since both see the same pool.
+
 Determinism: with a fixed seed, training twice yields bit-identical
 logs and policies. Threaded backward passes keep determinism because
-realization results are reduced in realization order. The training log
-kept on the policy stores no wall-clock times; the optional CSV log
-file adds a seconds column and is therefore not byte-reproducible.
+realization results are reduced in realization order, and each
+(stage, realization) sees the same sequence of warm starts on any
+thread count. The training log kept on the policy stores no
+wall-clock times; the optional CSV log file adds a seconds column and
+is therefore not byte-reproducible.
 """
 from __future__ import annotations
 
@@ -196,19 +211,28 @@ class Policy:
             rows.append((terms, lp.GREATER_EQUAL, cut.intercept, f"cut:{c}"))
         return tuple(rows)
 
-    def _solve(self, t: int, node: int, x_in=None):
+    def _solve(self, t: int, node: int, x_in=None, bases=None):
         """Solve problem ``t`` at realization ``node`` to optimality.
 
         The problem carries the current cut pool on its cost-to-go
         variable and, when ``x_in`` is given, that incoming state.
-        Returns the problem and its solution.
+        ``bases``, when given, maps (stage, realization) to the last
+        optimal basis of that problem: the solve restarts from the
+        stored basis and stores its own. Each key is only touched by the
+        thread solving that problem. Returns the problem and its
+        solution.
         """
         problem = self._template(t, node)
         if x_in is not None:
             problem = model.apply_incoming_state(problem, x_in)
         inst = lp.extend_rows(problem.instance, self._cut_rows(problem))
         where = f"stage {t}" if t == 0 else f"stage {t} realization {node}"
-        return problem, lp.solve_optimal(inst, where)
+        key = (t, node)
+        sol = lp.solve_optimal(inst, where,
+                               None if bases is None else bases.get(key))
+        if bases is not None and sol.basis is not None:
+            bases[key] = sol.basis
+        return problem, sol
 
     def _refresh_capacities(self) -> None:
         self.capacities = model.extract_state(*self._solve(0, 0))
@@ -288,12 +312,13 @@ def load_policy(path, catalog: model.TechnologyCatalog,
     return policy
 
 
-def _rollout(policy: Policy, path: WeatherPath,
-             first: StageRecord) -> Trajectory:
+def _rollout(policy: Policy, path: WeatherPath, first: StageRecord,
+             bases=None) -> Trajectory:
     """Chain dispatch-stage solves 1..T along one weather path.
 
     Stage 1 receives the outgoing state of the capacity-stage record
-    ``first``; each later stage receives the previous stage's.
+    ``first``; each later stage receives the previous stage's. Solves
+    restart from and update ``bases`` as in :meth:`Policy._solve`.
     """
     if path.n_stages != policy.n_stages:
         raise DimensionMismatch(
@@ -302,7 +327,7 @@ def _rollout(policy: Policy, path: WeatherPath,
     x = first.outgoing
     for t in range(1, policy.n_stages + 1):
         node = path.node_indices[t - 1]
-        problem, sol = policy._solve(t, node, x)
+        problem, sol = policy._solve(t, node, x, bases)
         x_out = model.extract_state(problem, sol)
         dispatch = model.extract_dispatch(problem, sol, policy.catalog)
         theta = (None if problem.theta_column is None
@@ -314,34 +339,42 @@ def _rollout(policy: Policy, path: WeatherPath,
     return Trajectory(records=tuple(records))
 
 
-def forward_pass(policy: Policy, path: WeatherPath) -> Trajectory:
+def forward_pass(policy: Policy, path: WeatherPath, bases=None,
+                 capacity=None) -> Trajectory:
     """Chain stage solves along one weather path, collecting states.
 
     The capacity stage is solved against the current cut pool; each
     dispatch stage then receives the previous stage's outgoing state.
+    ``capacity`` is that capacity-stage solve when the caller already
+    has it, as a (problem, solution) pair. Solves restart from and
+    update ``bases`` as in :meth:`Policy._solve`.
     """
-    problem, sol = policy._solve(0, 0)
+    if capacity is None:
+        capacity = policy._solve(0, 0, bases=bases)
+    problem, sol = capacity
     theta = sol.primal[problem.theta_column]
     first = StageRecord(stage=0, node=None, incoming=None,
                         outgoing=model.extract_state(problem, sol),
                         stage_cost=float(sol.objective - theta),
                         theta=float(theta), dispatch=None)
-    return _rollout(policy, path, first)
+    return _rollout(policy, path, first, bases)
 
 
-def _child_solve(policy: Policy, t: int, node: int, x_in):
-    problem, sol = policy._solve(t, node, x_in)
+def _child_solve(policy: Policy, t: int, node: int, x_in, bases):
+    problem, sol = policy._solve(t, node, x_in, bases)
     return float(sol.objective), model.fishing_duals(problem, sol)
 
 
 def backward_pass(policy: Policy, trajectory: Trajectory,
-                  iteration: int = 0, threads: int = 1) -> None:
+                  iteration: int = 0, threads: int = 1,
+                  bases=None) -> None:
     """Add one cut per stage from the trajectory's trial states.
 
     Walks stages last to first; at each stage the child problems
     already contain the cuts added deeper in this same pass. Children
     across realizations may solve in parallel; their results are
-    averaged in realization order either way.
+    averaged in realization order either way. Solves restart from and
+    update ``bases`` as in :meth:`Policy._solve`.
     """
     for t in range(policy.n_stages - 1, -1, -1):
         child = t + 1
@@ -350,10 +383,10 @@ def backward_pass(policy: Policy, trajectory: Trajectory,
         if threads > 1 and n_real > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(
-                    lambda i: _child_solve(policy, child, i, x_trial),
+                    lambda i: _child_solve(policy, child, i, x_trial, bases),
                     range(n_real)))
         else:
-            results = [_child_solve(policy, child, i, x_trial)
+            results = [_child_solve(policy, child, i, x_trial, bases)
                        for i in range(n_real)]
         values = [v for v, _ in results]
         slopes = [s for _, s in results]
@@ -380,13 +413,16 @@ def simulate(policy: Policy, paths) -> list:
     """Run the trained policy over given paths with frozen capacities.
 
     Every trajectory shares the policy's capacity decision; dispatch
-    follows the learned cost-to-go pools.
+    follows the learned cost-to-go pools. Each stage solve restarts
+    from the basis of the last solve of its (stage, realization) within
+    this call.
     """
     x0 = np.asarray(policy.capacities, dtype=float)
     first = StageRecord(stage=0, node=None, incoming=None, outgoing=x0,
                         stage_cost=_capital_cost(policy, x0), theta=None,
                         dispatch=None)
-    return [_rollout(policy, path, first) for path in paths]
+    bases = {}
+    return [_rollout(policy, path, first, bases) for path in paths]
 
 
 def upper_bound_estimate(policy: Policy, n_paths: int,
@@ -409,9 +445,10 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
     """Run the full training loop and return the resulting policy.
 
     Each iteration samples one forward path, adds one cut per stage in
-    the backward pass, and records the new lower bound. The final
-    capacity decision is the capacity-stage optimum under the final
-    pool.
+    the backward pass, and records the new lower bound; the
+    capacity-stage solve behind that bound also opens the next forward
+    pass. All training solves restart from one dict of bases. The final capacity decision is the
+    capacity-stage optimum under the final pool.
     """
     opt = options or TrainOptions()
     policy = Policy(catalog, scenario, lattice)
@@ -419,10 +456,15 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
     start = time.monotonic()
     log_rows = []
     policy.stopped_reason = "iteration_limit"
+    bases = {}
+    capacity = None
     for k in range(1, opt.max_iterations + 1):
-        trajectory = forward_pass(policy, sample_path(lattice, rng))
-        backward_pass(policy, trajectory, iteration=k, threads=opt.threads)
-        lb = lower_bound(policy)
+        trajectory = forward_pass(policy, sample_path(lattice, rng), bases,
+                                  capacity)
+        backward_pass(policy, trajectory, iteration=k, threads=opt.threads,
+                      bases=bases)
+        capacity = policy._solve(0, 0, bases=bases)
+        lb = float(capacity[1].objective)
         forward_cost = trajectory.total_cost
         policy.training_log.append((k, lb, forward_cost))
         log_rows.append((k, time.monotonic() - start, lb, forward_cost))

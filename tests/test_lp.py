@@ -391,3 +391,127 @@ def test_badly_scaled_costs_still_solve():
     assert sol.value("cheap") == pytest.approx(3.0, abs=1e-9)
     assert sol.value("supply") == pytest.approx(2.0, abs=1e-9)
     assert sol.dual("demand") == pytest.approx(1e8, rel=1e-9)
+
+
+def _perturbed_extension(rng, a, c, senses, rhs, lower, upper):
+    """The instance with its right-hand sides moved and 1-3 random rows
+    appended, as a training iteration changes a stage problem."""
+    n = a.shape[1]
+    k = int(rng.integers(1, 4))
+    a2 = np.vstack([a, rng.integers(-4, 5, (k, n)).astype(float)])
+    senses2 = senses + [("<=", ">=", "=")[int(rng.integers(0, 3))]
+                        for _ in range(k)]
+    rhs2 = np.concatenate([rhs + rng.integers(-2, 3, len(rhs)),
+                           rng.integers(-8, 9, k)]).astype(float)
+    return a2, c, senses2, rhs2, lower, upper
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_restart_after_rhs_change_and_new_rows_matches_cold(seed):
+    """A solve restarted from the previous optimal basis after the
+    right-hand sides move and rows are appended agrees with the cold
+    solve and with scipy within 1e-9 relative."""
+    rng = np.random.default_rng(1000 + seed)
+    a, c, senses, rhs, lower, upper = _random_instance(rng)
+    first = lp.solve(build(c, a, senses, rhs, lower, upper))
+    if first.status != lp.OPTIMAL:
+        return
+    a, c, senses, rhs, lower, upper = _perturbed_extension(
+        rng, a, c, senses, rhs, lower, upper)
+    inst = build(c, a, senses, rhs, lower, upper)
+    cold = lp.solve(inst)
+    warm = lp.solve(inst, basis=first.basis)
+    ref = _scipy_reference(a, c, senses, rhs, lower, upper)
+    assert warm.status == cold.status
+    if cold.status != lp.OPTIMAL:
+        assert ref.status in (2, 3)
+        return
+    for value in (cold.objective, ref.fun):
+        assert warm.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
+    _check_kkt(inst, warm)
+
+
+def test_restart_from_own_basis_reproduces_solution_without_pivots():
+    rng = np.random.default_rng(7)
+    inst = build(rng.integers(-5, 6, 6).astype(float),
+                 rng.integers(-3, 4, (4, 6)).astype(float),
+                 ["<=", ">=", "<=", "="], [10.0, -8.0, 7.0, 1.0],
+                 [0.0] * 6, [10.0] * 6)
+    cold = lp.solve(inst)
+    warm = lp.solve(inst, basis=cold.basis)
+    assert cold.iterations > 0 and warm.iterations == 0
+    assert warm.objective == cold.objective
+    assert np.array_equal(warm.primal, cold.primal)
+    assert np.array_equal(warm.duals, cold.duals)
+    assert np.array_equal(warm.reduced_costs, cold.reduced_costs)
+    for mine, other in zip(warm.basis, cold.basis):
+        assert np.array_equal(mine, other)
+        assert not mine.flags.writeable
+
+
+def _unused_column_instance():
+    """min x0 + x1 s.t. x0 + x1 >= 2, x0 - x1 <= 1; x2 is in no row."""
+    return build([1.0, 1.0, 0.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]],
+                 [">=", "<="], [2.0, 1.0], [0.0] * 3, [np.inf, np.inf, 5.0])
+
+
+@pytest.mark.parametrize("basis", [
+    ([lp._BASIC, lp._BASIC], [lp._AT_UPPER, lp._AT_LOWER]),
+    ([lp._BASIC, lp._AT_LOWER, lp._AT_LOWER],
+     [lp._BASIC, lp._BASIC, lp._BASIC]),
+    ([lp._BASIC, lp._AT_LOWER, lp._BASIC], [lp._AT_UPPER, lp._AT_LOWER]),
+    ([lp._BASIC, lp._AT_UPPER, lp._AT_LOWER], [lp._BASIC, lp._AT_LOWER]),
+    ([lp._BASIC, lp._BASIC, lp._BASIC], [lp._AT_UPPER, lp._AT_LOWER]),
+], ids=["wrong_variable_count", "too_many_rows", "singular",
+        "status_off_its_bounds", "too_many_basics"])
+def test_unusable_basis_falls_back_to_cold(monkeypatch, basis):
+    inst = _unused_column_instance()
+    cold = lp.solve(inst)
+    restarts = []
+    raw = lp._warm
+    monkeypatch.setattr(lp, "_warm",
+                        lambda *args: restarts.append(raw(*args)) or restarts[-1])
+    sol = lp.solve(inst, basis=basis)
+    assert restarts == [None]
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == cold.objective == pytest.approx(2.0, abs=1e-9)
+    assert np.array_equal(sol.primal, cold.primal)
+    assert np.array_equal(sol.duals, cold.duals)
+
+
+def test_basis_is_none_unless_optimal():
+    infeasible = build([1.0], [[1.0], [1.0]], [">=", "<="], [2.0, 1.0],
+                       [0.0], [np.inf])
+    unbounded = build([-1.0], [[1.0]], [">="], [1.0], [0.0], [np.inf])
+    feasible = build([1.0], [[1.0]], [">="], [1.0], [0.0], [np.inf])
+    basis = lp.solve(feasible).basis
+    assert basis is not None
+    for inst in (infeasible, unbounded):
+        for start in (None, basis):
+            sol = lp.solve(inst, basis=start)
+            assert sol.status != lp.OPTIMAL and sol.basis is None
+
+
+def test_extend_rows_validates_only_new_rows_and_indexes_them():
+    inst = build([1.0, 1.0], [[1.0, 1.0]], [">="], [1.0], [0.0, 0.0],
+                 [np.inf, np.inf])
+    grown = lp.extend_rows(inst, [([("x0", 1.0)], "<=", 3.0, "cap")])
+    assert grown.row_index == {"r0": 0, "cap": 1}
+    assert inst.row_index == {"r0": 0}
+    for row, message in [
+            (([("x0", np.nan)], "<=", 1.0, "bad"), "coefficients"),
+            (([("x0", 1.0)], "<=", np.inf, "bad"), "rhs"),
+            (([("x0", 1.0)], "<=", 1.0, "r0"), "duplicate")]:
+        with pytest.raises(ValueError, match=message):
+            lp.extend_rows(inst, [row])
+
+
+def test_replace_rhs_validates_new_values():
+    inst = build([1.0], [[1.0], [2.0]], [">=", ">="], [1.0, 1.0], [0.0],
+                 [np.inf])
+    moved = lp.replace_rhs(inst, [1], [4.0])
+    assert list(moved.rhs) == [1.0, 4.0] and list(inst.rhs) == [1.0, 1.0]
+    assert not moved.rhs.flags.writeable
+    assert lp.solve(moved).objective == pytest.approx(2.0, abs=1e-9)
+    with pytest.raises(ValueError, match="rhs"):
+        lp.replace_rhs(inst, [0], [np.nan])

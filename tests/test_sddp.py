@@ -450,3 +450,56 @@ def test_stage_solve_failure_names_stage_and_realization(monkeypatch, fake,
     with pytest.raises(SolverFailure) as info:
         sddp.backward_pass(policy, trajectory)
     assert str(info.value) == f"stage 2 realization 0: {reason}"
+
+
+def _train_canonical(canonical, iterations, threads=1):
+    return sddp.train(canonical["catalog"], canonical["scenario"],
+                      canonical["lattice"],
+                      sddp.TrainOptions(max_iterations=iterations, seed=3,
+                                        threads=threads))
+
+
+def test_threaded_training_log_matches_serial(canonical):
+    """Warm starts are kept per (stage, realization), so solving the
+    realizations of a backward pass on two threads changes nothing."""
+    serial = _train_canonical(canonical, 15, threads=1)
+    threaded = _train_canonical(canonical, 15, threads=2)
+    assert threaded.training_log == serial.training_log
+
+
+def _costs_and_prices(runs):
+    return [(rec.stage_cost,
+             None if rec.dispatch is None else rec.dispatch.prices.tolist())
+            for tr in runs for rec in tr.records]
+
+
+def test_simulation_is_bit_reproducible(canonical, tmp_path):
+    """Simulation warm-starts only within one call: a second call and a
+    reloaded policy give bit-identical costs and prices."""
+    policy = _train_canonical(canonical, 15)
+    path = tmp_path / "policy.json"
+    sddp.save_policy(policy, path)
+    loaded = sddp.load_policy(path, canonical["catalog"],
+                              canonical["scenario"], canonical["lattice"])
+    paths = canonical["paths"] * 2
+    first = _costs_and_prices(sddp.simulate(policy, paths))
+    assert _costs_and_prices(sddp.simulate(policy, paths)) == first
+    assert _costs_and_prices(sddp.simulate(loaded, paths)) == first
+
+
+def test_no_restart_falls_back_on_canonical_instance(canonical, monkeypatch):
+    """Every warm-started stage solve of training and simulation on the
+    canonical instance finishes from its basis, without the cold path."""
+    finished = []
+    raw = lp._warm
+
+    def spy(*args):
+        sol = raw(*args)
+        finished.append(sol is not None)
+        return sol
+
+    monkeypatch.setattr(lp, "_warm", spy)
+    policy = _train_canonical(canonical, 40)
+    sddp.simulate(policy, canonical["paths"])
+    assert len(finished) > 400
+    assert all(finished)
