@@ -10,6 +10,13 @@ derivative of the optimal objective in b_i. Under
 minimization that makes the dual of a binding >= row nonnegative, of a
 binding <= row nonpositive, and of an equality row sign-free.
 
+An :class:`LpInstance` holds its rows in compressed sparse row (CSR)
+form: the nonzeros of row i are ``values[indptr[i]:indptr[i + 1]]`` in
+the columns ``indices[indptr[i]:indptr[i + 1]]``, the triple that
+``scipy.sparse.csr_array((values, indices, indptr))`` takes. Every
+instance, including those :func:`extend_rows` and :func:`replace_rhs`
+derive, is checked by its constructor; there is no unchecked path.
+
 The solver is deterministic: the same instance solved twice in one
 process yields bit-identical results, and the returned solution is
 computed from the final basis alone, whatever pivots reached it.
@@ -35,7 +42,7 @@ succeeds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,18 +71,29 @@ _BLAND_TRIGGER = 1000
 _REFACTOR_EVERY = 100
 
 
-def _as_readonly(arr) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.setflags(write=False)
+def _as_readonly(arr, dtype=float) -> np.ndarray:
+    """``arr`` as a read-only contiguous array. Writable input is
+    copied, so no caller can change the result or finds its own array
+    frozen; read-only input is shared."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
-def _index_array(seq) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(seq, dtype=np.intp))
+def _label_index(labels: tuple, kind: str) -> dict:
+    """Position of each label; raises ValueError on a duplicate."""
+    index = dict(zip(labels, range(len(labels))))
+    if len(index) != len(labels):
+        # positions overwritten by a later occurrence of their label
+        first = np.setdiff1d(np.arange(len(labels)), list(index.values()))[0]
+        raise ValueError(f"duplicate {kind} label {labels[first]!r}")
+    return index
 
 
 def _sparse_row(terms, sense: str, var_index: dict, n_vars: int):
-    """Sorted column indices and coefficients of one row.
+    """Sorted column indices and coefficients of one row, as lists.
 
     ``terms`` pairs a variable index or label with a coefficient;
     duplicate variables are coalesced by summing. Raises
@@ -96,41 +114,61 @@ def _sparse_row(terms, sense: str, var_index: dict, n_vars: int):
             raise UnknownVariable(f"unknown variable {var!r}")
         acc[j] = acc.get(j, 0.0) + float(coef)
     cols = sorted(acc)
-    return _index_array(cols), _as_readonly([acc[j] for j in cols])
+    return cols, [acc[j] for j in cols]
 
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Immutable LP description with sparse rows and labeled components.
+    """Immutable LP description with CSR rows and labeled components.
 
-    Rows are stored as parallel tuples of index/value arrays. Use
-    :class:`LpBuilder` for incremental construction and
-    :func:`extend_rows` to derive a new instance with extra rows.
+    Row i has the coefficients ``values[indptr[i]:indptr[i + 1]]`` in
+    the columns ``indices[indptr[i]:indptr[i + 1]]``. The constructor
+    stores every array as a read-only copy (arrays already read-only are
+    shared), checks the whole instance with array operations and builds
+    the label indices, so every instance is a checked one. Use
+    :class:`LpBuilder` for incremental construction, :func:`extend_rows`
+    to derive a new instance with extra rows and :func:`replace_rhs` to
+    move right-hand sides.
     """
 
     objective: np.ndarray
-    row_cols: tuple
-    row_vals: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
     senses: tuple
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     var_labels: tuple
     row_labels: tuple
-    var_index: dict = field(repr=False, compare=False, default=None)
-    row_index: dict = field(repr=False, compare=False, default=None)
+    var_index: dict = field(init=False, repr=False, compare=False)
+    row_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, dtype in (("objective", float), ("indptr", np.intp),
+                            ("indices", np.intp), ("values", float),
+                            ("rhs", float), ("lower", float), ("upper", float)):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype))
+        for name in ("senses", "var_labels", "row_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.var_labels)
         m = len(self.row_labels)
         if self.objective.shape != (n,) or self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("objective/bounds length does not match variable count")
         if self.rhs.shape != (m,) or len(self.senses) != m:
             raise ValueError("rhs/senses length does not match row count")
-        if len(self.row_cols) != m or len(self.row_vals) != m:
+        if self.indptr.shape != (m + 1,):
             raise ValueError("row storage length does not match row count")
+        if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
+            raise ValueError("row index/value length mismatch")
+        if (self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0)
+                or self.indptr[-1] != len(self.indices)):
+            raise ValueError("indptr must start at 0, never decrease and "
+                             "end at the nonzero count")
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective coefficients must be finite")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("row coefficients must be finite")
         if not np.all(np.isfinite(self.rhs)):
             raise ValueError("rhs must be finite")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
@@ -138,22 +176,13 @@ class LpInstance:
         if np.any(self.lower > self.upper):
             bad = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"lower > upper for variable {self.var_labels[bad]!r}")
-        for s in self.senses:
-            if s not in _SENSES:
-                raise ValueError(f"unknown row sense {s!r}")
-        for cols, vals in zip(self.row_cols, self.row_vals):
-            if len(cols) != len(vals):
-                raise ValueError("row index/value length mismatch")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("row coefficients must be finite")
-            if len(cols) and (cols.min() < 0 or cols.max() >= n):
-                raise ValueError("row references an unknown variable index")
-        if len(set(self.var_labels)) != n:
-            raise ValueError("variable labels must be unique")
-        if len(set(self.row_labels)) != m:
-            raise ValueError("row labels must be unique")
-        object.__setattr__(self, "var_index", {lab: j for j, lab in enumerate(self.var_labels)})
-        object.__setattr__(self, "row_index", {lab: i for i, lab in enumerate(self.row_labels)})
+        unknown = set(self.senses).difference(_SENSES)
+        if unknown:
+            raise ValueError(f"unknown row sense {min(unknown, key=self.senses.index)!r}")
+        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
+            raise ValueError("row references an unknown variable index")
+        object.__setattr__(self, "var_index", _label_index(self.var_labels, "variable"))
+        object.__setattr__(self, "row_index", _label_index(self.row_labels, "row"))
 
     @property
     def n_vars(self) -> int:
@@ -163,30 +192,10 @@ class LpInstance:
     def n_rows(self) -> int:
         return len(self.row_labels)
 
-    @classmethod
-    def create(cls, objective, rows, senses, rhs, lower, upper, var_labels, row_labels):
-        """Build an instance from plain sequences.
-
-        ``rows`` is an iterable of ``(indices, values)`` pairs, one per row.
-        """
-        row_cols = tuple(_index_array(cols) for cols, _ in rows)
-        row_vals = tuple(_as_readonly(vals) for _, vals in rows)
-        return cls(
-            objective=_as_readonly(objective),
-            row_cols=row_cols,
-            row_vals=row_vals,
-            senses=tuple(senses),
-            rhs=_as_readonly(rhs),
-            lower=_as_readonly(lower),
-            upper=_as_readonly(upper),
-            var_labels=tuple(var_labels),
-            row_labels=tuple(row_labels),
-        )
-
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))
-        for i, (cols, vals) in enumerate(zip(self.row_cols, self.row_vals)):
-            np.add.at(a[i], cols, vals)
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        np.add.at(a, (rows, self.indices), self.values)
         return a
 
 
@@ -199,8 +208,9 @@ class LpBuilder:
         self._upper = []
         self._var_labels = []
         self._var_index = {}
-        self._row_cols = []
-        self._row_vals = []
+        self._indptr = [0]
+        self._indices = []
+        self._values = []
         self._senses = []
         self._rhs = []
         self._row_labels = []
@@ -243,8 +253,9 @@ class LpBuilder:
             raise ValueError(f"duplicate row label {label!r}")
         cols, vals = _sparse_row(terms, sense, self._var_index,
                                  len(self._var_labels))
-        self._row_cols.append(cols)
-        self._row_vals.append(vals)
+        self._indices += cols
+        self._values += vals
+        self._indptr.append(len(self._indices))
         self._senses.append(sense)
         self._rhs.append(float(rhs))
         self._row_labels.append(label)
@@ -252,9 +263,11 @@ class LpBuilder:
         return len(self._row_labels) - 1
 
     def build(self) -> LpInstance:
-        return LpInstance.create(
+        return LpInstance(
             objective=self._cost,
-            rows=list(zip(self._row_cols, self._row_vals)),
+            indptr=self._indptr,
+            indices=self._indices,
+            values=self._values,
             senses=self._senses,
             rhs=self._rhs,
             lower=self._lower,
@@ -264,76 +277,51 @@ class LpBuilder:
         )
 
 
-def _derived(instance: LpInstance, **changes) -> LpInstance:
-    """A copy of ``instance`` with the given fields replaced.
-
-    Skips :class:`LpInstance` validation: what the copy inherits was
-    checked when ``instance`` was built, and the caller checks what it
-    changes. Unreplaced fields, the label indices included, are shared.
-    """
-    new = object.__new__(LpInstance)
-    for f in fields(LpInstance):
-        object.__setattr__(new, f.name,
-                           changes.get(f.name, getattr(instance, f.name)))
-    return new
-
-
 def extend_rows(instance: LpInstance, rows) -> LpInstance:
     """Return a new instance with a batch of extra rows appended.
 
     ``rows`` is an iterable of ``(terms, sense, rhs, label)`` tuples;
     ``terms`` pairs variable labels (or indices) with coefficients, as
     in :meth:`LpBuilder.add_row`. The original instance is untouched.
-    Only the appended rows are validated. Raises
-    :class:`UnknownVariable` for variables not in the instance.
+    Raises :class:`UnknownVariable` for variables not in the instance.
     """
-    new_cols = []
-    new_vals = []
-    new_senses = []
-    new_rhs = []
-    new_labels = []
-    row_index = dict(instance.row_index)
-    for terms, sense, rhs, label in rows:
+    indptr = []
+    indices = []
+    values = []
+    senses = []
+    rhs = []
+    labels = []
+    for terms, sense, b, label in rows:
         cols, vals = _sparse_row(terms, sense, instance.var_index,
                                  instance.n_vars)
-        if label in row_index:
-            raise ValueError(f"duplicate row label {label!r}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("row coefficients must be finite")
-        rhs = float(rhs)
-        if not np.isfinite(rhs):
-            raise ValueError("rhs must be finite")
-        row_index[label] = len(row_index)
-        new_cols.append(cols)
-        new_vals.append(vals)
-        new_senses.append(sense)
-        new_rhs.append(rhs)
-        new_labels.append(label)
-    if not new_labels:
+        indices += cols
+        values += vals
+        indptr.append(len(indices))
+        senses.append(sense)
+        rhs.append(b)
+        labels.append(label)
+    if not labels:
         return instance
-    return _derived(
+    nnz = len(instance.indices)
+    return replace(
         instance,
-        row_cols=instance.row_cols + tuple(new_cols),
-        row_vals=instance.row_vals + tuple(new_vals),
-        senses=instance.senses + tuple(new_senses),
-        rhs=_as_readonly(np.concatenate([instance.rhs, new_rhs])),
-        row_labels=instance.row_labels + tuple(new_labels),
-        row_index=row_index,
+        indptr=np.concatenate([instance.indptr,
+                               nnz + np.asarray(indptr, dtype=np.intp)]),
+        indices=np.concatenate([instance.indices,
+                                np.asarray(indices, dtype=np.intp)]),
+        values=np.concatenate([instance.values, values]),
+        senses=instance.senses + tuple(senses),
+        rhs=np.concatenate([instance.rhs, rhs]),
+        row_labels=instance.row_labels + tuple(labels),
     )
 
 
 def replace_rhs(instance: LpInstance, rows, values) -> LpInstance:
     """Return a new instance whose right-hand sides at the row positions
-    ``rows`` are ``values``. The original is untouched; only the new
-    values are validated."""
-    rows = list(rows)
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("rhs must be finite")
+    ``rows`` are ``values``. The original is untouched."""
     rhs = np.array(instance.rhs)
-    rhs[rows] = values
-    rhs.setflags(write=False)
-    return _derived(instance, rhs=rhs)
+    rhs[list(rows)] = values
+    return replace(instance, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -556,9 +544,9 @@ class _Simplex:
             xb = self.x[self.basis]
             below = self.lower[self.basis] - xb
             viol = np.maximum(below, xb - self.upper[self.basis])
-            r = int(np.argmax(viol))
-            if viol[r] <= _PRIMAL_TOL:
+            if viol.max(initial=0.0) <= _PRIMAL_TOL:
                 return
+            r = int(np.argmax(viol))
             _, z = self.duals_and_reduced_costs()
             if self._dual_violation(z).max() > OPTIMALITY_TOL:
                 raise NumericalFailure("dual simplex basis is not dual feasible")
@@ -678,70 +666,33 @@ class _Prepared:
         return len(self.keep)
 
 
-def _readonly_status(status) -> np.ndarray:
-    out = np.array(status, dtype=np.int8)
-    out.setflags(write=False)
-    return out
-
-
 def _prepare(instance: LpInstance):
     """Presolve and scale. Returns an :class:`LpSolution` instead when
     presolve alone settles the instance."""
-    m_all = instance.n_rows
-    n = instance.n_vars
-
     # presolve: drop rows with no coefficients, checking constant feasibility
     a_full = instance.dense_matrix()
-    keep = []
-    for i in range(m_all):
-        if len(instance.row_cols[i]) == 0 or not np.any(instance.row_vals[i]):
-            rhs = instance.rhs[i]
-            s = instance.senses[i]
-            ok = ((s == LESS_EQUAL and rhs >= -FEASIBILITY_TOL)
-                  or (s == GREATER_EQUAL and rhs <= FEASIBILITY_TOL)
-                  or (s == EQUAL and abs(rhs) <= FEASIBILITY_TOL))
-            if not ok:
-                return LpSolution(INFEASIBLE, None, None, None, None, 0, instance)
-        else:
-            keep.append(i)
-    keep = _index_array(keep)
-    a_struct = a_full[keep]
-    b = instance.rhs[keep].astype(float)
-    senses = [instance.senses[i] for i in keep]
+    nonempty = np.any(a_full != 0.0, axis=1)
+    senses = np.asarray(instance.senses, dtype=str)
+    le = senses == LESS_EQUAL
+    ge = senses == GREATER_EQUAL
+    rhs = instance.rhs
+    violated = np.where(le, rhs < -FEASIBILITY_TOL, np.where(
+        ge, rhs > FEASIBILITY_TOL, np.abs(rhs) > FEASIBILITY_TOL))
+    if np.any(violated & ~nonempty):
+        return LpSolution(INFEASIBLE, None, None, None, None, 0, instance)
+    keep = np.flatnonzero(nonempty)
+    b = rhs[keep]
     m = len(keep)
 
     a_s, b_s, c_s, lo_s, hi_s, rscale, dscale = _scale(
-        a_struct, b, instance.objective.astype(float), instance.lower, instance.upper)
-    cost_scale = max(1.0, float(np.abs(c_s).max()) if n else 1.0)
+        a_full[keep], b, instance.objective, instance.lower, instance.upper)
+    cost_scale = max(1.0, float(np.abs(c_s).max(initial=0.0)))
     c_s = c_s / cost_scale
-
-    if m == 0:
-        # no rows: every variable sits at its cheaper bound
-        x = np.where(c_s > 0.0, lo_s, np.where(c_s < 0.0, hi_s, np.where(
-            np.isfinite(lo_s), lo_s, np.where(np.isfinite(hi_s), hi_s, 0.0))))
-        if np.any(~np.isfinite(x)):
-            return LpSolution(UNBOUNDED, None, None, None, None, 0, instance)
-        primal = x / dscale
-        obj = float(instance.objective @ primal)
-        status = np.where(lo_s == hi_s, _FIXED, np.where(
-            x == lo_s, _AT_LOWER, np.where(x == hi_s, _AT_UPPER, _FREE_NB)))
-        return LpSolution(OPTIMAL, obj, _as_readonly(primal),
-                          _as_readonly(np.zeros(m_all)),
-                          _as_readonly(instance.objective.copy()), 0, instance,
-                          (_readonly_status(status),
-                           _readonly_status(np.full(m_all, _BASIC))))
 
     # slack columns are exactly identity after scaling (their own column
     # scale cancels the row scale); bounds encode the row sense
-    slack_lo = np.empty(m)
-    slack_hi = np.empty(m)
-    for i, s in enumerate(senses):
-        if s == LESS_EQUAL:
-            slack_lo[i], slack_hi[i] = 0.0, np.inf
-        elif s == GREATER_EQUAL:
-            slack_lo[i], slack_hi[i] = -np.inf, 0.0
-        else:
-            slack_lo[i], slack_hi[i] = 0.0, 0.0
+    slack_lo = np.where(ge[keep], -np.inf, 0.0)
+    slack_hi = np.where(le[keep], np.inf, 0.0)
     return _Prepared(
         instance=instance, keep=keep, b=b,
         a=np.hstack([a_s, np.eye(m)]), b_s=b_s,
@@ -849,7 +800,7 @@ def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
 
     # verification on the scaled system
     resid = np.abs(sx.a @ sx.x - p.b_s)
-    feas_ref = FEASIBILITY_TOL * (1.0 + float(np.abs(p.b_s).max()))
+    feas_ref = FEASIBILITY_TOL * (1.0 + float(np.abs(p.b_s).max(initial=0.0)))
     if float(resid.max(initial=0.0)) > feas_ref:
         raise NumericalFailure(
             f"primal residual {resid.max():.3e} exceeds {feas_ref:.3e}")
@@ -889,7 +840,7 @@ def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
     if not np.any(sx.status[n + m:] == _BASIC):      # no basic artificial
         rows = np.full(instance.n_rows, _BASIC, dtype=np.int8)
         rows[p.keep] = sx.status[n:n + m]
-        basis = (_readonly_status(stat_n), _readonly_status(rows))
+        basis = (_as_readonly(stat_n, np.int8), _as_readonly(rows, np.int8))
     return LpSolution(OPTIMAL, obj, _as_readonly(primal), _as_readonly(duals),
                       _as_readonly(red), sx.pivots, instance, basis)
 
@@ -956,8 +907,9 @@ def dump_instance(instance: LpInstance, path) -> None:
                      f"{float(instance.objective[j])!r}\n")
         fh.write(f"rows {instance.n_rows}\n")
         for i, lab in enumerate(instance.row_labels):
+            nz = slice(instance.indptr[i], instance.indptr[i + 1])
             parts = " ".join(
                 f"{instance.var_labels[c]}:{float(v)!r}"
-                for c, v in zip(instance.row_cols[i], instance.row_vals[i]))
+                for c, v in zip(instance.indices[nz], instance.values[nz]))
             fh.write(f"r {lab} {instance.senses[i]} "
                      f"{float(instance.rhs[i])!r} {parts}\n")

@@ -8,14 +8,23 @@ matter; windy ones allow recharging. Training this instance to its
 extensive-form optimum is the backbone of several tests, so the
 trained policy is built once per session.
 """
-import itertools
-import time
+import os
 
-import numpy as np
-import pytest
+# Pin BLAS to one thread before numpy is first imported, as the
+# benchmark launcher does: a multi-threaded np.linalg.inv slows sharply
+# when the other cores are busy, which made check 01's wall-clock gate
+# depend on machine load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from stockpile import model, sddp
-from stockpile.weather import SamplingLattice, WeatherPath
+import itertools  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from stockpile import model, sddp  # noqa: E402
+from stockpile.weather import SamplingLattice, WeatherPath  # noqa: E402
 
 
 def make_vector(demand, factors, hours=1.0):

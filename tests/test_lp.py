@@ -4,11 +4,12 @@ Expected values come from hand solutions, an independent vertex
 enumeration written here, and cross-checks against scipy's HiGHS
 interface, never from the solver under test.
 """
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
 
 from stockpile import lp
 from stockpile.errors import NotOptimal, NumericalFailure, UnknownVariable
@@ -515,3 +516,117 @@ def test_replace_rhs_validates_new_values():
     assert lp.solve(moved).objective == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(ValueError, match="rhs"):
         lp.replace_rhs(inst, [0], [np.nan])
+
+
+def _rowless(cost, lower, upper):
+    """An LP whose rows all have no nonzero coefficient: one empty row of
+    each sense with a right-hand side it satisfies, and one whose only
+    term has a zero coefficient."""
+    b = lp.LpBuilder()
+    for j, (c, lo, hi) in enumerate(zip(cost, lower, upper)):
+        b.add_variable(f"x{j}", cost=c, lower=lo, upper=hi)
+    b.add_row("le", [], "<=", 1.0)
+    b.add_row("ge", [], ">=", -2.0)
+    b.add_row("eq", [], "=", 0.0)
+    b.add_row("zero", [("x0", 0.0)], "<=", 0.5)
+    return b.build()
+
+
+def test_rowless_lp_optimal_matches_scipy_and_restarts():
+    # boxed at its upper bound (negative cost), free at zero (no cost),
+    # at a finite lower bound, boxed at its lower bound, fixed, and
+    # negative-cost with only an upper bound
+    cost = [-2.0, 0.0, 1.0, 3.0, 5.0, -1.0]
+    lower = [-1.0, -np.inf, 0.0, -2.0, 1.0, -np.inf]
+    upper = [3.0, np.inf, np.inf, 5.0, 1.0, 4.0]
+    inst = _rowless(cost, lower, upper)
+    sol = lp.solve(inst)
+    ref = optimize.linprog(cost, bounds=[(None if np.isinf(lo) else lo,
+                                          None if np.isinf(hi) else hi)
+                                         for lo, hi in zip(lower, upper)],
+                           method="highs")
+    assert ref.status == 0 and sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert np.allclose(sol.primal, [3.0, 0.0, 0.0, -2.0, 1.0, 4.0], atol=1e-12)
+    assert np.allclose(sol.primal, ref.x, atol=1e-9)
+    assert np.array_equal(sol.duals, np.zeros(inst.n_rows))
+    assert np.allclose(sol.reduced_costs, cost, atol=1e-12)
+    again = lp.solve(inst, basis=sol.basis)
+    assert again.iterations == 0
+    assert np.array_equal(again.primal, sol.primal)
+    assert np.array_equal(again.reduced_costs, sol.reduced_costs)
+    assert all(np.array_equal(a, b) for a, b in zip(again.basis, sol.basis))
+
+
+@pytest.mark.parametrize("lower,upper,cost", [
+    (-np.inf, np.inf, -1.0),       # free, negative cost
+    (-np.inf, 2.0, 1.0),           # no lower bound, positive cost
+    (0.0, np.inf, -3.0)])          # no upper bound, negative cost
+def test_rowless_lp_unbounded_matches_scipy(lower, upper, cost):
+    inst = _rowless([cost, 1.0], [lower, 0.0], [upper, 1.0])
+    ref = optimize.linprog([cost, 1.0],
+                           bounds=[(None if np.isinf(lower) else lower,
+                                    None if np.isinf(upper) else upper),
+                                   (0.0, 1.0)], method="highs")
+    assert ref.status == 3
+    assert lp.solve(inst).status == lp.UNBOUNDED
+
+
+def _csr_instance(**changes):
+    """Two variables, rows x <= 4 and 2x + 3y >= 1, as a CSR triple."""
+    data = dict(objective=np.array([1.0, 2.0]), indptr=np.array([0, 1, 3]),
+                indices=np.array([0, 0, 1]), values=np.array([1.0, 2.0, 3.0]),
+                senses=("<=", ">="), rhs=np.array([4.0, 1.0]),
+                lower=np.zeros(2), upper=np.full(2, np.inf),
+                var_labels=("x", "y"), row_labels=("a", "b"))
+    data.update(changes)
+    return lp.LpInstance(**data)
+
+
+def test_csr_instance_is_read_only_and_matches_scipy_sparse():
+    values = np.array([1.0, 2.0, 3.0])
+    inst = _csr_instance(values=values)
+    assert values.flags.writeable             # the caller's array is not frozen
+    for arr in (inst.objective, inst.indptr, inst.indices, inst.values,
+                inst.rhs, inst.lower, inst.upper):
+        assert not arr.flags.writeable
+    assert inst.indptr.dtype == inst.indices.dtype == np.intp
+    expected = sparse.csr_array((inst.values, inst.indices, inst.indptr),
+                                shape=(inst.n_rows, inst.n_vars)).toarray()
+    assert np.array_equal(inst.dense_matrix(), expected)
+    assert inst.row_index == {"a": 0, "b": 1}
+    sol = lp.solve(inst)
+    assert sol.value("x") == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"indptr": np.array([1, 1, 3])}, "indptr"),      # does not start at 0
+    ({"indptr": np.array([0, 4, 3])}, "indptr"),      # decreases
+    ({"indptr": np.array([0, 1, 2])}, "indptr"),      # ends short of nnz
+    ({"indptr": np.array([0, 3])}, "row storage"),
+    ({"values": np.array([1.0, 2.0])}, "length mismatch"),
+    ({"indices": np.array([0, 0, 2])}, "unknown variable index"),
+    ({"indices": np.array([-1, 0, 1])}, "unknown variable index"),
+    ({"values": np.array([1.0, np.nan, 3.0])}, "coefficients"),
+    ({"senses": ("<=", "<")}, "sense '<'"),
+    ({"rhs": np.array([4.0, np.inf])}, "rhs"),
+    ({"lower": np.array([0.0, np.nan])}, "NaN"),
+    ({"lower": np.array([5.0, 0.0]), "upper": np.array([1.0, 1.0])},
+     "lower > upper for variable 'x'"),
+    ({"var_labels": ("x", "x")}, "duplicate variable label 'x'"),
+    ({"row_labels": ("a", "a")}, "duplicate row label 'a'"),
+], ids=["indptr_start", "indptr_decreases", "indptr_end", "indptr_length",
+        "value_count", "column_range", "negative_column", "nan_coefficient",
+        "unknown_sense", "infinite_rhs", "nan_bound", "lower_above_upper",
+        "duplicate_variable", "duplicate_row"])
+def test_csr_instance_rejects_inconsistent_data(changes, message):
+    with pytest.raises(ValueError, match=message):
+        _csr_instance(**changes)
+
+
+def test_replaced_instance_is_validated():
+    inst = _csr_instance()
+    with pytest.raises(ValueError, match="rhs"):
+        dataclasses.replace(inst, rhs=np.array([np.nan, 1.0]))
+    moved = dataclasses.replace(inst, rhs=np.array([4.0, 2.0]))
+    assert moved.row_index == inst.row_index and moved.indices is inst.indices
