@@ -13,7 +13,9 @@ binding <= row nonpositive, and of an equality row sign-free.
 An :class:`LpInstance` holds its rows in compressed sparse row (CSR)
 form: the nonzeros of row i are ``values[indptr[i]:indptr[i + 1]]`` in
 the columns ``indices[indptr[i]:indptr[i + 1]]``, the triple that
-``scipy.sparse.csr_array((values, indices, indptr))`` takes. Every
+``scipy.sparse.csr_array((values, indices, indptr))`` takes.
+:func:`extend_rows` takes the rows it appends as such a triple too, so
+a caller can build a block of rows with array operations. Every
 instance, including those :func:`extend_rows` and :func:`replace_rhs`
 derive, is checked by its constructor; there is no unchecked path.
 
@@ -277,38 +279,33 @@ class LpBuilder:
         )
 
 
-def extend_rows(instance: LpInstance, rows) -> LpInstance:
-    """Return a new instance with a batch of extra rows appended.
+def extend_rows(instance: LpInstance, indptr, indices, values, senses,
+                rhs, labels) -> LpInstance:
+    """Return a new instance with a block of extra rows appended.
 
-    ``rows`` is an iterable of ``(terms, sense, rhs, label)`` tuples;
-    ``terms`` pairs variable labels (or indices) with coefficients, as
-    in :meth:`LpBuilder.add_row`. The original instance is untouched.
-    Raises :class:`UnknownVariable` for variables not in the instance.
+    The block is given in CSR form (see the module docstring) with its
+    own ``indptr``, which starts at 0, plus one sense, right-hand side
+    and label per row. Column indices refer to the instance's variables.
+    The original instance is untouched. Raises :class:`UnknownVariable`
+    for a column index outside the instance and :class:`ValueError` for
+    anything else the constructor rejects.
     """
-    indptr = []
-    indices = []
-    values = []
-    senses = []
-    rhs = []
-    labels = []
-    for terms, sense, b, label in rows:
-        cols, vals = _sparse_row(terms, sense, instance.var_index,
-                                 instance.n_vars)
-        indices += cols
-        values += vals
-        indptr.append(len(indices))
-        senses.append(sense)
-        rhs.append(b)
-        labels.append(label)
-    if not labels:
+    indptr = np.asarray(indptr, dtype=np.intp)
+    indices = np.asarray(indices, dtype=np.intp)
+    if indptr.shape != (len(labels) + 1,) or indptr[0] != 0:
+        raise ValueError("block indptr must start at 0 and have one entry "
+                         "per row plus one")
+    if not len(labels):
         return instance
-    nnz = len(instance.indices)
+    outside = (indices < 0) | (indices >= instance.n_vars)
+    if np.any(outside):
+        raise UnknownVariable(
+            f"variable index {indices[outside][0]} out of range")
     return replace(
         instance,
         indptr=np.concatenate([instance.indptr,
-                               nnz + np.asarray(indptr, dtype=np.intp)]),
-        indices=np.concatenate([instance.indices,
-                                np.asarray(indices, dtype=np.intp)]),
+                               len(instance.indices) + indptr[1:]]),
+        indices=np.concatenate([instance.indices, indices]),
         values=np.concatenate([instance.values, values]),
         senses=instance.senses + tuple(senses),
         rhs=np.concatenate([instance.rhs, rhs]),
@@ -411,6 +408,7 @@ class _Simplex:
             (status == _AT_LOWER) | (status == _FIXED), self.lower, 0.0))
         self.basis = None
         self.binv = None
+        self.fresh = False          # no step since the last refactor()
 
     # -- basis handling -------------------------------------------------
 
@@ -428,6 +426,7 @@ class _Simplex:
         xn = self.x.copy()
         xn[self.basis] = 0.0
         self.x[self.basis] = self.binv @ (self.b - self.a @ xn)
+        self.fresh = True
 
     def _leave(self, j, upper):
         """Make basic column ``j`` nonbasic at its upper or lower bound."""
@@ -579,6 +578,7 @@ class _Simplex:
 
     def _count_step(self, t):
         self.pivots += 1
+        self.fresh = False
         if t <= _DEGENERATE_STEP:
             self.degenerate_run += 1
             if self.degenerate_run >= _BLAND_TRIGGER:
@@ -614,7 +614,7 @@ def _scale(a_struct, b, c, lower, upper):
     scale by 1/d, the primal recovers as x_scaled / d, duals as
     y_scaled / r, and reduced costs as z_scaled * d.
     """
-    a = a_struct.astype(float).copy()
+    a = a_struct.astype(float)
     m, n = a.shape
     r = np.ones(m)
     d = np.ones(n)
@@ -793,9 +793,11 @@ def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
     n, m = p.n, p.m
     instance = p.instance
     # refactor in column order, so that the output depends on the final
-    # basis alone and not on the pivots that reached it
-    sx.basis.sort()
-    sx.refactor()
+    # basis alone and not on the pivots that reached it; a sorted basis
+    # refactored with no step since (every 0-pivot restart) is that already
+    if not (sx.fresh and np.all(sx.basis[:-1] < sx.basis[1:])):
+        sx.basis.sort()
+        sx.refactor()
     y_s, z_s = sx.duals_and_reduced_costs()
 
     # verification on the scaled system

@@ -15,15 +15,22 @@ pruning is attempted, which is fine at desk scale.
 Warm starts: between two solves of one (stage, realization) only the
 fishing-row right-hand sides change and cut rows are appended, so each
 solve restarts from that problem's last optimal basis (see
-:func:`stockpile.lp.solve`). The bases live in a dict keyed by
+:func:`stockpile.lp.solve`). The last solves live in a dict keyed by
 (stage, realization) that belongs to one run: :func:`train` keeps one
 for its forward, backward and lower-bound solves, and each
 :func:`simulate` call starts a fresh one. Neither is stored on the
 policy or in its JSON. The final capacity solve of :func:`train`,
 :func:`lower_bound` and direct calls of :func:`forward_pass` and
-:func:`backward_pass` without a dict solve cold. Within training, the
-lower bound's capacity-stage solve also serves the next iteration's
-forward pass, since both see the same pool.
+:func:`backward_pass` without a dict solve cold.
+
+The same dict serves repeated solves. A solve whose incoming state has
+the same bytes, and whose pool the same length, as the last solve of its
+(stage, realization) is that instance again, and gets the stored
+(problem, solution) pair back, exactly what restarting from its own
+basis would give. Within training this hands the lower bound's
+capacity-stage solve to the next forward pass and the forward pass's
+last-stage solve to the backward pass; in simulation, paths that share
+a prefix share its solves. The dict holds one pair per lattice node.
 
 Determinism: with a fixed seed, training twice yields bit-identical
 logs and policies. Threaded backward passes keep determinism because
@@ -98,6 +105,30 @@ def average_cut(stage: int, values, slopes, trial_state,
     mean_slope = slopes.mean(axis=0)
     return Cut(stage=stage, intercept=mean_value - float(mean_slope @ trial),
                slope=mean_slope, iteration=iteration, trial_state=trial)
+
+
+def cut_block(problem: model.StageProblem, pool) -> tuple:
+    """The cut rows of ``pool`` on ``problem`` as the arguments that
+    follow the instance in :func:`stockpile.lp.extend_rows`.
+
+    Cut ``c`` is the row ``cut:<c>``: theta + (-slope) @ x >= intercept
+    over the state columns. Columns are sorted and a column named twice
+    (the capacity stage maps both the opening and the running level of
+    a storage to its opening-level variable) gets its coefficients
+    summed in term order. The arrays are those that
+    :meth:`stockpile.lp.LpBuilder.add_row` stores for the same terms.
+    """
+    terms = np.array((problem.theta_column,) + problem.state_columns)
+    cols, slot = np.unique(terms, return_inverse=True)
+    coefs = np.hstack([np.ones((len(pool), 1)),
+                       -np.array([cut.slope for cut in pool])])
+    values = np.zeros((len(pool), len(cols)))
+    for k, j in enumerate(slot):
+        values[:, j] += coefs[:, k]
+    return (np.arange(len(pool) + 1) * len(cols), np.tile(cols, len(pool)),
+            values.ravel(), (lp.GREATER_EQUAL,) * len(pool),
+            [cut.intercept for cut in pool],
+            [f"cut:{c}" for c in range(len(pool))])
 
 
 @dataclass(frozen=True)
@@ -198,40 +229,40 @@ class Policy:
                     total_stages=self.n_stages)
         return self._templates[key]
 
-    def _cut_rows(self, problem: model.StageProblem):
-        pool = self.pools.get(problem.stage + 1, ())
-        if not pool or problem.theta_column is None:
-            return ()
-        theta = problem.theta_column
-        cols = problem.state_columns
-        rows = []
-        for c, cut in enumerate(pool):
-            terms = [(theta, 1.0)]
-            terms += [(col, -s) for col, s in zip(cols, cut.slope)]
-            rows.append((terms, lp.GREATER_EQUAL, cut.intercept, f"cut:{c}"))
-        return tuple(rows)
-
     def _solve(self, t: int, node: int, x_in=None, bases=None):
         """Solve problem ``t`` at realization ``node`` to optimality.
 
         The problem carries the current cut pool on its cost-to-go
         variable and, when ``x_in`` is given, that incoming state.
         ``bases``, when given, maps (stage, realization) to the last
-        optimal basis of that problem: the solve restarts from the
-        stored basis and stores its own. Each key is only touched by the
+        optimal solve of that problem: the solve restarts from the
+        stored basis and stores itself. When the incoming state's bytes
+        and the pool length both equal those of the stored solve, the
+        instance is the same, so the stored (problem, solution) pair is
+        returned without solving; a restart from a solve's own basis
+        would reproduce it bit for bit. Each key is only touched by the
         thread solving that problem. Returns the problem and its
         solution.
         """
+        key = (t, node)
+        pool = self.pools.get(t + 1, ())
+        stamp = (None if x_in is None
+                 else np.ascontiguousarray(x_in, dtype=float).tobytes(),
+                 len(pool))
+        last = None if bases is None else bases.get(key)
+        if last is not None and last[0] == stamp:
+            return last[1], last[2]
         problem = self._template(t, node)
         if x_in is not None:
             problem = model.apply_incoming_state(problem, x_in)
-        inst = lp.extend_rows(problem.instance, self._cut_rows(problem))
+        inst = problem.instance
+        if pool and problem.theta_column is not None:
+            inst = lp.extend_rows(inst, *cut_block(problem, pool))
         where = f"stage {t}" if t == 0 else f"stage {t} realization {node}"
-        key = (t, node)
         sol = lp.solve_optimal(inst, where,
-                               None if bases is None else bases.get(key))
+                               None if last is None else last[2].basis)
         if bases is not None and sol.basis is not None:
-            bases[key] = sol.basis
+            bases[key] = (stamp, problem, sol)
         return problem, sol
 
     def _refresh_capacities(self) -> None:
@@ -339,19 +370,16 @@ def _rollout(policy: Policy, path: WeatherPath, first: StageRecord,
     return Trajectory(records=tuple(records))
 
 
-def forward_pass(policy: Policy, path: WeatherPath, bases=None,
-                 capacity=None) -> Trajectory:
+def forward_pass(policy: Policy, path: WeatherPath,
+                 bases=None) -> Trajectory:
     """Chain stage solves along one weather path, collecting states.
 
     The capacity stage is solved against the current cut pool; each
     dispatch stage then receives the previous stage's outgoing state.
-    ``capacity`` is that capacity-stage solve when the caller already
-    has it, as a (problem, solution) pair. Solves restart from and
-    update ``bases`` as in :meth:`Policy._solve`.
+    Solves restart from and update ``bases`` as in
+    :meth:`Policy._solve`.
     """
-    if capacity is None:
-        capacity = policy._solve(0, 0, bases=bases)
-    problem, sol = capacity
+    problem, sol = policy._solve(0, 0, bases=bases)
     theta = sol.primal[problem.theta_column]
     first = StageRecord(stage=0, node=None, incoming=None,
                         outgoing=model.extract_state(problem, sol),
@@ -447,8 +475,9 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
     Each iteration samples one forward path, adds one cut per stage in
     the backward pass, and records the new lower bound; the
     capacity-stage solve behind that bound also opens the next forward
-    pass. All training solves restart from one dict of bases. The final capacity decision is the
-    capacity-stage optimum under the final pool.
+    pass. All training solves restart from, and are served by, one dict
+    of last solves (see :meth:`Policy._solve`). The final capacity
+    decision is the capacity-stage optimum under the final pool.
     """
     opt = options or TrainOptions()
     policy = Policy(catalog, scenario, lattice)
@@ -457,14 +486,12 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
     log_rows = []
     policy.stopped_reason = "iteration_limit"
     bases = {}
-    capacity = None
     for k in range(1, opt.max_iterations + 1):
-        trajectory = forward_pass(policy, sample_path(lattice, rng), bases,
-                                  capacity)
+        trajectory = forward_pass(policy, sample_path(lattice, rng), bases)
         backward_pass(policy, trajectory, iteration=k, threads=opt.threads,
                       bases=bases)
-        capacity = policy._solve(0, 0, bases=bases)
-        lb = float(capacity[1].objective)
+        _, sol = policy._solve(0, 0, bases=bases)
+        lb = float(sol.objective)
         forward_cost = trajectory.total_cost
         policy.training_log.append((k, lb, forward_cost))
         log_rows.append((k, time.monotonic() - start, lb, forward_cost))

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import optimize, sparse
 
 from stockpile import lp
@@ -200,7 +202,8 @@ def test_extend_rows_immutable_and_warm_equivalent():
     inst = build([-1.0, -1.0], [[1.0, 1.0]], ["<="], [4.0],
                  [0.0, 0.0], [np.inf, np.inf])
     base = lp.solve(inst)
-    tightened = lp.extend_rows(inst, [([("x0", 1.0)], "<=", 1.0, "cap")])
+    tightened = lp.extend_rows(inst, [0, 1], [0], [1.0], ["<="], [1.0],
+                               ["cap"])
     assert tightened.n_rows == inst.n_rows + 1
     again = lp.solve(inst)
     assert again.objective == base.objective  # original untouched
@@ -214,8 +217,10 @@ def test_extend_rows_immutable_and_warm_equivalent():
 
 def test_extend_rows_unknown_variable():
     inst = build([1.0], [[1.0]], [">="], [1.0], [0.0], [np.inf])
-    with pytest.raises(UnknownVariable):
-        lp.extend_rows(inst, [([("nope", 1.0)], "<=", 1.0, "r1")])
+    for column in (1, -1):
+        with pytest.raises(UnknownVariable):
+            lp.extend_rows(inst, [0, 1], [column], [1.0], ["<="], [1.0],
+                           ["r1"])
 
 
 def test_extend_rows_matches_sequential_appends():
@@ -223,18 +228,22 @@ def test_extend_rows_matches_sequential_appends():
     one at a time."""
     inst = build([-1.0, -2.0], [[1.0, 1.0]], ["<="], [4.0],
                  [0.0, 0.0], [3.0, 3.0])
-    rows = [([("x0", 1.0)], lp.LESS_EQUAL, 2.0, "extra0"),
-            ([("x1", 2.0), ("x0", 1.0)], lp.LESS_EQUAL, 5.0, "extra1")]
-    batched = lp.extend_rows(inst, rows)
+    # x0 <= 2 and x0 + 2 x1 <= 5, as (indices, values, rhs, label)
+    rows = [([0], [1.0], 2.0, "extra0"),
+            ([0, 1], [1.0, 2.0], 5.0, "extra1")]
+    batched = lp.extend_rows(inst, [0, 1, 3], [0, 0, 1], [1.0, 1.0, 2.0],
+                             [lp.LESS_EQUAL] * 2, [2.0, 5.0],
+                             ["extra0", "extra1"])
     oneby = inst
-    for row in rows:
-        oneby = lp.extend_rows(oneby, [row])
+    for cols, vals, b, label in rows:
+        oneby = lp.extend_rows(oneby, [0, len(cols)], cols, vals,
+                               [lp.LESS_EQUAL], [b], [label])
     sb = lp.solve(batched)
     so = lp.solve(oneby)
     assert sb.objective == so.objective
     assert np.array_equal(sb.primal, so.primal)
     assert np.array_equal(sb.duals, so.duals)
-    assert lp.extend_rows(inst, []) is inst
+    assert lp.extend_rows(inst, [0], [], [], [], [], []) is inst
 
 
 def test_duplicate_terms_coalesced():
@@ -450,6 +459,56 @@ def test_restart_from_own_basis_reproduces_solution_without_pivots():
         assert not mine.flags.writeable
 
 
+@st.composite
+def _bounded_feasible_lp(draw):
+    """A random LP that is bounded, since every variable is boxed, and
+    feasible, since its right-hand sides hold at an integer point of the
+    box."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+    a = np.array(draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    cost = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    upper = np.array(draw(st.lists(st.integers(1, 8), min_size=n,
+                                   max_size=n)), dtype=float)
+    point = np.array([draw(st.integers(0, int(u))) for u in upper],
+                     dtype=float)
+    senses = draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m,
+                           max_size=m))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    rhs = a @ point + np.array([{"<=": g, ">=": -g, "=": 0}[sense]
+                                for sense, g in zip(senses, gaps)])
+    return build(cost, a, senses, rhs, [0.0] * n, upper)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_bounded_feasible_lp())
+def test_restart_from_own_basis_is_bit_identical_property(inst):
+    """On any bounded feasible LP, a restart from the solution's own basis
+    takes no pivot, factorizes the basis once, and reproduces the
+    objective, primal, duals, reduced costs and basis bit for bit."""
+    cold = lp.solve(inst)
+    assert cold.status == lp.OPTIMAL
+    assume(cold.basis is not None)
+    refactors = []
+    raw = lp._Simplex.refactor
+
+    def counted(self):
+        refactors.append(1)
+        return raw(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp._Simplex, "refactor", counted)
+        warm = lp.solve(inst, basis=cold.basis)
+    assert warm.iterations == 0 and len(refactors) == 1
+    assert warm.objective == cold.objective
+    for mine, theirs in ((warm.primal, cold.primal), (warm.duals, cold.duals),
+                         (warm.reduced_costs, cold.reduced_costs),
+                         *zip(warm.basis, cold.basis)):
+        assert mine.tobytes() == theirs.tobytes()
+
+
 def _unused_column_instance():
     """min x0 + x1 s.t. x0 + x1 >= 2, x0 - x1 <= 1; x2 is in no row."""
     return build([1.0, 1.0, 0.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]],
@@ -496,15 +555,16 @@ def test_basis_is_none_unless_optimal():
 def test_extend_rows_validates_only_new_rows_and_indexes_them():
     inst = build([1.0, 1.0], [[1.0, 1.0]], [">="], [1.0], [0.0, 0.0],
                  [np.inf, np.inf])
-    grown = lp.extend_rows(inst, [([("x0", 1.0)], "<=", 3.0, "cap")])
+    grown = lp.extend_rows(inst, [0, 1], [0], [1.0], ["<="], [3.0], ["cap"])
     assert grown.row_index == {"r0": 0, "cap": 1}
     assert inst.row_index == {"r0": 0}
-    for row, message in [
-            (([("x0", np.nan)], "<=", 1.0, "bad"), "coefficients"),
-            (([("x0", 1.0)], "<=", np.inf, "bad"), "rhs"),
-            (([("x0", 1.0)], "<=", 1.0, "r0"), "duplicate")]:
+    for (indptr, value, b, label), message in [
+            (([0, 1], np.nan, 1.0, "bad"), "coefficients"),
+            (([0, 1], 1.0, np.inf, "bad"), "rhs"),
+            (([0, 1], 1.0, 1.0, "r0"), "duplicate"),
+            (([1, 1], 1.0, 1.0, "bad"), "indptr")]:
         with pytest.raises(ValueError, match=message):
-            lp.extend_rows(inst, [row])
+            lp.extend_rows(inst, indptr, [0], [value], ["<="], [b], [label])
 
 
 def test_replace_rhs_validates_new_values():

@@ -111,9 +111,10 @@ def test_capacity_stage_single_cut_moves_optimum_to_kink():
                            max_capacity=10.0)
     catalog = model.TechnologyCatalog((wind,), ())
     prob = model.build_capacity_stage(catalog)
-    cut = lp.extend_rows(prob.instance,
-                         [([("theta", 1.0), ("G:wind", 50.0)],
-                           lp.GREATER_EQUAL, 100.0, "cut0")])
+    index = prob.instance.var_index
+    cut = lp.extend_rows(prob.instance, [0, 2],
+                         [index["theta"], index["G:wind"]], [1.0, 50.0],
+                         [lp.GREATER_EQUAL], [100.0], ["cut0"])
     sol = lp.solve(cut)
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(2.0, rel=1e-9)

@@ -499,7 +499,99 @@ def test_no_restart_falls_back_on_canonical_instance(canonical, monkeypatch):
         return sol
 
     monkeypatch.setattr(lp, "_warm", spy)
-    policy = _train_canonical(canonical, 40)
+    # repeated solves are served without a restart, so it takes 50
+    # iterations to restart more than 400 times
+    policy = _train_canonical(canonical, 50)
     sddp.simulate(policy, canonical["paths"])
     assert len(finished) > 400
     assert all(finished)
+
+
+def _builder_cut_rows(problem, pool):
+    """The pool's cut rows appended one at a time by LpBuilder.add_row to
+    the problem's variables, as (indptr, indices, values, instance)."""
+    inst = problem.instance
+    b = lp.LpBuilder()
+    for j, label in enumerate(inst.var_labels):
+        b.add_variable(label, cost=inst.objective[j], lower=inst.lower[j],
+                       upper=inst.upper[j])
+    for c, cut in enumerate(pool):
+        terms = [(problem.theta_column, 1.0)]
+        terms += [(col, -s) for col, s in zip(problem.state_columns,
+                                               cut.slope)]
+        b.add_row(f"cut:{c}", terms, lp.GREATER_EQUAL, cut.intercept)
+    return b.build()
+
+
+@pytest.mark.parametrize("stage", [0, 1])
+def test_cut_block_equals_builder_rows(canonical, stage):
+    """The array-built cut block holds, bit for bit, the CSR arrays that
+    LpBuilder.add_row stores for the same terms: sorted columns, and on
+    the capacity stage the opening-level column, which both the opening
+    and the running level map to, with its two coefficients summed."""
+    policy = sddp.Policy(canonical["catalog"], canonical["scenario"],
+                         canonical["lattice"])
+    problem = policy._template(stage, 0)
+    cols = problem.state_columns
+    assert (len(set(cols)) < len(cols)) == (stage == 0)
+    rng = np.random.default_rng(5)
+    pool = []
+    for k in range(4):
+        slope = rng.normal(size=len(cols)) * 10.0 ** rng.integers(-3, 4)
+        slope[k % len(cols)] = 0.0
+        pool.append(sddp.Cut(stage=stage + 1, intercept=float(rng.normal()),
+                             slope=slope, iteration=k,
+                             trial_state=np.zeros(len(cols))))
+    indptr, indices, values, senses, rhs, labels = sddp.cut_block(
+        problem, pool)
+    ref = _builder_cut_rows(problem, pool)
+    for mine, theirs in ((indptr, ref.indptr), (indices, ref.indices),
+                         (values, ref.values)):
+        mine = np.asarray(mine, dtype=theirs.dtype)
+        assert mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+    assert tuple(senses) == ref.senses
+    assert np.asarray(rhs).tobytes() == ref.rhs.tobytes()
+    assert tuple(labels) == ref.row_labels
+
+
+def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
+                                                         monkeypatch):
+    """Every solve served from the last-solve memo in 40 canonical
+    iterations is, bit for bit, what solving the served instance from
+    the stored basis gives, and that restart takes no pivot."""
+    solves = []
+    raw_solve = lp.solve_optimal
+    raw_stage = sddp.Policy._solve
+
+    def count(*args, **kwargs):
+        solves.append(1)
+        return raw_solve(*args, **kwargs)
+
+    hits = []
+
+    def stage(self, t, node, x_in=None, bases=None):
+        before = len(solves)
+        problem, sol = raw_stage(self, t, node, x_in, bases)
+        if len(solves) == before:
+            assert bases is not None
+            hits.append((t, sol))
+        return problem, sol
+
+    monkeypatch.setattr(lp, "solve_optimal", count)
+    monkeypatch.setattr(sddp.Policy, "_solve", stage)
+    _train_canonical(canonical, 40)
+    last = canonical["lattice"].n_stages
+    # the lower bound's capacity solve opens each later forward pass, and
+    # each backward pass repeats the forward pass's last-stage solve
+    assert sum(t == 0 for t, _ in hits) == 39
+    assert sum(t == last for t, _ in hits) >= 40
+    for _, served in hits:
+        again = lp.solve(served.instance, basis=served.basis)
+        assert again.iterations == 0
+        assert again.objective == served.objective
+        for mine, theirs in ((again.primal, served.primal),
+                             (again.duals, served.duals),
+                             (again.reduced_costs, served.reduced_costs),
+                             *zip(again.basis, served.basis)):
+            assert mine.tobytes() == theirs.tobytes()
