@@ -19,6 +19,19 @@ a caller can build a block of rows with array operations. Every
 instance, including those :func:`extend_rows` and :func:`replace_rhs`
 derive, is checked by its constructor; there is no unchecked path.
 
+The simplex kernel is sparse and never forms a dense copy of the
+constraint matrix. Presolve turns the CSR rows into compressed sparse
+columns (a column repeated within a row summed, explicit zeros
+dropped) and equilibrates them on their nonzeros. Slack and phase-1
+artificial columns are unit columns, stored as a row and a sign. Every
+product with the matrix (pricing ``y @ A``, the leaving row of the
+tableau, ``A @ x``) is one ``np.bincount`` over the nonzeros, and an
+entering column is ``B^-1[:, rows] @ vals``. The explicit basis inverse
+is updated in product form only on the columns where the pivot row is
+nonzero, and refactored blockwise: each basic unit column covers its
+own row, so only the block of the structural basics on the remaining
+rows is inverted, and the all-slack start inverts nothing.
+
 The solver is deterministic: the same instance solved twice in one
 process yields bit-identical results, and the returned solution is
 computed from the final basis alone, whatever pivots reached it.
@@ -81,6 +94,12 @@ def _as_readonly(arr, dtype=float) -> np.ndarray:
     if arr.flags.writeable:
         arr = arr.copy()
         arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which nothing else references, made read-only."""
+    arr.setflags(write=False)
     return arr
 
 
@@ -364,6 +383,10 @@ _AT_LOWER = 1
 _AT_UPPER = 2
 _FREE_NB = 3
 _FIXED = 4
+# by status, the sign that turns a rate per unit increase into a gain
+# (see _Simplex._gain): a column at its lower bound can only rise, one at
+# its upper bound only fall, basic and fixed ones do not move
+_GAIN_SIGN = np.array([0.0, -1.0, 1.0, 0.0, 0.0])
 
 
 def _status_fits(status, lower, upper) -> bool:
@@ -380,18 +403,40 @@ def _status_fits(status, lower, upper) -> bool:
 class _Simplex:
     """Working state for one solve of an equality-form bounded LP.
 
+    The columns are those of a :class:`_Prepared` instance: its ``ns``
+    structural columns in compressed sparse column form, one slack per
+    row, and then any artificials :meth:`add_units` appends. A slack or
+    an artificial is a unit column, +1 or -1 in a single row, and is
+    stored as that row and that sign. The entries of all columns form
+    one coordinate list (``entry_col``, ``entry_row``, ``entry_val``):
+    the structural entries column by column, so that column j's are at
+    ``colptr[j]:colptr[j + 1]``, then one entry per unit column. Every
+    product with the constraint matrix is built from that list; there
+    is no dense copy of it.
+
+    ``binv`` is the explicit basis inverse, row p for basis position p.
+    :meth:`refactor` inverts only the block of the structural basics on
+    the rows no basic unit column covers, and :meth:`_replace` updates
+    only the columns where the pivot row is nonzero.
+
     ``status`` gives each column's starting status; by default every
     column is nonbasic at a finite bound (fixed, lower, then upper) or
     free at zero.
     """
 
-    def __init__(self, a, b, c, lower, upper, max_pivots, status=None):
-        self.a = a                  # dense m x n, slack columns included
-        self.b = b
-        self.c = c
-        self.lower = lower.copy()
-        self.upper = upper.copy()
-        self.m, self.n = a.shape
+    def __init__(self, p, max_pivots, status=None):
+        self.m = p.m
+        self.ns = p.n
+        self.n = p.n + p.m
+        self.colptr = p.colptr
+        self.n_entries = len(p.entry_row) - p.m     # structural entries
+        self.entry_col = p.entry_col
+        self.entry_row = p.entry_row
+        self.entry_val = p.entry_val
+        self.b = p.b_s
+        self.c = p.c
+        self.lower = p.lower.copy()
+        self.upper = p.upper.copy()
         self.max_pivots = max_pivots
         self.pivots = 0
         self.degenerate_run = 0
@@ -408,7 +453,48 @@ class _Simplex:
             (status == _AT_LOWER) | (status == _FIXED), self.lower, 0.0))
         self.basis = None
         self.binv = None
+        self.priced = None          # (y, z) of the current inverse and costs
         self.fresh = False          # no step since the last refactor()
+
+    def add_units(self, rows, signs):
+        """Append unit columns, column t being ``signs[t]`` in row
+        ``rows[t]``, at zero cost and nonbasic at their lower bound 0."""
+        k = len(rows)
+        self.entry_col = np.concatenate([self.entry_col,
+                                         np.arange(self.n, self.n + k)])
+        self.entry_row = np.concatenate([self.entry_row, rows])
+        self.entry_val = np.concatenate([self.entry_val, signs])
+        self.set_costs(np.concatenate([self.c, np.zeros(k)]))
+        self.lower = np.concatenate([self.lower, np.zeros(k)])
+        self.upper = np.concatenate([self.upper, np.full(k, np.inf)])
+        self.x = np.concatenate([self.x, np.zeros(k)])
+        self.status = np.concatenate([self.status,
+                                      np.full(k, _AT_LOWER, dtype=np.int8)])
+        self.n += k
+
+    def set_costs(self, c):
+        self.c = c
+        self.priced = None
+
+    # -- products with the constraint matrix ----------------------------
+
+    def times(self, x):
+        """``A @ x`` over all columns."""
+        return np.bincount(self.entry_row, self.entry_val * x[self.entry_col],
+                           self.m)
+
+    def row_times(self, y):
+        """``y @ A`` over all columns."""
+        return np.bincount(self.entry_col, y[self.entry_row] * self.entry_val,
+                           self.n)
+
+    def column(self, j):
+        """Column ``j`` times the current inverse."""
+        if j < self.ns:
+            nz = slice(self.colptr[j], self.colptr[j + 1])
+            return self.binv[:, self.entry_row[nz]] @ self.entry_val[nz]
+        k = self.n_entries + j - self.ns
+        return self.entry_val[k] * self.binv[:, self.entry_row[k]]
 
     # -- basis handling -------------------------------------------------
 
@@ -418,14 +504,52 @@ class _Simplex:
         self.refactor()
 
     def refactor(self):
-        bmat = self.a[:, self.basis]
-        try:
-            self.binv = np.linalg.inv(bmat)
-        except np.linalg.LinAlgError:
-            raise NumericalFailure("basis matrix is singular") from None
+        """Invert the basis blockwise. A basic unit column covers its own
+        row; with K the structural basics, R the rows no basic unit
+        covers, S the covered rows and sigma the units' signs,
+
+            B^-1 = [[A_RK^-1, 0], [-sigma A_SK A_RK^-1, sigma]],
+
+        so only the k x k block A_RK is inverted, and a basis of unit
+        columns alone inverts nothing. Two basic units on one row, or a
+        singular A_RK, raise :class:`NumericalFailure`."""
+        m, basis = self.m, self.basis
+        unit = basis >= self.ns
+        upos = unit.nonzero()[0]
+        at = basis[upos] + (self.n_entries - self.ns)
+        urow = self.entry_row[at]
+        usign = self.entry_val[at]
+        hits = np.bincount(urow, minlength=m)
+        if hits.max(initial=0) > 1:
+            raise NumericalFailure("two basic unit columns share a row")
+        binv = np.zeros((m, m))
+        binv[upos, urow] = usign
+        k = m - len(upos)
+        if k:
+            spos = (~unit).nonzero()[0]
+            struct = basis[spos]
+            first = self.colptr[struct]
+            count = self.colptr[struct + 1] - first
+            end = count.cumsum()
+            # the entries of the structural basics, one column after another
+            at = np.arange(end[-1]) + (first - end + count).repeat(count)
+            block = np.zeros((m, k))
+            block[self.entry_row[at],
+                  np.arange(k).repeat(count)] = self.entry_val[at]
+            open_rows = (hits == 0).nonzero()[0]
+            try:
+                inv = np.linalg.inv(block[open_rows])
+            except np.linalg.LinAlgError:
+                raise NumericalFailure("basis matrix is singular") from None
+            cols = np.empty((m, k))
+            cols[spos] = inv
+            cols[upos] = (-usign[:, None] * block[urow]) @ inv
+            binv[:, open_rows] = cols
+        self.binv = binv
+        self.priced = None
         xn = self.x.copy()
-        xn[self.basis] = 0.0
-        self.x[self.basis] = self.binv @ (self.b - self.a @ xn)
+        xn[basis] = 0.0
+        self.x[basis] = binv @ (self.b - self.times(xn))
         self.fresh = True
 
     def _leave(self, j, upper):
@@ -441,38 +565,45 @@ class _Simplex:
         column times the current inverse."""
         self.status[q] = _BASIC
         self.basis[r] = q
-        # product-form update of the inverse
+        # product-form update of the inverse, on the columns where the
+        # pivot row is nonzero: elsewhere it would subtract zeros
         pivrow = self.binv[r] / d[r]
-        self.binv -= np.outer(d, pivrow)
+        nz = pivrow.nonzero()[0]
+        self.binv[:, nz] -= np.outer(d, pivrow[nz])
         self.binv[r] = pivrow
+        self.priced = None
 
     # -- pricing --------------------------------------------------------
 
     def duals_and_reduced_costs(self):
-        y = self.c[self.basis] @ self.binv
-        z = self.c - y @ self.a
-        return y, z
+        """Duals and reduced costs of the current basis, computed once
+        per inverse and cost vector (a bound flip changes neither)."""
+        if self.priced is None:
+            y = self.c[self.basis] @ self.binv
+            self.priced = y, self.c - self.row_times(y)
+        return self.priced
+
+    def _gain(self, v):
+        """``v`` per column, signed so that it is positive where moving
+        the column off its bound in the feasible direction gains: -v at
+        a lower bound, v at an upper bound, |v| when free, 0 when basic
+        or fixed."""
+        return np.where(self.status == _FREE_NB, np.abs(v),
+                        _GAIN_SIGN[self.status] * v)
 
     def _dual_violation(self, z):
         """How far each nonbasic reduced cost has the sign that makes its
         column worth entering, beyond the entering tolerance."""
-        viol = np.zeros(self.n)
-        at_lo = self.status == _AT_LOWER
-        at_hi = self.status == _AT_UPPER
-        free = self.status == _FREE_NB
-        viol[at_lo] = np.maximum(0.0, -z[at_lo] - _ENTER_TOL)
-        viol[at_hi] = np.maximum(0.0, z[at_hi] - _ENTER_TOL)
-        viol[free] = np.maximum(0.0, np.abs(z[free]) - _ENTER_TOL)
-        return viol
+        return np.maximum(self._gain(z) - _ENTER_TOL, 0.0)
 
     def _entering(self, z):
         viol = self._dual_violation(z)
-        if not np.any(viol > 0.0):
+        if not viol.any():
             return -1, 0
         if self.bland:
-            q = int(np.argmax(viol > 0.0))      # first eligible index
+            q = int(viol.nonzero()[0][0])       # first eligible index
         else:
-            q = int(np.argmax(viol))            # most violating, first on ties
+            q = int(viol.argmax())              # most violating, first on ties
         if self.status[q] == _AT_LOWER:
             direction = 1
         elif self.status[q] == _AT_UPPER:
@@ -485,7 +616,7 @@ class _Simplex:
 
     def step(self, q, direction):
         """One ratio test plus pivot or bound flip. False means unbounded."""
-        d = self.binv @ self.a[:, q]
+        d = self.column(q)
         delta = -direction * d              # change of each basic per unit step
         xb = self.x[self.basis]
         lb = self.lower[self.basis]
@@ -493,9 +624,9 @@ class _Simplex:
         limits = np.full(self.m, np.inf)
         dn = (delta < -_PIVOT_TOL) & np.isfinite(lb)
         up = (delta > _PIVOT_TOL) & np.isfinite(ub)
-        if np.any(dn):
+        if dn.any():
             limits[dn] = (xb[dn] - lb[dn]) / -delta[dn]
-        if np.any(up):
+        if up.any():
             limits[up] = (ub[up] - xb[up]) / delta[up]
         limits = np.maximum(limits, 0.0)
         lim_min = limits.min() if self.m else np.inf
@@ -514,7 +645,7 @@ class _Simplex:
             return True
         tie = limits <= lim_min + _RATIO_TIE * (1.0 + lim_min)
         usable = tie & (np.abs(d) > _PIVOT_TOL)
-        cand = np.flatnonzero(usable if np.any(usable) else tie)
+        cand = (usable if usable.any() else tie).nonzero()[0]
         r = int(cand[np.argmin(self.basis[cand])])
         t = limits[r]
         leaving = int(self.basis[r])
@@ -545,26 +676,22 @@ class _Simplex:
             viol = np.maximum(below, xb - self.upper[self.basis])
             if viol.max(initial=0.0) <= _PRIMAL_TOL:
                 return
-            r = int(np.argmax(viol))
+            r = int(viol.argmax())
             _, z = self.duals_and_reduced_costs()
             if self._dual_violation(z).max() > OPTIMALITY_TOL:
                 raise NumericalFailure("dual simplex basis is not dual feasible")
             rise = below[r] > 0.0
-            alpha = self.binv[r] @ self.a
+            alpha = self.row_times(self.binv[r])
             # raising nonbasic j by one moves the leaving variable by -alpha_j
             g = alpha if rise else -alpha
-            st = self.status
-            cand = np.flatnonzero(
-                ((st == _AT_LOWER) & (g < -_PIVOT_TOL))
-                | ((st == _AT_UPPER) & (g > _PIVOT_TOL))
-                | ((st == _FREE_NB) & (np.abs(g) > _PIVOT_TOL)))
+            cand = (self._gain(g) > _PIVOT_TOL).nonzero()[0]
             if not cand.size:
                 raise NumericalFailure("dual simplex found no entering column")
             ratio = np.abs(z[cand] / alpha[cand])
             best = ratio.min()
             tie = cand[ratio <= best + _RATIO_TIE * (1.0 + best)]
             q = int(tie[np.argmax(np.abs(alpha[tie]))])
-            d = self.binv @ self.a[:, q]
+            d = self.column(q)
             if abs(d[r]) < _PIVOT_TOL:
                 raise NumericalFailure("pivot element below tolerance")
             leaving = int(self.basis[r])
@@ -606,51 +733,61 @@ class _Simplex:
                 return UNBOUNDED
 
 
-def _scale(a_struct, b, c, lower, upper):
-    """Two rounds of max-norm row/column equilibration.
+def _scale(row, col, val, row_count, col_order, n):
+    """Two rounds of max-norm row/column equilibration of the nonzero
+    entries ``val`` at (``row``, ``col``) of an m x n matrix, in row
+    order with ``row_count[i] > 0`` entries in row i; ``col_order``
+    sorts them by column. Returns the scaled values, the column counts
+    and the row and column factors r and d.
 
     a_scaled[i, j] = a[i, j] / (r[i] * d[j]), which substitutes
     x_scaled = d * x. Hence b_scaled = b / r, bounds scale by d, costs
     scale by 1/d, the primal recovers as x_scaled / d, duals as
-    y_scaled / r, and reduced costs as z_scaled * d.
+    y_scaled / r, and reduced costs as z_scaled * d. A maximum over the
+    nonzeros equals the one over the dense row or column, so the factors
+    and scaled values are those of the dense matrix.
     """
-    a = a_struct.astype(float)
-    m, n = a.shape
+    m = len(row_count)
+    col_count = np.bincount(col, minlength=n)
+    used = col_count > 0
+    row_first = row_count.cumsum() - row_count
+    col_first = (col_count.cumsum() - col_count)[used]
+    a = val
     r = np.ones(m)
     d = np.ones(n)
     for _ in range(2):
+        cmax = np.zeros(n)
         if m:
-            rmax = np.abs(a).max(axis=1)
+            rmax = np.maximum.reduceat(np.abs(a), row_first)
             rmax[rmax == 0.0] = 1.0
-            rmax = np.clip(rmax, 1e-8, 1e8)
+            rmax = np.minimum(np.maximum(rmax, 1e-8), 1e8)
             r *= rmax
-            a /= rmax[:, None]
-            cmax = np.abs(a).max(axis=0)
-        else:
-            cmax = np.zeros(n)
+            a = a / rmax[row]
+            cmax[used] = np.maximum.reduceat(np.abs(a[col_order]), col_first)
         cmax[cmax == 0.0] = 1.0
-        cmax = np.clip(cmax, 1e-8, 1e8)
+        cmax = np.minimum(np.maximum(cmax, 1e-8), 1e8)
         d *= cmax
-        a /= cmax[None, :]
-    b_s = b / r if m else b.astype(float).copy()
-    with np.errstate(invalid="ignore"):
-        lo_s = lower * d
-        hi_s = upper * d
-    c_s = c / d
-    return a, b_s, c_s, lo_s, hi_s, r, d
+        a = a / cmax[col]
+    return a, col_count, r, d
 
 
 @dataclass(frozen=True)
 class _Prepared:
     """An instance after presolve and scaling, in equality form over its
-    kept (nonempty) rows with one slack column per kept row."""
+    kept (nonempty) rows, with one slack column per kept row after the
+    structural columns. The entries of all columns are one coordinate
+    list: the scaled structural entries column by column, column j's at
+    ``colptr[j]:colptr[j + 1]``, then the slacks' unit entries."""
 
     instance: LpInstance
     keep: np.ndarray          # instance row of each kept row
     b: np.ndarray             # unscaled right-hand sides of the kept rows
-    a: np.ndarray             # scaled structural columns, then the slacks
+    colptr: np.ndarray
+    entry_col: np.ndarray
+    entry_row: np.ndarray
+    entry_val: np.ndarray
     b_s: np.ndarray
-    c: np.ndarray
+    c: np.ndarray             # structural costs, then zeros for the slacks
     lower: np.ndarray
     upper: np.ndarray
     rscale: np.ndarray
@@ -666,70 +803,95 @@ class _Prepared:
         return len(self.keep)
 
 
+def _entries(instance: LpInstance):
+    """The nonzero entries of the instance as (row, col, val) in row
+    order, plus the permutation that sorts them by column with rows
+    ascending within a column. A column repeated within a row is one
+    entry holding the sum, as in :meth:`LpInstance.dense_matrix`, and
+    an explicit zero (a cut's zero slope, say) is no entry."""
+    indptr = instance.indptr
+    row = np.arange(instance.n_rows).repeat(indptr[1:] - indptr[:-1])
+    col, val = instance.indices, instance.values
+    nonzero = val != 0.0
+    if not nonzero.all():
+        row, col, val = row[nonzero], col[nonzero], val[nonzero]
+    # stable, so rows stay ascending within a column and repeats of one
+    # (row, column) end up next to each other in the order given
+    order = col.argsort(kind="stable")
+    ccol, crow = col[order], row[order]
+    repeat = (ccol[1:] == ccol[:-1]) & (crow[1:] == crow[:-1])
+    if repeat.any():
+        first = np.concatenate([[True], ~repeat]).nonzero()[0]
+        summed = np.add.reduceat(val[order], first)
+        back = crow[first].argsort(kind="stable")
+        row, col, val = crow[first][back], ccol[first][back], summed[back]
+        nonzero = val != 0.0
+        row, col, val = row[nonzero], col[nonzero], val[nonzero]
+        order = col.argsort(kind="stable")
+    return row, col, val, order
+
+
 def _prepare(instance: LpInstance):
     """Presolve and scale. Returns an :class:`LpSolution` instead when
     presolve alone settles the instance."""
-    # presolve: drop rows with no coefficients, checking constant feasibility
-    a_full = instance.dense_matrix()
-    nonempty = np.any(a_full != 0.0, axis=1)
+    # presolve: drop rows with no nonzero entry, checking constant feasibility
+    row, col, val, order = _entries(instance)
+    m_all = instance.n_rows
+    row_count = np.bincount(row, minlength=m_all)
     senses = np.asarray(instance.senses, dtype=str)
     le = senses == LESS_EQUAL
     ge = senses == GREATER_EQUAL
     rhs = instance.rhs
-    violated = np.where(le, rhs < -FEASIBILITY_TOL, np.where(
-        ge, rhs > FEASIBILITY_TOL, np.abs(rhs) > FEASIBILITY_TOL))
-    if np.any(violated & ~nonempty):
-        return LpSolution(INFEASIBLE, None, None, None, None, 0, instance)
-    keep = np.flatnonzero(nonempty)
+    if row_count.all():
+        keep = np.arange(m_all)
+    else:
+        nonempty = row_count > 0
+        violated = np.where(le, rhs < -FEASIBILITY_TOL, np.where(
+            ge, rhs > FEASIBILITY_TOL, np.abs(rhs) > FEASIBILITY_TOL))
+        if (violated & ~nonempty).any():
+            return LpSolution(INFEASIBLE, None, None, None, None, 0, instance)
+        keep = nonempty.nonzero()[0]
+        row = (nonempty.cumsum() - 1)[row]
+        row_count = row_count[keep]
+        le, ge = le[keep], ge[keep]
+    m, n = len(keep), instance.n_vars
     b = rhs[keep]
-    m = len(keep)
 
-    a_s, b_s, c_s, lo_s, hi_s, rscale, dscale = _scale(
-        a_full[keep], b, instance.objective, instance.lower, instance.upper)
+    a, col_count, rscale, dscale = _scale(row, col, val, row_count, order, n)
+    c_s = instance.objective / dscale
     cost_scale = max(1.0, float(np.abs(c_s).max(initial=0.0)))
-    c_s = c_s / cost_scale
-
-    # slack columns are exactly identity after scaling (their own column
-    # scale cancels the row scale); bounds encode the row sense
-    slack_lo = np.where(ge[keep], -np.inf, 0.0)
-    slack_hi = np.where(le[keep], np.inf, 0.0)
+    # slack columns are exactly unit columns after scaling (their own
+    # column scale cancels the row scale); bounds encode the row sense
     return _Prepared(
         instance=instance, keep=keep, b=b,
-        a=np.hstack([a_s, np.eye(m)]), b_s=b_s,
-        c=np.concatenate([c_s, np.zeros(m)]),
-        lower=np.concatenate([lo_s, slack_lo]),
-        upper=np.concatenate([hi_s, slack_hi]),
+        colptr=np.concatenate([[0], col_count.cumsum()]),
+        entry_col=np.concatenate([col[order], np.arange(n, n + m)]),
+        entry_row=np.concatenate([row[order], np.arange(m)]),
+        entry_val=np.concatenate([a[order], np.ones(m)]),
+        b_s=b / rscale, c=np.concatenate([c_s / cost_scale, np.zeros(m)]),
+        lower=np.concatenate([instance.lower * dscale,
+                              np.where(ge, -np.inf, 0.0)]),
+        upper=np.concatenate([instance.upper * dscale,
+                              np.where(le, np.inf, 0.0)]),
         rscale=rscale, dscale=dscale, cost_scale=cost_scale)
 
 
 def _cold(p: _Prepared, max_pivots: int) -> LpSolution:
     """Two-phase solve from the slack basis."""
     n, m = p.n, p.m
-    sx = _Simplex(p.a, p.b_s, p.c, p.lower, p.upper, max_pivots)
+    sx = _Simplex(p, max_pivots)
 
     # initial point: nonbasics at bounds; rows whose residual fits inside the
     # slack bounds start with a basic slack, the rest get an artificial
     slack_lo, slack_hi = p.lower[n:], p.upper[n:]
-    resid = p.b_s - p.a @ sx.x
+    resid = p.b_s - sx.times(sx.x)
     absorbable = (resid >= slack_lo - 1e-9) & (resid <= slack_hi + 1e-9)
-    art_rows = np.flatnonzero(~absorbable)
+    art_rows = (~absorbable).nonzero()[0]
     n_art = len(art_rows)
+    basis = np.arange(n, n + m)                      # slack of each row
     if n_art:
-        art_mat = np.zeros((m, n_art))
-        art_sign = np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
-        art_mat[art_rows, np.arange(n_art)] = art_sign
-        sx.a = np.hstack([sx.a, art_mat])
-        sx.c = np.concatenate([sx.c, np.zeros(n_art)])
-        sx.lower = np.concatenate([sx.lower, np.zeros(n_art)])
-        sx.upper = np.concatenate([sx.upper, np.full(n_art, np.inf)])
-        sx.x = np.concatenate([sx.x, np.zeros(n_art)])
-        sx.status = np.concatenate([sx.status, np.full(n_art, _AT_LOWER, dtype=np.int8)])
-        sx.n = sx.a.shape[1]
-
-    basis = np.empty(m, dtype=np.intp)
-    basis[:] = n + np.arange(m)                      # slack of each row
-    for k, i in enumerate(art_rows):
-        basis[i] = n + m + k
+        sx.add_units(art_rows, np.where(resid[art_rows] >= 0.0, 1.0, -1.0))
+        basis[art_rows] = np.arange(n + m, n + m + n_art)
     sx.install_basis(basis)
 
     if n_art:
@@ -737,7 +899,7 @@ def _cold(p: _Prepared, max_pivots: int) -> LpSolution:
         real_cost = sx.c
         phase1 = np.zeros(sx.n)
         phase1[n + m:] = 1.0
-        sx.c = phase1
+        sx.set_costs(phase1)
         if sx.run() != OPTIMAL:
             raise NumericalFailure("phase 1 terminated unbounded")
         art_sum = float(np.abs(sx.x[n + m:]).sum())
@@ -745,7 +907,7 @@ def _cold(p: _Prepared, max_pivots: int) -> LpSolution:
             return LpSolution(INFEASIBLE, None, None, None, None,
                               sx.pivots, p.instance)
         # freeze artificials at zero, restore the real objective
-        sx.c = real_cost
+        sx.set_costs(real_cost)
         sx.lower[n + m:] = 0.0
         sx.upper[n + m:] = 0.0
         nb_art = np.arange(n + m, sx.n)[sx.status[n + m:] != _BASIC]
@@ -772,12 +934,12 @@ def _warm(p: _Prepared, basis, max_pivots: int) -> LpSolution | None:
     slacks = np.full(m_all, _BASIC, dtype=np.int8)
     slacks[:len(rows)] = rows
     status = np.concatenate([cols, slacks[p.keep]]).astype(np.int8)
-    if (np.count_nonzero(status == _BASIC) != p.m
-            or not _status_fits(status, p.lower, p.upper)):
+    basic = (status == _BASIC).nonzero()[0]
+    if len(basic) != p.m or not _status_fits(status, p.lower, p.upper):
         return None
-    sx = _Simplex(p.a, p.b_s, p.c, p.lower, p.upper, max_pivots, status)
+    sx = _Simplex(p, max_pivots, status)
     try:
-        sx.install_basis(np.flatnonzero(status == _BASIC))
+        sx.install_basis(basic)
         sx.dual_run()
         sx.degenerate_run = 0
         sx.bland = False
@@ -795,27 +957,27 @@ def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
     # refactor in column order, so that the output depends on the final
     # basis alone and not on the pivots that reached it; a sorted basis
     # refactored with no step since (every 0-pivot restart) is that already
-    if not (sx.fresh and np.all(sx.basis[:-1] < sx.basis[1:])):
+    if not (sx.fresh and (sx.basis[:-1] < sx.basis[1:]).all()):
         sx.basis.sort()
         sx.refactor()
     y_s, z_s = sx.duals_and_reduced_costs()
 
     # verification on the scaled system
-    resid = np.abs(sx.a @ sx.x - p.b_s)
+    resid = np.abs(sx.times(sx.x) - p.b_s)
     feas_ref = FEASIBILITY_TOL * (1.0 + float(np.abs(p.b_s).max(initial=0.0)))
     if float(resid.max(initial=0.0)) > feas_ref:
         raise NumericalFailure(
             f"primal residual {resid.max():.3e} exceeds {feas_ref:.3e}")
-    lo_ref = 1.0 + np.abs(np.where(np.isfinite(sx.lower), sx.lower, 0.0))
-    hi_ref = 1.0 + np.abs(np.where(np.isfinite(sx.upper), sx.upper, 0.0))
-    below = np.where(np.isfinite(sx.lower), sx.lower - sx.x, 0.0) / lo_ref
-    above = np.where(np.isfinite(sx.upper), sx.x - sx.upper, 0.0) / hi_ref
-    bound_viol = max(float(below.max(initial=0.0)), float(above.max(initial=0.0)))
+    # a value outside its box snaps onto the bound it crosses; the move,
+    # relative to that bound, is the bound violation
+    snapped = np.minimum(np.maximum(sx.x, sx.lower), sx.upper)
+    bound_viol = float((np.abs(snapped - sx.x)
+                        / (1.0 + np.abs(snapped))).max(initial=0.0))
     if bound_viol > 10.0 * FEASIBILITY_TOL:
         raise NumericalFailure(f"bound violation {bound_viol:.3e}")
-    # snap within-tolerance drift onto the bounds so callers never see
-    # a primal outside its declared box
-    np.clip(sx.x, sx.lower, sx.upper, out=sx.x)
+    # keep the snap of within-tolerance drift, so callers never see a
+    # primal outside its declared box
+    sx.x = snapped
 
     # unscale
     primal = sx.x[:n] / p.dscale
@@ -827,24 +989,24 @@ def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
 
     # strong duality on the original data
     dual_obj = float(duals_kept @ p.b)
-    stat_n = sx.status[:n]
+    stat_n = sx.status[:n].copy()
     at_lo = (stat_n == _AT_LOWER) | (stat_n == _FIXED)
     at_hi = stat_n == _AT_UPPER
-    if np.any(at_lo):
+    if at_lo.any():
         dual_obj += float(red[at_lo] @ instance.lower[at_lo])
-    if np.any(at_hi):
+    if at_hi.any():
         dual_obj += float(red[at_hi] @ instance.upper[at_hi])
     gap = abs(obj - dual_obj)
     if gap > 1e-6 * (1.0 + abs(obj) + abs(dual_obj)):
         raise NumericalFailure(f"duality gap {gap:.3e} on objective {obj:.6e}")
 
     basis = None
-    if not np.any(sx.status[n + m:] == _BASIC):      # no basic artificial
+    if not (sx.status[n + m:] == _BASIC).any():      # no basic artificial
         rows = np.full(instance.n_rows, _BASIC, dtype=np.int8)
         rows[p.keep] = sx.status[n:n + m]
-        basis = (_as_readonly(stat_n, np.int8), _as_readonly(rows, np.int8))
-    return LpSolution(OPTIMAL, obj, _as_readonly(primal), _as_readonly(duals),
-                      _as_readonly(red), sx.pivots, instance, basis)
+        basis = (_frozen(stat_n), _frozen(rows))
+    return LpSolution(OPTIMAL, obj, _frozen(primal), _frozen(duals),
+                      _frozen(red), sx.pivots, instance, basis)
 
 
 def solve(instance: LpInstance, *, max_pivots: int | None = None,

@@ -690,3 +690,233 @@ def test_replaced_instance_is_validated():
         dataclasses.replace(inst, rhs=np.array([np.nan, 1.0]))
     moved = dataclasses.replace(inst, rhs=np.array([4.0, 2.0]))
     assert moved.row_index == inst.row_index and moved.indices is inst.indices
+
+
+def _unit_and_structural_basis(rng, n, m, art_rows, dense):
+    """A random nonsingular basis of ``dense`` (structural columns, then
+    one slack per row, then the artificials on ``art_rows``): each row
+    is covered by its slack, by an artificial on it, or left to one of
+    the structural columns. More rows are covered on each attempt, so
+    the all-unit basis ends the search."""
+    for attempt in range(21):
+        covered = rng.random(m) < 0.3 + 0.035 * attempt
+        k = m - int(covered.sum())
+        if k > n:
+            continue
+        units = [rng.choice([n + i] + [n + m + t for t, r in enumerate(art_rows)
+                                       if r == i])
+                 for i in covered.nonzero()[0]]
+        basis = rng.permutation(np.concatenate(
+            [rng.choice(n, size=k, replace=False), units]).astype(np.intp))
+        if np.linalg.cond(dense[:, basis]) < 1e4:
+            return basis
+    raise AssertionError("the all-unit basis is never singular")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_block_refactor_matches_dense_inverse(seed):
+    """The blockwise inverse of a basis mixing structural, slack and
+    artificial columns equals the dense inverse of that basis, and the
+    basics it sets solve the equality system."""
+    rng = np.random.default_rng(7000 + seed)
+    n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    a = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < 0.6)
+    a[np.arange(m), rng.integers(0, n, m)] = rng.integers(1, 4, m)
+    inst = build(rng.integers(-3, 4, n).astype(float), a.astype(float),
+                 list(rng.choice(["<=", ">=", "="], m)),
+                 rng.integers(-5, 6, m).astype(float), [0.0] * n, [5.0] * n)
+    p = lp._prepare(inst)
+    assert p.m == m
+    sx = lp._Simplex(p, 100)
+    art_rows = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False)
+    sx.add_units(art_rows, rng.choice([-1.0, 1.0], len(art_rows)))
+    dense = np.zeros((m, sx.n))
+    dense[sx.entry_row, sx.entry_col] = sx.entry_val
+    basis = _unit_and_structural_basis(rng, n, m, art_rows, dense)
+    sx.install_basis(basis)
+    assert np.abs(sx.binv - np.linalg.inv(dense[:, basis])).max() <= 1e-10
+    assert np.allclose(dense @ sx.x, p.b_s, atol=1e-10)
+
+
+def _dependent_columns_instance():
+    """min x0 + x1 s.t. x0 + x1 >= 2, 2 x0 + 2 x1 <= 5: the two columns
+    are equal, so no basis holds both."""
+    return build([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [">=", "<="],
+                 [2.0, 5.0], [0.0, 0.0], [np.inf, np.inf])
+
+
+def test_refactor_rejects_shared_row_and_singular_block(monkeypatch):
+    p = lp._prepare(_dependent_columns_instance())
+    sx = lp._Simplex(p, 100)
+    sx.add_units(np.array([0]), np.array([1.0]))
+    with pytest.raises(NumericalFailure, match="share a row"):
+        sx.install_basis([2, 4])        # row 0's slack and its artificial
+    with pytest.raises(NumericalFailure, match="singular"):
+        lp._Simplex(p, 100).install_basis([0, 1])
+    # the same singular block as a warm basis: the solve goes cold
+    inst = _dependent_columns_instance()
+    cold = lp.solve(inst)
+    restarts = []
+    raw = lp._warm
+    monkeypatch.setattr(lp, "_warm",
+                        lambda *args: restarts.append(raw(*args)) or restarts[-1])
+    sol = lp.solve(inst, basis=([lp._BASIC, lp._BASIC],
+                                [lp._AT_UPPER, lp._AT_LOWER]))
+    assert restarts == [None]
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == cold.objective == pytest.approx(2.0, abs=1e-9)
+    assert np.array_equal(sol.primal, cold.primal)
+
+
+def _same_solution(sol, other):
+    assert sol.status == other.status
+    assert sol.objective == other.objective
+    for mine, theirs in ((sol.primal, other.primal), (sol.duals, other.duals),
+                         (sol.reduced_costs, other.reduced_costs)):
+        assert np.array_equal(mine, theirs)
+
+
+def _dense_twin(inst):
+    """The instance rebuilt row by row from its dense matrix."""
+    return build(inst.objective, inst.dense_matrix(), list(inst.senses),
+                 inst.rhs, inst.lower, inst.upper, list(inst.var_labels),
+                 list(inst.row_labels))
+
+
+def _scipy_csr_reference(inst):
+    """scipy HiGHS on the instance's CSR triple, which scipy coalesces
+    itself by summing repeated entries."""
+    a = sparse.csr_array((inst.values, inst.indices, inst.indptr),
+                         shape=(inst.n_rows, inst.n_vars)).toarray()
+    return _scipy_reference(a, inst.objective, inst.senses, inst.rhs,
+                            inst.lower, inst.upper)
+
+
+def test_repeated_column_in_a_row_solves_like_dense_matrix():
+    """Row a holds x twice (3x + 2y >= 4), row b holds y twice with
+    opposite signs (x <= 3) and row c only y - y, so it is empty."""
+    inst = _csr_instance(
+        objective=np.array([2.0, 1.0]), indptr=np.array([0, 3, 6, 8]),
+        indices=np.array([0, 1, 0, 1, 1, 0, 1, 1]),
+        values=np.array([1.0, 2.0, 2.0, 1.0, -1.0, 1.0, 1.5, -1.5]),
+        senses=(">=", "<=", "="), rhs=np.array([4.0, 3.0, 0.0]),
+        row_labels=("a", "b", "c"))
+    assert np.array_equal(inst.dense_matrix(), [[3.0, 2.0], [1.0, 0.0],
+                                                [0.0, 0.0]])
+    sol = lp.solve(inst)
+    _same_solution(sol, lp.solve(_dense_twin(inst)))
+    ref = _scipy_csr_reference(inst)
+    assert ref.status == 0 and sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+    assert sol.dual("c") == 0.0
+
+
+def test_explicit_zero_coefficients_are_no_entries(monkeypatch):
+    """0 x + y >= 1 has the one entry y; 0 x <= 2 has none, so it is an
+    empty row, and with a right-hand side of -1 presolve finds it
+    infeasible without running the simplex."""
+    inst = _csr_instance(indptr=np.array([0, 2, 3]),
+                         indices=np.array([0, 1, 0]),
+                         values=np.array([0.0, 1.0, 0.0]),
+                         senses=(">=", "<="), rhs=np.array([1.0, 2.0]))
+    sol = lp.solve(inst)
+    _same_solution(sol, lp.solve(_dense_twin(inst)))
+    ref = _scipy_csr_reference(inst)
+    assert ref.status == 0 and sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+    violated = lp.replace_rhs(inst, [1], [-1.0])
+    assert _scipy_csr_reference(violated).status == 2
+    monkeypatch.setattr(lp, "_cold", None)
+    assert lp.solve(violated).status == lp.INFEASIBLE
+    assert lp.solve(_dense_twin(violated)).status == lp.INFEASIBLE
+
+
+@st.composite
+def _any_lp(draw):
+    """A random LP with boxed, half-bounded, free and fixed variables and
+    few distinct coefficients, so that many are degenerate, infeasible
+    or unbounded. Returned as the arrays build() and the scipy
+    reference take."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 5))
+    coef = st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+    a = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n),
+                               min_size=m, max_size=m)),
+                 dtype=float).reshape(m, n)
+    if m >= 2 and draw(st.booleans()):
+        a[-1] = a[0]                             # a repeated row
+    cost = np.array(draw(st.lists(st.integers(-3, 3), min_size=n,
+                                  max_size=n)), dtype=float)
+    lower, upper = np.zeros(n), np.zeros(n)
+    for j in range(n):
+        lo = draw(st.integers(-3, 2))
+        kind = draw(st.sampled_from(["boxed", "lower", "upper", "free",
+                                     "fixed"]))
+        lower[j] = -np.inf if kind in ("upper", "free") else lo
+        upper[j] = {"boxed": lo + draw(st.integers(1, 4)), "fixed": lo,
+                    "upper": lo}.get(kind, np.inf)
+    senses = draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m,
+                           max_size=m))
+    rhs = np.array(draw(st.lists(st.integers(-4, 4), min_size=m,
+                                 max_size=m)), dtype=float)
+    return a, cost, senses, rhs, lower, upper
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_any_lp())
+def test_status_and_objective_match_highs_property(data):
+    """Any small LP ends with HiGHS's status and, when optimal, its
+    objective. An LP HiGHS calls unbounded counts as infeasible when it
+    has no feasible point at all."""
+    a, c, senses, rhs, lower, upper = data
+    sol = lp.solve(build(c, a, senses, rhs, lower, upper))
+    ref = _scipy_reference(a, c, senses, rhs, lower, upper)
+    assert ref.status in (0, 2, 3)
+    feasible = _scipy_reference(a, 0.0 * c, senses, rhs, lower,
+                                upper).status == 0
+    if not feasible:
+        assert sol.status == lp.INFEASIBLE
+    elif ref.status == 3:
+        assert sol.status == lp.UNBOUNDED
+    else:
+        assert ref.status == 0 and sol.status == lp.OPTIMAL
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+
+
+@st.composite
+def _moved_and_grown(draw):
+    """A bounded feasible LP plus moved right-hand sides for its rows and
+    0-3 further rows, as (instance, rhs, new rows as a CSR block)."""
+    inst = draw(_bounded_feasible_lp())
+    shift = draw(st.lists(st.integers(-2, 2), min_size=inst.n_rows,
+                          max_size=inst.n_rows))
+    k = draw(st.integers(0, 3))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=inst.n_vars,
+                          max_size=inst.n_vars)) for _ in range(k)]
+    block = sparse.csr_array(np.array(rows, dtype=float).reshape(
+        k, inst.n_vars))
+    senses = draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=k,
+                           max_size=k))
+    rhs = draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k))
+    return inst, inst.rhs + np.array(shift), (block, senses, rhs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_moved_and_grown())
+def test_restart_after_moved_rhs_and_new_rows_matches_cold_property(case):
+    """A restart from the optimal basis, after the right-hand sides move
+    and rows are appended, ends with the cold solve's status and
+    objective."""
+    inst, rhs, (block, senses, new_rhs) = case
+    first = lp.solve(inst)
+    assume(first.basis is not None)
+    moved = lp.replace_rhs(inst, range(inst.n_rows), rhs)
+    grown = lp.extend_rows(moved, block.indptr, block.indices, block.data,
+                           senses, new_rhs,
+                           [f"new{i}" for i in range(len(senses))])
+    warm = lp.solve(grown, basis=first.basis)
+    cold = lp.solve(grown)
+    assert warm.status == cold.status
+    if cold.status == lp.OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                               abs=1e-9)

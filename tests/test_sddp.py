@@ -499,9 +499,9 @@ def test_no_restart_falls_back_on_canonical_instance(canonical, monkeypatch):
         return sol
 
     monkeypatch.setattr(lp, "_warm", spy)
-    # repeated solves are served without a restart, so it takes 50
+    # repeated solves are served without a restart, so it takes 60
     # iterations to restart more than 400 times
-    policy = _train_canonical(canonical, 50)
+    policy = _train_canonical(canonical, 60)
     sddp.simulate(policy, canonical["paths"])
     assert len(finished) > 400
     assert all(finished)
