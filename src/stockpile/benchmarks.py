@@ -373,16 +373,7 @@ def enumerate_paths(lattice: SamplingLattice) -> list:
             f"{lattice.path_count} paths exceed the {_TREE_LIMIT} limit")
     ranges = [range(lattice.branch_count(t))
               for t in range(1, lattice.n_stages + 1)]
-    paths = []
-    for combo in itertools.product(*ranges):
-        vectors = tuple(lattice.stages[t][i] for t, i in enumerate(combo))
-        labels = None
-        if lattice.year_labels is not None:
-            labels = tuple(lattice.year_labels[t][i]
-                           for t, i in enumerate(combo))
-        paths.append(WeatherPath(vectors=vectors, node_indices=tuple(combo),
-                                 year_labels=labels))
-    return paths
+    return [lattice.path(combo) for combo in itertools.product(*ranges)]
 
 
 def extensive_form(catalog: model.TechnologyCatalog,

@@ -56,63 +56,51 @@ from .errors import (
 
 POLICY_FILE = "policy.json"
 
+# (TrainOptions field, type, help) of the training overrides of train
+# and oracle; each flag is its field name with dashes.
+_TRAINING_FLAGS = (
+    ("seed", int, "override training seed"),
+    ("max_iterations", int, "override iteration budget"),
+    ("time_limit", float, "override wall-clock budget in seconds"),
+    ("threads", int, "override backward-pass thread count"),
+)
+
+
+def _add_training_flags(p) -> None:
+    for key, kind, text in _TRAINING_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+
+
+def _add_simulation_flags(p) -> None:
+    p.add_argument("--policy",
+                   help=f"policy file (default <out>/{POLICY_FILE})")
+    p.add_argument("--seed", type=int, help="override simulation seed")
+    p.add_argument("--n-paths", type=int,
+                   help="override number of sampled paths")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stockpile",
         description="Capacity expansion and storage bidding toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = (
+        ("train", "train a policy", _add_training_flags),
+        ("simulate", "simulate a trained policy", _add_simulation_flags),
+        ("bench", "solve the reference programs", None),
+        ("acf", "stage-mean autocorrelation report", None),
+        ("curves", "bid and duration curve tables", _add_simulation_flags),
+        ("oracle", "train and compare against the exact tree",
+         _add_training_flags),
+    )
+    for command, text, add_flags in commands:
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", required=True,
                        help="path to the YAML run configuration")
         p.add_argument("--out", default="out",
                        help="output directory (created if missing)")
-
-    train = sub.add_parser("train", help="train a policy")
-    common(train)
-    train.add_argument("--seed", type=int, help="override training seed")
-    train.add_argument("--max-iterations", type=int,
-                       help="override iteration budget")
-    train.add_argument("--time-limit", type=float,
-                       help="override wall-clock budget in seconds")
-    train.add_argument("--threads", type=int,
-                       help="override backward-pass thread count")
-
-    simulate = sub.add_parser("simulate", help="simulate a trained policy")
-    common(simulate)
-    simulate.add_argument("--policy", help="policy file "
-                          f"(default <out>/{POLICY_FILE})")
-    simulate.add_argument("--seed", type=int,
-                          help="override simulation seed")
-    simulate.add_argument("--n-paths", type=int,
-                          help="override number of sampled paths")
-
-    bench = sub.add_parser("bench", help="solve the reference programs")
-    common(bench)
-
-    acf = sub.add_parser("acf", help="stage-mean autocorrelation report")
-    common(acf)
-
-    curves = sub.add_parser("curves", help="bid and duration curve tables")
-    common(curves)
-    curves.add_argument("--policy", help="policy file "
-                        f"(default <out>/{POLICY_FILE})")
-    curves.add_argument("--seed", type=int,
-                        help="override simulation seed")
-    curves.add_argument("--n-paths", type=int,
-                        help="override number of sampled paths")
-
-    oracle = sub.add_parser("oracle",
-                            help="train and compare against the exact tree")
-    common(oracle)
-    oracle.add_argument("--seed", type=int, help="override training seed")
-    oracle.add_argument("--max-iterations", type=int,
-                        help="override iteration budget")
-    oracle.add_argument("--time-limit", type=float,
-                        help="override wall-clock budget in seconds")
-    oracle.add_argument("--threads", type=int,
-                        help="override backward-pass thread count")
+        if add_flags is not None:
+            add_flags(p)
     return parser
 
 
@@ -130,38 +118,46 @@ def _training_options(cfg: ScenarioConfig, args,
     if cfg.training is None:
         raise ConfigError(["training: block required by this command"])
     overrides = {"log_path": str(out / "training_log.csv")}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if args.time_limit is not None:
-        overrides["time_limit"] = args.time_limit
-    if args.threads is not None:
-        overrides["threads"] = args.threads
+    for key, _, _ in _TRAINING_FLAGS:
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     return dataclasses.replace(cfg.training, **overrides)
 
 
-def _load_policy(path, cfg: ScenarioConfig) -> sddp.Policy:
+def _load_policy(args, cfg: ScenarioConfig, out: Path):
+    """The path of the policy file named by ``--policy`` (default
+    ``<out>/policy.json``) and the policy read from it."""
+    path = Path(args.policy) if args.policy else out / POLICY_FILE
     try:
-        return sddp.load_policy(path, cfg.catalog, cfg.scenario, cfg.lattice)
+        policy = sddp.load_policy(path, cfg.catalog, cfg.scenario,
+                                  cfg.lattice)
     except OSError as exc:
         raise DataError(f"cannot read policy {str(path)!r}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"policy {str(path)!r} is not valid JSON: "
                         f"{exc}") from exc
+    return path, policy
 
 
-def _simulation_seed(cfg: ScenarioConfig, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    if cfg.simulation_seed is None:
+def _simulate_paths(args, cfg: ScenarioConfig, policy) -> list:
+    """Simulate ``policy`` over freshly sampled paths; ``--seed`` and
+    ``--n-paths`` override the config's simulation block."""
+    seed = args.seed if args.seed is not None else cfg.simulation_seed
+    if seed is None:
         raise ConfigError(["simulation.seed: required by this command"])
-    return cfg.simulation_seed
-
-
-def _sample_paths(lattice, seed: int, n: int) -> list:
+    n_paths = args.n_paths if args.n_paths is not None else \
+        cfg.simulation_paths
     rng = np.random.default_rng(seed)
-    return [weather.sample_path(lattice, rng) for _ in range(n)]
+    paths = [weather.sample_path(cfg.lattice, rng) for _ in range(n_paths)]
+    return sddp.simulate(policy, paths)
+
+
+def _extensive_form(cfg: ScenarioConfig) -> benchmarks.BenchmarkResult:
+    try:
+        return benchmarks.extensive_form(cfg.catalog, cfg.scenario,
+                                         cfg.lattice)
+    except TreeTooLarge as exc:
+        raise DataError(str(exc)) from exc
 
 
 def _run_train(args, cfg: ScenarioConfig, out: Path) -> int:
@@ -178,13 +174,8 @@ def _run_train(args, cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> int:
-    policy_path = Path(args.policy) if args.policy else out / POLICY_FILE
-    policy = _load_policy(policy_path, cfg)
-    seed = _simulation_seed(cfg, args)
-    n_paths = args.n_paths if args.n_paths is not None else \
-        cfg.simulation_paths
-    paths = _sample_paths(cfg.lattice, seed, n_paths)
-    trajectories = sddp.simulate(policy, paths)
+    policy_path, policy = _load_policy(args, cfg, out)
+    trajectories = _simulate_paths(args, cfg, policy)
 
     lines = ["label,value"]
     for label, value in zip(policy.layout.labels, policy.capacities):
@@ -229,13 +220,9 @@ def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _run_bench(args, cfg: ScenarioConfig, out: Path) -> int:
-    try:
-        ef = benchmarks.extensive_form(cfg.catalog, cfg.scenario,
-                                       cfg.lattice)
-        paths = benchmarks.enumerate_paths(cfg.lattice)
-    except TreeTooLarge as exc:
-        raise DataError(str(exc)) from exc
-    pf = benchmarks.perfect_foresight(cfg.catalog, cfg.scenario, paths)
+    ef = _extensive_form(cfg)
+    pf = benchmarks.perfect_foresight(cfg.catalog, cfg.scenario,
+                                      benchmarks.enumerate_paths(cfg.lattice))
     for prefix, result in (("ef", ef), ("pf", pf)):
         for name, text in result.to_tables().items():
             _write(out / f"{prefix}_{name}.csv", text)
@@ -267,8 +254,7 @@ def _run_acf(args, cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _run_curves(args, cfg: ScenarioConfig, out: Path) -> int:
-    policy_path = Path(args.policy) if args.policy else out / POLICY_FILE
-    policy = _load_policy(policy_path, cfg)
+    policy_path, policy = _load_policy(args, cfg, out)
     if not cfg.catalog.long_duration_storages:
         raise DataError("curves need a long-duration storage in the catalog")
     name = cfg.catalog.long_duration_storages[0].name
@@ -291,11 +277,7 @@ def _run_curves(args, cfg: ScenarioConfig, out: Path) -> int:
         raise DataError("no cut pool has been trained; run train first")
     _write(out / "bids.csv", "\n".join(bid_lines) + "\n")
 
-    seed = _simulation_seed(cfg, args)
-    n_paths = args.n_paths if args.n_paths is not None else \
-        cfg.simulation_paths
-    paths = _sample_paths(cfg.lattice, seed, n_paths)
-    trajectories = sddp.simulate(policy, paths)
+    trajectories = _simulate_paths(args, cfg, policy)
     duration = analysis.price_duration_curve(trajectories)
     _write(out / "duration.csv", duration.to_table())
     e_ini = float(policy.capacities[policy.layout.position(f"ini:{name}")])
@@ -311,11 +293,7 @@ def _run_curves(args, cfg: ScenarioConfig, out: Path) -> int:
 def _run_oracle(args, cfg: ScenarioConfig, out: Path) -> int:
     options = _training_options(cfg, args, out)
     policy = sddp.train(cfg.catalog, cfg.scenario, cfg.lattice, options)
-    try:
-        ef = benchmarks.extensive_form(cfg.catalog, cfg.scenario,
-                                       cfg.lattice)
-    except TreeTooLarge as exc:
-        raise DataError(str(exc)) from exc
+    ef = _extensive_form(cfg)
     lb = sddp.lower_bound(policy)
     gap = abs(ef.objective - lb) / max(1.0, abs(ef.objective))
     row = "oracle_optimum_meur,sddp_lower_bound_meur,relative_gap\n" \

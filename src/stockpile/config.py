@@ -12,10 +12,13 @@ Schema version 1. Top-level keys:
     Interest rate used by technology presets (default 0.04).
 ``catalog``
     ``ltc_price`` / ``ltc_max`` (optional, default 0) plus
-    ``generators`` and ``storages`` lists. Each entry may name a
-    ``preset`` from :mod:`stockpile.presets` to fill cost and
-    efficiency fields; explicit fields override preset values.
-    Capacity bounds are always explicit (``.inf`` is allowed).
+    ``generators`` and ``storages`` lists. An entry's keys are the
+    fields of :class:`~stockpile.model.Generator` or
+    :class:`~stockpile.model.Storage`. It may name a ``preset`` from
+    :mod:`stockpile.presets`, which fills every field except the name
+    and the capacity bounds; explicit fields override preset values.
+    Capacity bounds are always explicit (``.inf`` is allowed);
+    ``marginal_cost`` defaults to 0.
 ``lattice``
     Either inline ``stages`` (list of ``{realizations: [...]}``, each
     realization carrying ``demand``, ``capacity_factors``, optional
@@ -23,10 +26,9 @@ Schema version 1. Top-level keys:
     or ``series`` (path to a delimited table) with optional ``block``
     and ``first_month`` to build a monthly lattice from data.
 ``training``
-    Optional; required by the train command. ``seed`` is mandatory
-    when the block is present. Other fields mirror the training
-    options: ``max_iterations``, ``time_limit``, ``threads``,
-    ``stop_on_gap``, ``gap_paths``, ``gap_check_every``.
+    Optional; required by the train command. Its keys are the fields
+    of :class:`~stockpile.sddp.TrainOptions` except ``log_path``;
+    ``seed`` is mandatory when the block is present.
 ``simulation``
     Optional; required by the simulate and curves commands. ``seed``
     is mandatory when present; ``n_paths`` defaults to 200.
@@ -35,15 +37,20 @@ Schema version 1. Top-level keys:
     (``month`` or ``week``), ``series`` (path, required by the acf
     command).
 
+The key lists and value types of catalog entries and the training
+block come from their dataclasses (``dataclasses.fields`` and the type
+hints), so a field added there is a config key and is echoed.
 Validation reports every violation found, not just the first, each
 prefixed with the field path. ``echo_text`` renders the fully resolved
 configuration (defaults applied, content hashes attached) as
-deterministic YAML so an output directory records exactly what ran.
+deterministic YAML so an output directory records exactly what ran;
+every section but the lattice is echoed as its dataclass.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -62,35 +69,16 @@ from .weather import SamplingLattice
 
 SCHEMA_VERSION = 1
 
-_TRAINING_FIELDS = {
-    "seed": int,
-    "max_iterations": int,
-    "time_limit": float,
-    "threads": int,
-    "stop_on_gap": bool,
-    "gap_paths": int,
-    "gap_check_every": int,
-}
+# Capacity bounds: always explicit, never filled by a preset.
+_BOUNDS = {Generator: ("max_capacity", "min_capacity"),
+           Storage: ("max_power_out", "max_power_in", "max_energy")}
 
-_GENERATOR_FIELDS = {
-    "capital_cost": float,
-    "marginal_cost": float,
-    "max_capacity": float,
-    "min_capacity": float,
-    "availability": float,
-}
+_STORAGE_PRESETS = {"battery": presets.battery,
+                    "hydrogen_cavern": presets.hydrogen_cavern,
+                    "hydrogen_tank": presets.hydrogen_tank}
 
-_STORAGE_FIELDS = {
-    "capital_cost_out": float,
-    "capital_cost_in": float,
-    "capital_cost_energy": float,
-    "efficiency_out": float,
-    "efficiency_in": float,
-    "max_power_out": float,
-    "max_power_in": float,
-    "max_energy": float,
-    "long_duration": bool,
-}
+# Training options the config never sets: the CLI picks the log file.
+_UNREAD_TRAINING = ("log_path",)
 
 
 @dataclass(frozen=True)
@@ -228,98 +216,92 @@ def _parse_scenario(raw, errors) -> MarketScenario | None:
         return None
 
 
-def _generator_from_node(node, path, rate, errors) -> Generator | None:
-    known = {"name", "preset"} | set(_GENERATOR_FIELDS)
-    _check_unknown(node, known, path, errors)
+def _keys(cls, skip=()) -> list[str]:
+    """Field names of dataclass ``cls`` less ``skip``, in field order."""
+    return [f.name for f in fields(cls) if f.name not in skip]
+
+
+def _read_fields(node, cls, path, errors, *, skip=(), minimum=None):
+    """Values of the keys of ``node`` that name fields of ``cls``.
+
+    Each field's type hint picks its check: ``bool``, ``int`` (>= 0),
+    ``float`` or ``float | None``, floats held to ``minimum`` when one
+    is given. Absent keys are left out. Returns None when any value
+    fails its check.
+    """
+    hints = typing.get_type_hints(cls)
+    before = len(errors.violations)
+    values = {}
+    for key in _keys(cls, skip):
+        if key not in node:
+            continue
+        raw, where, kind = node[key], f"{path}.{key}", hints[key]
+        if kind is bool:
+            if not isinstance(raw, bool):
+                errors.error(where, "expected true or false")
+            values[key] = raw
+        elif kind is int:
+            values[key] = _integer(raw, where, errors)
+        else:
+            values[key] = _number(raw, where, errors,
+                                  allow_none=kind is not float,
+                                  minimum=minimum)
+    return None if len(errors.violations) > before else values
+
+
+def _preset(cls, key, name, rate):
+    """Preset ``key`` built as a ``cls`` named ``name``, bounds zero.
+
+    Raises:
+        ValueError: ``key`` names no preset of that kind.
+    """
+    bounds = dict.fromkeys(_BOUNDS[cls], 0.0)
+    if cls is Generator:
+        if not isinstance(key, str):
+            raise ValueError("expected a string")
+        return presets.generator(key, name, rate=rate, **bounds)
+    if not isinstance(key, str) or key not in _STORAGE_PRESETS:
+        raise ValueError(f"expected one of {sorted(_STORAGE_PRESETS)}, "
+                         f"got {key!r}")
+    return _STORAGE_PRESETS[key](name, rate=rate, **bounds)
+
+
+def _technology(cls, node, path, rate, errors):
+    """One catalog entry as a :class:`Generator` or :class:`Storage`.
+
+    A ``preset`` fills every field except the name and the capacity
+    bounds; explicit keys override it. ``marginal_cost`` defaults to 0.
+    """
+    _check_unknown(node, {"preset", *_keys(cls)}, path, errors)
     name = node.get("name")
     if not isinstance(name, str) or not name:
         errors.error(f"{path}.name", "expected a non-empty string")
         return None
-    fields: dict = {}
-    preset_key = node.get("preset")
-    if preset_key is not None:
-        if not isinstance(preset_key, str):
-            errors.error(f"{path}.preset", "expected a string")
-            return None
+    bounds = _BOUNDS[cls]
+    values = {}
+    if node.get("preset") is not None:
         try:
-            base = presets.generator(preset_key, name, max_capacity=0.0,
-                                     rate=rate)
+            base = _preset(cls, node["preset"], name, rate)
         except ValueError as exc:
             errors.error(f"{path}.preset", str(exc))
             return None
-        fields.update(capital_cost=base.capital_cost,
-                      marginal_cost=base.marginal_cost,
-                      availability=base.availability)
-    for key in _GENERATOR_FIELDS:
-        if key in node:
-            if key == "availability" and node[key] is None:
-                fields[key] = None
-                continue
-            value = _number(node[key], f"{path}.{key}", errors)
-            if value is None:
-                return None
-            fields[key] = value
-    if "capital_cost" not in fields:
-        errors.error(f"{path}.capital_cost",
-                     "required (directly or via preset)")
+        values = {key: getattr(base, key)
+                  for key in _keys(cls, ("name", *bounds))}
+    read = _read_fields(node, cls, path, errors, skip=("name",))
+    if read is None:
         return None
-    if "max_capacity" not in fields:
-        errors.error(f"{path}.max_capacity", "required")
-        return None
-    fields.setdefault("marginal_cost", 0.0)
-    try:
-        return Generator(name=name, **fields)
-    except (StockpileError, ValueError) as exc:
-        errors.error(path, str(exc))
-        return None
-
-
-def _storage_from_node(node, path, rate, errors) -> Storage | None:
-    known = {"name", "preset"} | set(_STORAGE_FIELDS)
-    _check_unknown(node, known, path, errors)
-    name = node.get("name")
-    if not isinstance(name, str) or not name:
-        errors.error(f"{path}.name", "expected a non-empty string")
-        return None
-    makers = {"battery": presets.battery,
-              "hydrogen_cavern": presets.hydrogen_cavern,
-              "hydrogen_tank": presets.hydrogen_tank}
-    fields: dict = {}
-    preset_key = node.get("preset")
-    if preset_key is not None:
-        if preset_key not in makers:
-            errors.error(f"{path}.preset",
-                         f"expected one of {sorted(makers)}, got {preset_key!r}")
-            return None
-        base = makers[preset_key](name, max_power_out=0.0, max_power_in=0.0,
-                                  max_energy=0.0, rate=rate)
-        fields.update(capital_cost_out=base.capital_cost_out,
-                      capital_cost_in=base.capital_cost_in,
-                      capital_cost_energy=base.capital_cost_energy,
-                      efficiency_out=base.efficiency_out,
-                      efficiency_in=base.efficiency_in,
-                      long_duration=base.long_duration)
-    for key, kind in _STORAGE_FIELDS.items():
-        if key in node:
-            if kind is bool:
-                if not isinstance(node[key], bool):
-                    errors.error(f"{path}.{key}", "expected true or false")
-                    return None
-                fields[key] = node[key]
-            else:
-                value = _number(node[key], f"{path}.{key}", errors)
-                if value is None:
-                    return None
-                fields[key] = value
-    missing = [k for k in _STORAGE_FIELDS
-               if k not in fields and k != "long_duration"]
+    values.update(read)
+    if cls is Generator:
+        values.setdefault("marginal_cost", 0.0)
+    missing = [f.name for f in fields(cls) if f.default is MISSING
+               and f.name not in values and f.name != "name"]
+    for key in missing:
+        errors.error(f"{path}.{key}", "required" if key in bounds
+                     else "required (directly or via preset)")
     if missing:
-        for key in missing:
-            errors.error(f"{path}.{key}", "required (directly or via preset)")
         return None
-    fields.setdefault("long_duration", False)
     try:
-        return Storage(name=name, **fields)
+        return cls(name=name, **values)
     except (StockpileError, ValueError) as exc:
         errors.error(path, str(exc))
         return None
@@ -335,38 +317,24 @@ def _parse_catalog(raw, rate, errors) -> TechnologyCatalog | None:
                         errors, minimum=0.0)
     ltc_max = _number(node.get("ltc_max", 0.0), "catalog.ltc_max", errors,
                       minimum=0.0)
-    generators = []
-    raw_gens = node.get("generators", [])
-    if not isinstance(raw_gens, list):
-        errors.error("catalog.generators", "expected a list")
-        raw_gens = []
-    for i, gnode in enumerate(raw_gens):
-        path = f"catalog.generators[{i}]"
-        mapping = _require_mapping(gnode, path, errors)
-        if mapping is None:
-            continue
-        gen = _generator_from_node(mapping, path, rate, errors)
-        if gen is not None:
-            generators.append(gen)
-    storages = []
-    raw_stores = node.get("storages", [])
-    if not isinstance(raw_stores, list):
-        errors.error("catalog.storages", "expected a list")
-        raw_stores = []
-    for i, snode in enumerate(raw_stores):
-        path = f"catalog.storages[{i}]"
-        mapping = _require_mapping(snode, path, errors)
-        if mapping is None:
-            continue
-        store = _storage_from_node(mapping, path, rate, errors)
-        if store is not None:
-            storages.append(store)
+    entries = {}
+    for key, cls in (("generators", Generator), ("storages", Storage)):
+        raw_list = node.get(key, [])
+        if not isinstance(raw_list, list):
+            errors.error(f"catalog.{key}", "expected a list")
+            raw_list = []
+        entries[key] = []
+        for i, raw_entry in enumerate(raw_list):
+            path = f"catalog.{key}[{i}]"
+            mapping = _require_mapping(raw_entry, path, errors)
+            tech = None if mapping is None else \
+                _technology(cls, mapping, path, rate, errors)
+            if tech is not None:
+                entries[key].append(tech)
     if errors.violations:
         return None
     try:
-        return TechnologyCatalog(generators=tuple(generators),
-                                 storages=tuple(storages),
-                                 ltc_price=ltc_price or 0.0,
+        return TechnologyCatalog(**entries, ltc_price=ltc_price or 0.0,
                                  ltc_max=ltc_max or 0.0)
     except (StockpileError, ValueError) as exc:
         errors.error("catalog", str(exc))
@@ -500,32 +468,15 @@ def _parse_training(raw, errors) -> TrainOptions | None:
     node = _require_mapping(raw, "training", errors)
     if node is None:
         return None
-    _check_unknown(node, set(_TRAINING_FIELDS), "training", errors)
+    _check_unknown(node, _keys(TrainOptions, _UNREAD_TRAINING), "training",
+                   errors)
     if "seed" not in node:
         errors.error("training.seed", "required (seeds are mandatory)")
         return None
-    kwargs = {}
-    for key, kind in _TRAINING_FIELDS.items():
-        if key not in node:
-            continue
-        value = node[key]
-        path = f"training.{key}"
-        if kind is bool:
-            if not isinstance(value, bool):
-                errors.error(path, "expected true or false")
-                return None
-            kwargs[key] = value
-        elif kind is int:
-            parsed = _integer(value, path, errors)
-            if parsed is None:
-                return None
-            kwargs[key] = parsed
-        else:
-            parsed = _number(value, path, errors, allow_none=True,
-                             minimum=0.0)
-            if parsed is None and value is not None:
-                return None
-            kwargs[key] = parsed
+    kwargs = _read_fields(node, TrainOptions, "training", errors,
+                          skip=_UNREAD_TRAINING, minimum=0.0)
+    if kwargs is None:
+        return None
     if kwargs.get("threads", 1) < 1:
         errors.error("training.threads", "must be >= 1")
         return None
@@ -587,19 +538,6 @@ def _plain(value):
 
 def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, training,
                    sim_seed, sim_paths, analysis, rate, series_hash) -> dict:
-    generators = [{
-        "name": g.name, "capital_cost": g.capital_cost,
-        "marginal_cost": g.marginal_cost, "max_capacity": g.max_capacity,
-        "min_capacity": g.min_capacity, "availability": g.availability,
-    } for g in catalog.generators]
-    storages = [{
-        "name": s.name, "capital_cost_out": s.capital_cost_out,
-        "capital_cost_in": s.capital_cost_in,
-        "capital_cost_energy": s.capital_cost_energy,
-        "efficiency_out": s.efficiency_out, "efficiency_in": s.efficiency_in,
-        "max_power_out": s.max_power_out, "max_power_in": s.max_power_in,
-        "max_energy": s.max_energy, "long_duration": s.long_duration,
-    } for s in catalog.storages]
     stages = []
     for t in range(1, lattice.n_stages + 1):
         reals = []
@@ -617,34 +555,20 @@ def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, training,
     period_hours = lattice.realizations(1)[0].period_hours
     training_node = None
     if training is not None:
-        training_node = {
-            "seed": training.seed,
-            "max_iterations": training.max_iterations,
-            "time_limit": training.time_limit,
-            "threads": training.threads,
-            "stop_on_gap": training.stop_on_gap,
-            "gap_paths": training.gap_paths,
-            "gap_check_every": training.gap_check_every,
-        }
+        training_node = {key: getattr(training, key)
+                         for key in _keys(TrainOptions, _UNREAD_TRAINING)}
     source = {"config_sha256": cfg_bytes_hash}
     if series_hash:
         source["series_sha256"] = series_hash
     return _plain({
         "schema_version": SCHEMA_VERSION,
-        "scenario": {"name": scenario.name, "voll": scenario.voll,
-                     "spot_price": scenario.spot_price,
-                     "spot_cap": scenario.spot_cap},
+        "scenario": asdict(scenario),
         "annualization_rate": rate,
-        "catalog": {"ltc_price": catalog.ltc_price,
-                    "ltc_max": catalog.ltc_max,
-                    "generators": generators, "storages": storages},
+        "catalog": asdict(catalog),
         "lattice": {"period_hours": period_hours, "stages": stages},
         "training": training_node,
         "simulation": {"seed": sim_seed, "n_paths": sim_paths},
-        "analysis": {"grid_step": analysis.grid_step,
-                     "max_lag": analysis.max_lag,
-                     "stage_length": analysis.stage_length,
-                     "series": analysis.series},
+        "analysis": asdict(analysis),
         "source": source,
     })
 

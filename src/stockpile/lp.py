@@ -257,16 +257,6 @@ class LpBuilder:
         self._upper.append(float(upper))
         return j
 
-    def variable_index(self, label: str) -> int:
-        try:
-            return self._var_index[label]
-        except KeyError:
-            raise UnknownVariable(f"unknown variable {label!r}") from None
-
-    def add_to_cost(self, var, coef: float) -> None:
-        j = var if isinstance(var, (int, np.integer)) else self.variable_index(var)
-        self._cost[int(j)] += float(coef)
-
     def add_row(self, label: str, terms, sense: str, rhs: float) -> int:
         """Append one row. ``terms`` pairs a variable index or label with a
         coefficient; duplicate variables are coalesced by summing."""

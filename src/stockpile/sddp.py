@@ -17,11 +17,12 @@ fishing-row right-hand sides change and cut rows are appended, so each
 solve restarts from that problem's last optimal basis (see
 :func:`stockpile.lp.solve`). The last solves live in a dict keyed by
 (stage, realization) that belongs to one run: :func:`train` keeps one
-for its forward, backward and lower-bound solves, and each
-:func:`simulate` call starts a fresh one. Neither is stored on the
-policy or in its JSON. The final capacity solve of :func:`train`,
-:func:`lower_bound` and direct calls of :func:`forward_pass` and
-:func:`backward_pass` without a dict solve cold.
+and passes it to :func:`forward_pass`, :func:`backward_pass` and
+:func:`lower_bound`, and each :func:`simulate` call starts a fresh one.
+Neither is stored on the policy or in its JSON. The capacity solves
+that fix :attr:`Policy.capacities` (at gap checks and at the end of
+:func:`train`) and calls of :func:`lower_bound`, :func:`forward_pass`
+and :func:`backward_pass` without a dict solve cold.
 
 The same dict serves repeated solves. A solve whose incoming state has
 the same bytes, and whose pool the same length, as the last solve of its
@@ -424,9 +425,13 @@ def backward_pass(policy: Policy, trajectory: Trajectory,
         policy.pools[child].append(cut)
 
 
-def lower_bound(policy: Policy) -> float:
-    """Optimum of the capacity stage under the current pool."""
-    _, sol = policy._solve(0, 0)
+def lower_bound(policy: Policy, bases=None) -> float:
+    """Optimum of the capacity stage under the current pool.
+
+    ``bases`` is a run's dict of last solves (see :meth:`Policy._solve`);
+    without one the solve is cold.
+    """
+    _, sol = policy._solve(0, 0, bases=bases)
     return float(sol.objective)
 
 
@@ -490,8 +495,7 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
         trajectory = forward_pass(policy, sample_path(lattice, rng), bases)
         backward_pass(policy, trajectory, iteration=k, threads=opt.threads,
                       bases=bases)
-        _, sol = policy._solve(0, 0, bases=bases)
-        lb = float(sol.objective)
+        lb = lower_bound(policy, bases)
         forward_cost = trajectory.total_cost
         policy.training_log.append((k, lb, forward_cost))
         log_rows.append((k, time.monotonic() - start, lb, forward_cost))

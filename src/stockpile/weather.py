@@ -213,6 +213,17 @@ class SamplingLattice:
     def periods(self, t: int) -> int:
         return self.stages[t - 1][0].n_periods
 
+    def path(self, node_indices) -> "WeatherPath":
+        """The path that takes node ``node_indices[t - 1]`` at each
+        stage ``t``."""
+        idx = tuple(node_indices)
+        labels = None
+        if self.year_labels is not None:
+            labels = tuple(self.year_labels[t][i] for t, i in enumerate(idx))
+        return WeatherPath(
+            vectors=tuple(self.stages[t][i] for t, i in enumerate(idx)),
+            node_indices=idx, year_labels=labels)
+
 
 @dataclass(frozen=True)
 class WeatherPath:
@@ -234,12 +245,8 @@ def sample_path(lattice: SamplingLattice, rng) -> WeatherPath:
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    idx = tuple(int(rng.integers(len(entries))) for entries in lattice.stages)
-    vectors = tuple(lattice.stages[t][i] for t, i in enumerate(idx))
-    labels = None
-    if lattice.year_labels is not None:
-        labels = tuple(lattice.year_labels[t][i] for t, i in enumerate(idx))
-    return WeatherPath(vectors=vectors, node_indices=idx, year_labels=labels)
+    return lattice.path(int(rng.integers(len(entries)))
+                        for entries in lattice.stages)
 
 
 def historical_paths(lattice: SamplingLattice) -> list:
@@ -256,14 +263,23 @@ def historical_paths(lattice: SamplingLattice) -> list:
                 raise DataError(
                     f"year {year!r} has {len(matches)} nodes in stage {t}")
             idx.append(matches[0])
-        vectors = tuple(lattice.stages[t][i] for t, i in enumerate(idx))
-        paths.append(WeatherPath(vectors=vectors, node_indices=tuple(idx),
-                                 year_labels=tuple([year] * len(idx))))
+        paths.append(lattice.path(idx))
     return paths
 
 
-def _calendar(table: SeriesTable):
-    return [ts.astype("datetime64[s]").item() for ts in table.timestamps]
+def _weather_rows(table: SeriesTable, first_month: int):
+    """The table's rows less leap days: datetimes, weather years, columns.
+
+    A weather year starts on the first of ``first_month``; a row earlier
+    in its calendar year belongs to the weather year before.
+    """
+    full = [ts.astype("datetime64[s]").item() for ts in table.timestamps]
+    keep = [i for i, d in enumerate(full)
+            if not (d.month == 2 and d.day == 29)]
+    cal = [full[i] for i in keep]
+    years = [d.year if d.month >= first_month else d.year - 1 for d in cal]
+    columns = {name: arr[keep] for name, arr in table.columns.items()}
+    return cal, years, columns
 
 
 def build_lattice(table: SeriesTable, first_month: int = 7) -> SamplingLattice:
@@ -274,23 +290,13 @@ def build_lattice(table: SeriesTable, first_month: int = 7) -> SamplingLattice:
     realizations of a stage share one period count. The table must
     cover each of its years completely.
     """
-    cal = _calendar(table)
-    keep = [i for i, d in enumerate(cal) if not (d.month == 2 and d.day == 29)]
-    cal = [cal[i] for i in keep]
-    columns = {name: arr[keep] for name, arr in table.columns.items()}
+    cal, row_years, columns = _weather_rows(table, first_month)
     if DEMAND_COLUMN not in columns:
         raise DataError(f"table has no {DEMAND_COLUMN!r} column")
-
-    def weather_year(d: datetime) -> int:
-        return d.year if d.month >= first_month else d.year - 1
-
-    def stage_of(d: datetime) -> int:
-        return (d.month - first_month) % 12
-
-    years = sorted({weather_year(d) for d in cal})
+    years = sorted(set(row_years))
     rows_by = {}
-    for i, d in enumerate(cal):
-        rows_by.setdefault((weather_year(d), stage_of(d)), []).append(i)
+    for i, (d, y) in enumerate(zip(cal, row_years)):
+        rows_by.setdefault((y, (d.month - first_month) % 12), []).append(i)
     per_day = round(24.0 / table.stride_hours)
     stages = []
     labels = []
@@ -392,18 +398,9 @@ def stage_means(table: SeriesTable, stage_length: str = "month",
     """
     if stage_length not in ("month", "week"):
         raise ValueError(f"unknown stage length {stage_length!r}")
-    full = _calendar(table)
-    keep = [i for i, d in enumerate(full)
-            if not (d.month == 2 and d.day == 29)]
-    cal = [full[i] for i in keep]
-    columns = {name: arr[keep] for name, arr in table.columns.items()}
-
-    def weather_year(d: datetime) -> int:
-        return d.year if d.month >= first_month else d.year - 1
-
+    cal, row_years, columns = _weather_rows(table, first_month)
     groups = {}
-    for i, d in enumerate(cal):
-        y = weather_year(d)
+    for i, (d, y) in enumerate(zip(cal, row_years)):
         if stage_length == "month":
             s = (d.month - first_month) % 12
         else:

@@ -5,9 +5,11 @@ import textwrap
 from datetime import datetime, timedelta
 
 import numpy as np
+import pytest
 import yaml
 
-from stockpile import cli, lp
+from stockpile import cli, lp, sddp
+from stockpile.errors import SolverFailure
 
 CONFIG = textwrap.dedent("""\
 schema_version: 1
@@ -91,6 +93,28 @@ def test_train_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert cli.main(["train", "--config", cfg, "--out", out]) == 4
     assert ("solver failure: stage 0: solve ended infeasible"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train", "oracle"])
+def test_training_flags_reach_train_options(tmp_path, monkeypatch,
+                                            command):
+    """--seed, --max-iterations, --time-limit and --threads override the
+    config's training block in the options handed to sddp.train."""
+    seen = []
+
+    def fake_train(catalog, scenario, lattice, options):
+        seen.append(options)
+        raise SolverFailure("stop after reading the options")
+
+    monkeypatch.setattr(sddp, "train", fake_train)
+    cfg, out = setup_run(tmp_path)
+    rc = cli.main([command, "--config", cfg, "--out", out, "--seed", "9",
+                   "--max-iterations", "4", "--time-limit", "2.5",
+                   "--threads", "2"])
+    assert rc == 4
+    assert seen == [sddp.TrainOptions(
+        max_iterations=4, time_limit=2.5, seed=9, threads=2,
+        log_path=str(tmp_path / "out" / "training_log.csv"))]
 
 
 def test_simulate_missing_policy_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for YAML run-configuration validation and the provenance echo."""
 
+import dataclasses
 import textwrap
 from datetime import datetime, timedelta
 
@@ -9,6 +10,8 @@ import yaml
 
 from stockpile import config
 from stockpile.errors import ConfigError, DataError
+from stockpile.model import Generator, Storage
+from stockpile.sddp import TrainOptions
 
 MINIMAL = """\
 schema_version: 1
@@ -211,3 +214,248 @@ def test_lattice_requires_exactly_one_source(tmp_path):
                            "lattice:\n  series: x.csv\n  period_hours: 1.0")
     with pytest.raises(ConfigError, match="exactly one"):
         config.validate_config(write(tmp_path, text))
+
+
+FULL = """\
+schema_version: 1
+scenario:
+  name: capped
+  voll: 9000.0
+  spot_price: 120.0
+  spot_cap: 2.5
+annualization_rate: 0.05
+catalog:
+  ltc_price: 80.0
+  ltc_max: 1.5
+  generators:
+    - name: solar
+      preset: solar
+      max_capacity: 40.0
+    - name: gas
+      capital_cost: 30.0
+      marginal_cost: 60.0
+      max_capacity: 5.0
+      min_capacity: 1.0
+      availability: 0.9
+  storages:
+    - name: battery
+      preset: battery
+      max_power_out: 3.0
+      max_power_in: 3.0
+      max_energy: 12.0
+    - name: cavern
+      preset: hydrogen_cavern
+      efficiency_out: 0.45
+      max_power_out: 10.0
+      max_power_in: 8.0
+      max_energy: .inf
+lattice:
+  period_hours: 2.0
+  stages:
+    - realizations:
+        - year_label: "1990/91"
+          demand: [5.0, 6.0]
+          capacity_factors: {solar: [0.0, 0.5]}
+          heat_demand: [1.0, 2.0]
+          cop: [3.0, 2.5]
+        - demand: [4.0, 4.5]
+          capacity_factors: {solar: [0.25, 0.75]}
+    - realizations:
+        - demand: [5.5, 5.0]
+          capacity_factors: {solar: [0.125, 0.0]}
+training:
+  seed: 4
+  max_iterations: 9
+  time_limit: 30.5
+  threads: 2
+  stop_on_gap: true
+  gap_paths: 7
+  gap_check_every: 3
+simulation:
+  seed: 11
+  n_paths: 30
+analysis:
+  grid_step: 5.0
+  max_lag: 6
+  stage_length: week
+  series: weather.csv
+"""
+
+# Echo of FULL: both preset kinds, a mapping scenario, contract terms,
+# every optional realization field, every training field, simulation
+# and analysis.
+FULL_ECHO = """\
+analysis:
+  grid_step: 5.0
+  max_lag: 6
+  series: weather.csv
+  stage_length: week
+annualization_rate: 0.05
+catalog:
+  generators:
+  - availability: null
+    capital_cost: 35.442073308257456
+    marginal_cost: 0.0
+    max_capacity: 40.0
+    min_capacity: 0.0
+    name: solar
+  - availability: 0.9
+    capital_cost: 30.0
+    marginal_cost: 60.0
+    max_capacity: 5.0
+    min_capacity: 1.0
+    name: gas
+  ltc_max: 1.5
+  ltc_price: 80.0
+  storages:
+  - capital_cost_energy: 7.305926673865861
+    capital_cost_in: 0.0
+    capital_cost_out: 5.314187895255831
+    efficiency_in: 0.96
+    efficiency_out: 1.0
+    long_duration: false
+    max_energy: 12.0
+    max_power_in: 3.0
+    max_power_out: 3.0
+    name: battery
+  - capital_cost_energy: 0.07204788743940084
+    capital_cost_in: 45.340830423076795
+    capital_cost_out: 43.46414304068774
+    efficiency_in: 0.66
+    efficiency_out: 0.45
+    long_duration: true
+    max_energy: .inf
+    max_power_in: 8.0
+    max_power_out: 10.0
+    name: cavern
+lattice:
+  period_hours: 2.0
+  stages:
+  - realizations:
+    - capacity_factors:
+        solar:
+        - 0.0
+        - 0.5
+      cop:
+      - 3.0
+      - 2.5
+      demand:
+      - 5.0
+      - 6.0
+      heat_demand:
+      - 1.0
+      - 2.0
+      year_label: 1990/91
+    - capacity_factors:
+        solar:
+        - 0.25
+        - 0.75
+      cop:
+      - 1.0
+      - 1.0
+      demand:
+      - 4.0
+      - 4.5
+      heat_demand:
+      - 0.0
+      - 0.0
+      year_label: sample-1
+  - realizations:
+    - capacity_factors:
+        solar:
+        - 0.125
+        - 0.0
+      cop:
+      - 1.0
+      - 1.0
+      demand:
+      - 5.5
+      - 5.0
+      heat_demand:
+      - 0.0
+      - 0.0
+      year_label: sample-0
+scenario:
+  name: capped
+  spot_cap: 2.5
+  spot_price: 120.0
+  voll: 9000.0
+schema_version: 1
+simulation:
+  n_paths: 30
+  seed: 11
+source:
+  config_sha256: a58f5a3544d0cddeb6d8ffad04886c0976b8fd999fa36d5c72b4f6116b6c2107
+training:
+  gap_check_every: 3
+  gap_paths: 7
+  max_iterations: 9
+  seed: 4
+  stop_on_gap: true
+  threads: 2
+  time_limit: 30.5
+"""
+
+
+def test_echo_of_every_section_is_exact(tmp_path):
+    """The echo of a config that uses every section is pinned byte for
+    byte, preset-filled costs and defaults included."""
+    cfg = config.validate_config(write(tmp_path, FULL))
+    assert config.echo_text(cfg) == FULL_ECHO
+
+
+# A non-default value for every config key that names a dataclass field.
+FIELD_VALUES = {
+    Generator: {"capital_cost": 31.0, "marginal_cost": 41.0,
+                "max_capacity": 51.0, "min_capacity": 1.5,
+                "availability": 0.75},
+    Storage: {"capital_cost_out": 1.25, "capital_cost_in": 2.25,
+              "capital_cost_energy": 0.125, "efficiency_out": 0.5,
+              "efficiency_in": 0.625, "max_power_out": 6.0,
+              "max_power_in": 7.0, "max_energy": 90.0,
+              "long_duration": True},
+    TrainOptions: {"max_iterations": 9, "time_limit": 30.5, "seed": 4,
+                   "threads": 2, "stop_on_gap": True, "gap_paths": 7,
+                   "gap_check_every": 3},
+}
+
+
+def test_every_dataclass_field_is_a_config_key_and_echoed(tmp_path):
+    """Each field of Generator, Storage and TrainOptions (less the name
+    and the log path) is read from its config key and echoed back."""
+    for cls, values in FIELD_VALUES.items():
+        assert set(values) == {f.name for f in dataclasses.fields(cls)} \
+            - {"name", "log_path"}
+    doc = yaml.safe_load(MINIMAL)
+    doc["catalog"]["generators"] = [
+        {"name": "gas", **FIELD_VALUES[Generator]}]
+    doc["catalog"]["storages"] = [
+        {"name": "cavern", **FIELD_VALUES[Storage]}]
+    doc["training"] = FIELD_VALUES[TrainOptions]
+    cfg = config.validate_config(write(tmp_path, yaml.safe_dump(doc)))
+    echo = yaml.safe_load(config.echo_text(cfg))
+    built = {Generator: cfg.catalog.generators[0],
+             Storage: cfg.catalog.storages[0], TrainOptions: cfg.training}
+    echoed = {Generator: echo["catalog"]["generators"][0],
+              Storage: echo["catalog"]["storages"][0],
+              TrainOptions: echo["training"]}
+    for cls, values in FIELD_VALUES.items():
+        for key, value in values.items():
+            assert getattr(built[cls], key) == value, key
+            assert echoed[cls][key] == value, key
+
+
+def test_missing_technology_fields_are_all_listed(tmp_path):
+    """A generator without cost or bound lists both; a capacity bound,
+    which no preset fills, reads plain "required"."""
+    text = MINIMAL.replace(
+        "      capital_cost: 2.0\n      max_capacity: 18.0\n", "")
+    text = text.replace("      max_energy: 80.0\n", "")
+    with pytest.raises(ConfigError) as err:
+        config.validate_config(write(tmp_path, text))
+    assert err.value.violations == [
+        "catalog.generators[0].capital_cost: "
+        "required (directly or via preset)",
+        "catalog.generators[0].max_capacity: required",
+        "catalog.storages[0].max_energy: required",
+    ]
