@@ -56,26 +56,39 @@ from .errors import (
 
 POLICY_FILE = "policy.json"
 
-# (TrainOptions field, type, help) of the training overrides of train
-# and oracle; each flag is its field name with dashes.
+# (TrainOptions field, type, the config's lower bound, help) of the
+# training overrides of train and oracle; flags are field names dashed.
 _TRAINING_FLAGS = (
-    ("seed", int, "override training seed"),
-    ("max_iterations", int, "override iteration budget"),
-    ("time_limit", float, "override wall-clock budget in seconds"),
-    ("threads", int, "override backward-pass thread count"),
+    ("seed", int, 0, "override training seed"),
+    ("max_iterations", int, 0, "override iteration budget"),
+    ("time_limit", float, 0, "override wall-clock budget in seconds"),
+    ("threads", int, 1, "override backward-pass thread count"),
 )
 
 
+def _at_least(kind, minimum):
+    """An argparse type: a ``kind`` value of at least ``minimum``."""
+    def parse(text):
+        if (value := kind(text)) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = kind.__name__      # argparse names it in its errors
+    return parse
+
+
 def _add_training_flags(p) -> None:
-    for key, kind, text in _TRAINING_FLAGS:
-        p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+    for key, kind, minimum, text in _TRAINING_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"),
+                       type=_at_least(kind, minimum), help=text)
 
 
 def _add_simulation_flags(p) -> None:
     p.add_argument("--policy",
                    help=f"policy file (default <out>/{POLICY_FILE})")
-    p.add_argument("--seed", type=int, help="override simulation seed")
-    p.add_argument("--n-paths", type=int,
+    p.add_argument("--seed", type=_at_least(int, 0),
+                   help="override simulation seed")
+    p.add_argument("--n-paths", type=_at_least(int, 1),
                    help="override number of sampled paths")
 
 
@@ -118,7 +131,7 @@ def _training_options(cfg: ScenarioConfig, args,
     if cfg.training is None:
         raise ConfigError(["training: block required by this command"])
     overrides = {"log_path": str(out / "training_log.csv")}
-    for key, _, _ in _TRAINING_FLAGS:
+    for key, *_ in _TRAINING_FLAGS:
         if getattr(args, key) is not None:
             overrides[key] = getattr(args, key)
     return dataclasses.replace(cfg.training, **overrides)

@@ -257,8 +257,6 @@ def _preset(cls, key, name, rate):
     """
     bounds = dict.fromkeys(_BOUNDS[cls], 0.0)
     if cls is Generator:
-        if not isinstance(key, str):
-            raise ValueError("expected a string")
         return presets.generator(key, name, rate=rate, **bounds)
     if not isinstance(key, str) or key not in _STORAGE_PRESETS:
         raise ValueError(f"expected one of {sorted(_STORAGE_PRESETS)}, "

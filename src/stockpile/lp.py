@@ -15,14 +15,15 @@ form: the nonzeros of row i are ``values[indptr[i]:indptr[i + 1]]`` in
 the columns ``indices[indptr[i]:indptr[i + 1]]``, the triple that
 ``scipy.sparse.csr_array((values, indices, indptr))`` takes.
 :func:`extend_rows` takes the rows it appends as such a triple too, so
-a caller can build a block of rows with array operations. Every
-instance, including those :func:`extend_rows` and :func:`replace_rhs`
-derive, is checked by its constructor; there is no unchecked path.
+a caller can build a block of rows with array operations. A row may
+name a column twice or with a zero coefficient. Every instance,
+including those :func:`extend_rows` and :func:`replace_rhs` derive, is
+checked by its constructor; there is no unchecked path.
 
 The simplex kernel is sparse and never forms a dense copy of the
-constraint matrix. Presolve turns the CSR rows into compressed sparse
-columns (a column repeated within a row summed, explicit zeros
-dropped) and equilibrates them on their nonzeros. Slack and phase-1
+constraint matrix. Presolve, alone, sums a column repeated within a row
+and drops zeros as it turns the CSR rows into compressed sparse columns,
+then equilibrates them on their nonzeros. Slack and phase-1
 artificial columns are unit columns, stored as a row and a sign. Every
 product with the matrix (pricing ``y @ A``, the leaving row of the
 tableau, ``A @ x``) is one ``np.bincount`` over the nonzeros, and an
@@ -84,6 +85,8 @@ _PRIMAL_TOL = 1e-9
 _RATIO_TIE = 1e-9
 _BLAND_TRIGGER = 1000
 _REFACTOR_EVERY = 100
+_PIVOT_LIMIT = 20000
+_PIVOT_LIMIT_PER_DIM = 200
 
 
 def _as_readonly(arr, dtype=float) -> np.ndarray:
@@ -111,31 +114,6 @@ def _label_index(labels: tuple, kind: str) -> dict:
         first = np.setdiff1d(np.arange(len(labels)), list(index.values()))[0]
         raise ValueError(f"duplicate {kind} label {labels[first]!r}")
     return index
-
-
-def _sparse_row(terms, sense: str, var_index: dict, n_vars: int):
-    """Sorted column indices and coefficients of one row, as lists.
-
-    ``terms`` pairs a variable index or label with a coefficient;
-    duplicate variables are coalesced by summing. Raises
-    :class:`UnknownVariable` for a label or index not among the
-    ``n_vars`` variables of ``var_index``.
-    """
-    if sense not in _SENSES:
-        raise ValueError(f"unknown row sense {sense!r}")
-    acc = {}
-    for var, coef in terms:
-        if isinstance(var, (int, np.integer)):
-            j = int(var)
-            if not 0 <= j < n_vars:
-                raise UnknownVariable(f"variable index {j} out of range")
-        elif var in var_index:
-            j = var_index[var]
-        else:
-            raise UnknownVariable(f"unknown variable {var!r}")
-        acc[j] = acc.get(j, 0.0) + float(coef)
-    cols = sorted(acc)
-    return cols, [acc[j] for j in cols]
 
 
 @dataclass(frozen=True)
@@ -215,8 +193,8 @@ class LpInstance:
 
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        np.add.at(a, (rows, self.indices), self.values)
+        row, col, val, _ = _entries(self)
+        a[row, col] = val
         return a
 
 
@@ -235,15 +213,6 @@ class LpBuilder:
         self._senses = []
         self._rhs = []
         self._row_labels = []
-        self._row_set = set()
-
-    @property
-    def n_vars(self) -> int:
-        return len(self._var_labels)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self._row_labels)
 
     def add_variable(self, label: str, cost: float = 0.0,
                      lower: float = 0.0, upper: float = np.inf) -> int:
@@ -259,18 +228,27 @@ class LpBuilder:
 
     def add_row(self, label: str, terms, sense: str, rhs: float) -> int:
         """Append one row. ``terms`` pairs a variable index or label with a
-        coefficient; duplicate variables are coalesced by summing."""
-        if label in self._row_set:
-            raise ValueError(f"duplicate row label {label!r}")
-        cols, vals = _sparse_row(terms, sense, self._var_index,
-                                 len(self._var_labels))
+        coefficient and is stored as given. Raises :class:`UnknownVariable`
+        for a variable the builder lacks; :meth:`build` rejects a repeated
+        row label or an unknown sense."""
+        cols, vals = [], []
+        for var, coef in terms:
+            if isinstance(var, (int, np.integer)):
+                j = int(var)
+                if not 0 <= j < len(self._var_labels):
+                    raise UnknownVariable(f"variable index {j} out of range")
+            elif var in self._var_index:
+                j = self._var_index[var]
+            else:
+                raise UnknownVariable(f"unknown variable {var!r}")
+            cols.append(j)
+            vals.append(float(coef))
         self._indices += cols
         self._values += vals
         self._indptr.append(len(self._indices))
         self._senses.append(sense)
         self._rhs.append(float(rhs))
         self._row_labels.append(label)
-        self._row_set.add(label)
         return len(self._row_labels) - 1
 
     def build(self) -> LpInstance:
@@ -414,7 +392,7 @@ class _Simplex:
     free at zero.
     """
 
-    def __init__(self, p, max_pivots, status=None):
+    def __init__(self, p, status=None):
         self.m = p.m
         self.ns = p.n
         self.n = p.n + p.m
@@ -427,7 +405,7 @@ class _Simplex:
         self.c = p.c
         self.lower = p.lower.copy()
         self.upper = p.upper.copy()
-        self.max_pivots = max_pivots
+        self.pivot_limit = _PIVOT_LIMIT + _PIVOT_LIMIT_PER_DIM * (p.m + p.n)
         self.pivots = 0
         self.degenerate_run = 0
         self.bland = False
@@ -706,9 +684,9 @@ class _Simplex:
             self.refactor()
 
     def _check_pivot_limit(self):
-        if self.pivots > self.max_pivots:
+        if self.pivots > self.pivot_limit:
             raise NumericalFailure(
-                f"pivot limit {self.max_pivots} exceeded "
+                f"pivot limit {self.pivot_limit} exceeded "
                 f"(degenerate run {self.degenerate_run})")
 
     def run(self):
@@ -796,9 +774,10 @@ class _Prepared:
 def _entries(instance: LpInstance):
     """The nonzero entries of the instance as (row, col, val) in row
     order, plus the permutation that sorts them by column with rows
-    ascending within a column. A column repeated within a row is one
-    entry holding the sum, as in :meth:`LpInstance.dense_matrix`, and
-    an explicit zero (a cut's zero slope, say) is no entry."""
+    ascending within a column. The only code that merges entries: a
+    column repeated within a row (a capacity-stage cut names the
+    opening-level column twice) is one entry holding the sum, and an
+    explicit zero (a cut's zero slope, say) is no entry."""
     indptr = instance.indptr
     row = np.arange(instance.n_rows).repeat(indptr[1:] - indptr[:-1])
     col, val = instance.indices, instance.values
@@ -866,10 +845,10 @@ def _prepare(instance: LpInstance):
         rscale=rscale, dscale=dscale, cost_scale=cost_scale)
 
 
-def _cold(p: _Prepared, max_pivots: int) -> LpSolution:
+def _cold(p: _Prepared) -> LpSolution:
     """Two-phase solve from the slack basis."""
     n, m = p.n, p.m
-    sx = _Simplex(p, max_pivots)
+    sx = _Simplex(p)
 
     # initial point: nonbasics at bounds; rows whose residual fits inside the
     # slack bounds start with a basic slack, the rest get an artificial
@@ -912,7 +891,7 @@ def _cold(p: _Prepared, max_pivots: int) -> LpSolution:
     return _finish(p, sx)
 
 
-def _warm(p: _Prepared, basis, max_pivots: int) -> LpSolution | None:
+def _warm(p: _Prepared, basis) -> LpSolution | None:
     """Solve from a given basis: dual simplex to primal feasibility,
     then primal simplex to optimality. Returns None, sending the caller
     to the cold path, when the basis does not fit the instance, is
@@ -927,7 +906,7 @@ def _warm(p: _Prepared, basis, max_pivots: int) -> LpSolution | None:
     basic = (status == _BASIC).nonzero()[0]
     if len(basic) != p.m or not _status_fits(status, p.lower, p.upper):
         return None
-    sx = _Simplex(p, max_pivots, status)
+    sx = _Simplex(p, status)
     try:
         sx.install_basis(basic)
         sx.dual_run()
@@ -999,8 +978,7 @@ def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
                       _frozen(red), sx.pivots, instance, basis)
 
 
-def solve(instance: LpInstance, *, max_pivots: int | None = None,
-          basis=None) -> LpSolution:
+def solve(instance: LpInstance, *, basis=None) -> LpSolution:
     """Solve the instance and return status, primal, duals, reduced costs.
 
     Two-phase bounded-variable revised simplex. Infeasible and unbounded
@@ -1018,13 +996,11 @@ def solve(instance: LpInstance, *, max_pivots: int | None = None,
     p = _prepare(instance)
     if isinstance(p, LpSolution):
         return p
-    if max_pivots is None:
-        max_pivots = 20000 + 200 * (p.m + p.n)
     if basis is not None:
-        sol = _warm(p, basis, max_pivots)
+        sol = _warm(p, basis)
         if sol is not None:
             return sol
-    return _cold(p, max_pivots)
+    return _cold(p)
 
 
 def solve_optimal(instance: LpInstance, where: str,

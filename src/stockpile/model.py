@@ -30,7 +30,7 @@ variables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -279,6 +279,19 @@ def _series(values) -> np.ndarray:
     return arr
 
 
+# StateLayout kind -> (capacity-stage variable prefix, CapacityDecision
+# field); a storage's opening and running level are its initial level.
+_CAPACITY_ITEMS = {
+    "gen": ("G", "generation"),
+    "pout": ("F", "storage_power_out"),
+    "pin": ("H", "storage_power_in"),
+    "energy": ("E", "storage_energy"),
+    "ini": ("ini", "initial_level"),
+    "level": ("ini", "initial_level"),
+    "ltc": ("ltc", "ltc_volume"),
+}
+
+
 @dataclass(frozen=True)
 class CapacityDecision:
     """A point in the capacity feasible set.
@@ -303,18 +316,8 @@ class CapacityDecision:
         """
         x = np.zeros(layout.size)
         for p, (kind, name) in enumerate(layout.entries):
-            if kind == "gen":
-                x[p] = self.generation[name]
-            elif kind == "pout":
-                x[p] = self.storage_power_out[name]
-            elif kind == "pin":
-                x[p] = self.storage_power_in[name]
-            elif kind == "energy":
-                x[p] = self.storage_energy[name]
-            elif kind in ("ini", "level"):
-                x[p] = self.initial_level[name]
-            else:
-                x[p] = self.ltc_volume
+            value = getattr(self, _CAPACITY_ITEMS[kind][1])
+            x[p] = value if kind == "ltc" else value[name]
         return x
 
 
@@ -345,10 +348,6 @@ class StateLayout:
             kind if kind == "ltc" else f"{kind}:{name}"
             for kind, name in entries)
         self._position = {lab: p for p, lab in enumerate(self.labels)}
-        self.level_positions: tuple[int, ...] = tuple(
-            p for p, (kind, _) in enumerate(entries) if kind == "level")
-        self.ini_positions: tuple[int, ...] = tuple(
-            p for p, (kind, _) in enumerate(entries) if kind == "ini")
 
     @property
     def size(self) -> int:
@@ -444,44 +443,12 @@ def build_capacity_stage(catalog: TechnologyCatalog) -> StageProblem:
     inst = b.build()
     cols = []
     for kind, name in layout.entries:
-        if kind == "gen":
-            cols.append(inst.var_index[f"G:{name}"])
-        elif kind == "pout":
-            cols.append(inst.var_index[f"F:{name}"])
-        elif kind == "pin":
-            cols.append(inst.var_index[f"H:{name}"])
-        elif kind == "energy":
-            cols.append(inst.var_index[f"E:{name}"])
-        elif kind in ("ini", "level"):
-            cols.append(inst.var_index[f"ini:{name}"])
-        else:
-            cols.append(inst.var_index["ltc"])
+        prefix = _CAPACITY_ITEMS[kind][0]
+        cols.append(inst.var_index[prefix if kind == "ltc"
+                                   else f"{prefix}:{name}"])
     return StageProblem(stage=0, instance=inst, layout=layout,
                         fishing_rows=(), state_columns=tuple(cols),
                         theta_column=theta, n_periods=0, period_hours=0.0)
-
-
-def terminal_penalty_rows(catalog: TechnologyCatalog,
-                          n_periods: int) -> tuple:
-    """Constraint descriptors for the end-of-horizon level target.
-
-    One row per long-duration storage: the opening-level target minus
-    the final level, minus a nonnegative slack, is at most zero. The
-    slack is priced at the lost-load rate by the stage builder, so a
-    finishing level at or above the target costs nothing and a deficit
-    is penalized linearly.
-
-    Returns tuples ``(label, terms, sense, rhs)`` over variable labels.
-    """
-    rows = []
-    for s in catalog.long_duration_storages:
-        rows.append((
-            f"terminal:{s.name}",
-            [(f"in:ini:{s.name}", 1.0),
-             (f"e:{s.name}:{n_periods - 1}", -1.0),
-             (f"slip:{s.name}", -1.0)],
-            lp.LESS_EQUAL, 0.0))
-    return tuple(rows)
 
 
 def build_dispatch_stage(t: int, catalog: TechnologyCatalog,
@@ -608,8 +575,15 @@ def build_dispatch_stage(t: int, catalog: TechnologyCatalog,
                       lp.LESS_EQUAL, 0.0)
 
     if terminal:
-        for label, terms, sense, rhs in terminal_penalty_rows(catalog, horizon):
-            b.add_row(label, terms, sense, rhs)
+        # level target: opening-level target - final level - slack <= 0,
+        # the slack priced at the lost-load rate, so finishing at or above
+        # the target costs nothing and a deficit is penalized linearly
+        for s in catalog.long_duration_storages:
+            b.add_row(f"terminal:{s.name}",
+                      [(f"in:ini:{s.name}", 1.0),
+                       (f"e:{s.name}:{horizon - 1}", -1.0),
+                       (f"slip:{s.name}", -1.0)],
+                      lp.LESS_EQUAL, 0.0)
 
     inst = b.build()
     cols = []
@@ -638,14 +612,8 @@ def apply_incoming_state(problem: StageProblem,
     if x_in.shape != (problem.layout.size,):
         raise DimensionMismatch(
             f"state has shape {x_in.shape}, expected ({problem.layout.size},)")
-    inst = lp.replace_rhs(problem.instance, problem.fishing_rows, x_in)
-    return StageProblem(stage=problem.stage, instance=inst,
-                        layout=problem.layout,
-                        fishing_rows=problem.fishing_rows,
-                        state_columns=problem.state_columns,
-                        theta_column=problem.theta_column,
-                        n_periods=problem.n_periods,
-                        period_hours=problem.period_hours)
+    return replace(problem, instance=lp.replace_rhs(
+        problem.instance, problem.fishing_rows, x_in))
 
 
 def extract_state(problem: StageProblem, sol: lp.LpSolution) -> np.ndarray:

@@ -95,6 +95,8 @@ TECHNOLOGY_COSTS = {
 
 _DISPATCHABLE = {"biomass"}
 
+_GENERATOR_KEYS = ("biomass", "solar", "onshore_wind", "offshore_wind")
+
 
 def _cost(key: str) -> TechnologyCost:
     try:
@@ -143,13 +145,16 @@ def generator(key: str, name: str | None = None, *, max_capacity: float,
     of electricity.
 
     Args:
-        key: Key into the technology table.
+        key: Generation technology key into the technology table.
         name: Catalog name; defaults to the key.
         max_capacity: Upper capacity bound in GW.
         min_capacity: Lower capacity bound in GW.
         rate: Interest rate for the annuity.
     """
-    tc = _cost(key)
+    if key not in _GENERATOR_KEYS:
+        raise ValueError(f"unknown generator technology {key!r}; expected "
+                         f"one of {sorted(_GENERATOR_KEYS)}")
+    tc = TECHNOLOGY_COSTS[key]
     marginal = tc.variable_cost
     if tc.efficiency is not None:
         marginal = tc.variable_cost / tc.efficiency

@@ -112,20 +112,15 @@ def cut_block(problem: model.StageProblem, pool) -> tuple:
     """The cut rows of ``pool`` on ``problem`` as the arguments that
     follow the instance in :func:`stockpile.lp.extend_rows`.
 
-    Cut ``c`` is the row ``cut:<c>``: theta + (-slope) @ x >= intercept
-    over the state columns. Columns are sorted and a column named twice
-    (the capacity stage maps both the opening and the running level of
-    a storage to its opening-level variable) gets its coefficients
-    summed in term order. The arrays are those that
+    Cut ``c`` is the row ``cut:<c>``: theta + (-slope) @ x >= intercept,
+    its terms as given, theta first. A column named twice (the capacity
+    stage maps a storage's opening and running level to one variable)
+    keeps both entries for presolve to sum, as in the arrays that
     :meth:`stockpile.lp.LpBuilder.add_row` stores for the same terms.
     """
-    terms = np.array((problem.theta_column,) + problem.state_columns)
-    cols, slot = np.unique(terms, return_inverse=True)
-    coefs = np.hstack([np.ones((len(pool), 1)),
-                       -np.array([cut.slope for cut in pool])])
-    values = np.zeros((len(pool), len(cols)))
-    for k, j in enumerate(slot):
-        values[:, j] += coefs[:, k]
+    cols = (problem.theta_column,) + problem.state_columns
+    values = np.hstack([np.ones((len(pool), 1)),
+                        -np.array([cut.slope for cut in pool])])
     return (np.arange(len(pool) + 1) * len(cols), np.tile(cols, len(pool)),
             values.ravel(), (lp.GREATER_EQUAL,) * len(pool),
             [cut.intercept for cut in pool],

@@ -179,6 +179,31 @@ def test_config_violation_exits_2(tmp_path, capsys):
     assert "schema_version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value,minimum", [
+    ("train", "--seed", "-1", "0"),
+    ("train", "--max-iterations", "-1", "0"),
+    ("train", "--time-limit", "-0.5", "0"),
+    ("train", "--threads", "0", "1"),
+    ("oracle", "--seed", "-1", "0"),
+    ("oracle", "--threads", "0", "1"),
+    ("simulate", "--seed", "-1", "0"),
+    ("simulate", "--n-paths", "0", "1"),
+    ("curves", "--seed", "-1", "0"),
+    ("curves", "--n-paths", "0", "1"),
+])
+def test_out_of_range_override_exits_2(tmp_path, capsys, command, flag,
+                                       value, minimum):
+    """An override flag is held to the bound of the config key it
+    replaces, and a value below it is rejected naming the flag."""
+    cfg, out = setup_run(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--out", out, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= {minimum}, got {value}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_without_training_block_exits_2(tmp_path, capsys):
     text = CONFIG.split("training:")[0]
     cfg, out = setup_run(tmp_path, text)

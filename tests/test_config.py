@@ -122,6 +122,19 @@ def test_missing_capacity_factors_for_weather_generator(tmp_path):
         config.validate_config(write(tmp_path, text))
 
 
+def test_storage_component_is_no_generator_preset(tmp_path):
+    """A storage component named as a generator preset is a violation
+    at the entry's preset key."""
+    text = MINIMAL.replace("capital_cost: 2.0",
+                           "preset: battery_inverter", 1)
+    with pytest.raises(ConfigError) as err:
+        config.validate_config(write(tmp_path, text))
+    assert err.value.violations == [
+        "catalog.generators[0].preset: unknown generator technology "
+        "'battery_inverter'; expected one of "
+        "['biomass', 'offshore_wind', 'onshore_wind', 'solar']"]
+
+
 def test_missing_file_and_bad_yaml_are_data_errors(tmp_path):
     with pytest.raises(DataError):
         config.validate_config(str(tmp_path / "absent.yaml"))

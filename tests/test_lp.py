@@ -254,12 +254,14 @@ def test_duplicate_terms_coalesced():
     assert sol.value("x") == pytest.approx(2.0, abs=1e-9)
 
 
-def test_pivot_limit_raises():
+def test_pivot_limit_raises(monkeypatch):
+    monkeypatch.setattr(lp, "_PIVOT_LIMIT", 0)
+    monkeypatch.setattr(lp, "_PIVOT_LIMIT_PER_DIM", 0)
     rows = [[1.0, 2.0], [3.0, 1.0]]
     inst = build([1.0, 1.0], rows, [">=", ">="], [4.0, 6.0],
                  [0.0, 0.0], [np.inf, np.inf])
     with pytest.raises(NumericalFailure):
-        lp.solve(inst, max_pivots=0)
+        lp.solve(inst)
 
 
 def test_dump_instance(tmp_path):
@@ -684,6 +686,21 @@ def test_csr_instance_rejects_inconsistent_data(changes, message):
         _csr_instance(**changes)
 
 
+@pytest.mark.parametrize("label,sense,message", [
+    ("a", "<=", "duplicate row label 'a'"),
+    ("b", "<", "unknown row sense '<'"),
+], ids=["duplicate_row", "unknown_sense"])
+def test_builder_rejects_inconsistent_rows(label, sense, message):
+    """The builder reports a repeated row label or an unknown sense with
+    the instance constructor's message, by the time it builds."""
+    b = lp.LpBuilder()
+    b.add_variable("x")
+    b.add_row("a", [("x", 1.0)], "<=", 1.0)
+    with pytest.raises(ValueError, match=message):
+        b.add_row(label, [("x", 1.0)], sense, 1.0)
+        b.build()
+
+
 def test_replaced_instance_is_validated():
     inst = _csr_instance()
     with pytest.raises(ValueError, match="rhs"):
@@ -727,7 +744,7 @@ def test_block_refactor_matches_dense_inverse(seed):
                  rng.integers(-5, 6, m).astype(float), [0.0] * n, [5.0] * n)
     p = lp._prepare(inst)
     assert p.m == m
-    sx = lp._Simplex(p, 100)
+    sx = lp._Simplex(p)
     art_rows = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False)
     sx.add_units(art_rows, rng.choice([-1.0, 1.0], len(art_rows)))
     dense = np.zeros((m, sx.n))
@@ -747,12 +764,12 @@ def _dependent_columns_instance():
 
 def test_refactor_rejects_shared_row_and_singular_block(monkeypatch):
     p = lp._prepare(_dependent_columns_instance())
-    sx = lp._Simplex(p, 100)
+    sx = lp._Simplex(p)
     sx.add_units(np.array([0]), np.array([1.0]))
     with pytest.raises(NumericalFailure, match="share a row"):
         sx.install_basis([2, 4])        # row 0's slack and its artificial
     with pytest.raises(NumericalFailure, match="singular"):
-        lp._Simplex(p, 100).install_basis([0, 1])
+        lp._Simplex(p).install_basis([0, 1])
     # the same singular block as a warm basis: the solve goes cold
     inst = _dependent_columns_instance()
     cold = lp.solve(inst)

@@ -509,3 +509,53 @@ def test_stage_index_and_state_dimension_errors():
                                       total_stages=2)
     with pytest.raises(DimensionMismatch):
         model.apply_incoming_state(prob, np.zeros(3))
+
+
+def test_capacity_state_columns_and_to_state_follow_the_layout():
+    """With two long-duration storages, a battery and a contract, each
+    state slot of the capacity stage points at the variable named for
+    its layout entry, and ``to_state`` fills it from the matching field
+    of the decision."""
+    wind = model.Generator("wind", capital_cost=50.0, marginal_cost=0.0,
+                           max_capacity=50.0)
+
+    def store(name, long_duration):
+        return model.Storage(name, capital_cost_out=30.0,
+                             capital_cost_in=20.0, capital_cost_energy=0.5,
+                             efficiency_out=0.5, efficiency_in=0.7,
+                             max_power_out=20.0, max_power_in=20.0,
+                             max_energy=400.0, long_duration=long_duration)
+
+    catalog = model.TechnologyCatalog(
+        (wind,), (store("cavern", True), store("battery", False),
+                  store("tank", True)), ltc_price=80.0, ltc_max=3.0)
+    problem = model.build_capacity_stage(catalog)
+    layout = problem.layout
+    variable = {"gen": "G:{}", "pout": "F:{}", "pin": "H:{}",
+                "energy": "E:{}", "ini": "ini:{}", "level": "ini:{}",
+                "ltc": "ltc"}
+    labels = problem.instance.var_labels
+    kinds = [kind for kind, _ in layout.entries]
+    assert sorted(set(kinds)) == sorted(variable)
+    assert kinds.count("level") == 2
+    for (kind, name), col in zip(layout.entries, problem.state_columns):
+        assert labels[col] == variable[kind].format(name)
+
+    decision = model.CapacityDecision(
+        generation={"wind": 1.0},
+        storage_power_out={"cavern": 2.0, "battery": 3.0, "tank": 4.0},
+        storage_power_in={"cavern": 5.0, "battery": 6.0, "tank": 7.0},
+        storage_energy={"cavern": 8.0, "battery": 9.0, "tank": 10.0},
+        initial_level={"cavern": 11.0, "tank": 12.0},
+        ltc_volume=13.0)
+    field = {"gen": decision.generation,
+             "pout": decision.storage_power_out,
+             "pin": decision.storage_power_in,
+             "energy": decision.storage_energy,
+             "ini": decision.initial_level,
+             "level": decision.initial_level}
+    x = decision.to_state(layout)
+    assert x.shape == (layout.size,)
+    for p, (kind, name) in enumerate(layout.entries):
+        expected = decision.ltc_volume if kind == "ltc" else field[kind][name]
+        assert x[p] == expected

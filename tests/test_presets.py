@@ -84,6 +84,21 @@ def test_generator_preset_fields():
     assert bio.availability == 1.0
 
 
+@pytest.mark.parametrize("key", ["battery_inverter", "battery_storage",
+                                 "electrolysis", "hydrogen_turbine",
+                                 "hydrogen_cavern", "cavern_compressor",
+                                 "hydrogen_tank", "tank_compressor", "fusion"])
+def test_generator_preset_rejects_storage_components(key):
+    """Only the four generation technologies are generator presets; the
+    components of the storage presets are not, and the message lists
+    exactly the four."""
+    with pytest.raises(ValueError) as err:
+        presets.generator(key, max_capacity=1.0)
+    assert str(err.value) == (
+        f"unknown generator technology {key!r}; expected one of "
+        "['biomass', 'offshore_wind', 'onshore_wind', 'solar']")
+
+
 def test_battery_preset_is_short_duration():
     b = presets.battery(max_power_out=2.0, max_power_in=2.0, max_energy=8.0)
     assert not b.long_duration

@@ -526,9 +526,9 @@ def _builder_cut_rows(problem, pool):
 @pytest.mark.parametrize("stage", [0, 1])
 def test_cut_block_equals_builder_rows(canonical, stage):
     """The array-built cut block holds, bit for bit, the CSR arrays that
-    LpBuilder.add_row stores for the same terms: sorted columns, and on
-    the capacity stage the opening-level column, which both the opening
-    and the running level map to, with its two coefficients summed."""
+    LpBuilder.add_row stores for the same terms: the terms as given, so
+    on the capacity stage the opening-level column, which both the
+    opening and the running level map to, appears twice."""
     policy = sddp.Policy(canonical["catalog"], canonical["scenario"],
                          canonical["lattice"])
     problem = policy._template(stage, 0)
@@ -553,6 +553,45 @@ def test_cut_block_equals_builder_rows(canonical, stage):
     assert tuple(senses) == ref.senses
     assert np.asarray(rhs).tobytes() == ref.rhs.tobytes()
     assert tuple(labels) == ref.row_labels
+
+
+def test_cut_block_solves_as_presummed_rows(canonical):
+    """On the capacity stage, where the opening and the running level of
+    the cavern are one column, the cut block solves byte for byte as the
+    same rows written with that column's coefficients summed into one
+    entry, zero slopes included."""
+    problem = model.build_capacity_stage(canonical["catalog"])
+    inst = problem.instance
+    cols = problem.state_columns
+    assert len(set(cols)) < len(cols)
+    rng = np.random.default_rng(11)
+    pool = []
+    for k in range(12):
+        slope = -np.abs(rng.normal(size=len(cols))) * 10.0 ** rng.integers(-2, 3)
+        slope[rng.random(len(cols)) < 0.3] = 0.0
+        pool.append(sddp.Cut(stage=1, intercept=float(rng.uniform(50, 500)),
+                             slope=slope, iteration=k,
+                             trial_state=np.zeros(len(cols))))
+    indptr, indices, values = [0], [], []
+    for cut in pool:
+        row = {problem.theta_column: 1.0}
+        for col, s in zip(cols, cut.slope):
+            row[col] = row.get(col, 0.0) - s
+        indices += list(row)
+        values += list(row.values())
+        indptr.append(len(indices))
+    presummed = lp.extend_rows(
+        inst, indptr, indices, values, [lp.GREATER_EQUAL] * len(pool),
+        [cut.intercept for cut in pool],
+        [f"cut:{c}" for c in range(len(pool))])
+    mine = lp.solve(lp.extend_rows(inst, *sddp.cut_block(problem, pool)))
+    theirs = lp.solve(presummed)
+    assert mine.status == theirs.status == lp.OPTIMAL
+    assert mine.objective == theirs.objective
+    for a, b in ((mine.primal, theirs.primal), (mine.duals, theirs.duals),
+                 (mine.reduced_costs, theirs.reduced_costs),
+                 *zip(mine.basis, theirs.basis)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,

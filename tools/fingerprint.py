@@ -1,0 +1,150 @@
+"""Fingerprint the numerical results of a stockpile source tree.
+
+    python3 tools/fingerprint.py [ROOT]
+
+ROOT (default: the checkout that holds this script) is a tree with the
+package in ``src/stockpile`` and the benchmark inputs in
+``perfbench/instances.py``; both are imported from ROOT and only read.
+The script runs a fixed set of seeded computations and prints two
+SHA-256 digests:
+
+``results``
+    over the canonical instance trained 40 iterations with each of
+    four training seeds (the whole policy payload), the sector system
+    trained 8 iterations and simulated over 24 sampled paths (policy
+    payload and every trajectory record), and the extensive-form and
+    perfect-foresight programs of three seeded sector lattices
+    (objective and output tables);
+``solves``
+    over every ``lp.solve`` result along the way: status, objective,
+    primal, duals and reduced costs.
+
+Two trees that print the same digests solved every LP of these runs to
+the same bits. To check that a refactor changes no number, run the
+script on a checkout of the parent commit and on the change, on the
+same machine, and compare the two outputs. BLAS is pinned to one
+thread before numpy loads, because the simplex's pivot sequence can
+depend on it.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+CANONICAL_SEEDS = (0, 1, 2, 3)
+CANONICAL_ITERATIONS = 40
+SECTOR_SHAPE = (4, 3, 12)           # stages, realizations, periods
+SECTOR_LATTICE_SEED = 20240
+SECTOR_TRAIN_SEED = 7
+SECTOR_ITERATIONS = 8
+SECTOR_PATHS = 24
+SECTOR_PATH_SEED = 11
+REFERENCE_SHAPE = (3, 2, 2)
+REFERENCE_SEEDS = (1, 2, 3)
+
+
+def _feed(h, obj) -> None:
+    """Add ``obj`` to the hash ``h``: arrays by dtype, shape and bytes,
+    floats by their exact repr, containers and dataclasses element by
+    element (dict keys sorted)."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"a{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            h.update(f.name.encode())
+            _feed(h, getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            h.update(repr(key).encode())
+            _feed(h, obj[key])
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"[{len(obj)}".encode())
+        for item in obj:
+            _feed(h, item)
+    elif isinstance(obj, (float, np.floating)):
+        h.update(repr(float(obj)).encode())
+    else:
+        h.update(repr(obj).encode())
+    h.update(b";")
+
+
+def run(root: Path) -> tuple[str, str, int]:
+    """The results digest, the solves digest and the solve count of the
+    tree at ``root``."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import instances
+    from stockpile import benchmarks, lp, sddp
+    from stockpile.weather import sample_path
+
+    source = Path(lp.__file__).resolve()
+    if not source.is_relative_to((root / "src").resolve()):
+        raise SystemExit(f"imported {source}, not the package under {root}")
+
+    results, solves = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    raw = lp.solve
+
+    def solve(instance, **kwargs):
+        nonlocal count
+        sol = raw(instance, **kwargs)
+        count += 1
+        _feed(solves, (sol.status, sol.objective, sol.primal, sol.duals,
+                       sol.reduced_costs))
+        return sol
+
+    lp.solve = solve
+    try:
+        catalog, scenario, lattice = instances.canonical_instance()
+        for seed in CANONICAL_SEEDS:
+            policy = sddp.train(catalog, scenario, lattice, sddp.TrainOptions(
+                max_iterations=CANONICAL_ITERATIONS, seed=seed, threads=1))
+            _feed(results, policy.to_payload())
+
+        catalog = instances.sector_catalog()
+        scenario = instances.sector_scenario()
+        lattice = instances.sector_lattice(
+            np.random.default_rng(SECTOR_LATTICE_SEED), *SECTOR_SHAPE)
+        policy = sddp.train(catalog, scenario, lattice, sddp.TrainOptions(
+            max_iterations=SECTOR_ITERATIONS, seed=SECTOR_TRAIN_SEED,
+            threads=1))
+        _feed(results, policy.to_payload())
+        rng = np.random.default_rng(SECTOR_PATH_SEED)
+        paths = [sample_path(lattice, rng) for _ in range(SECTOR_PATHS)]
+        _feed(results, sddp.simulate(policy, paths))
+
+        for seed in REFERENCE_SEEDS:
+            lattice = instances.sector_lattice(np.random.default_rng(seed),
+                                               *REFERENCE_SHAPE)
+            ef = benchmarks.extensive_form(catalog, scenario, lattice)
+            pf = benchmarks.perfect_foresight(
+                catalog, scenario, benchmarks.enumerate_paths(lattice))
+            for result in (ef, pf):
+                _feed(results, (result.objective, result.to_tables()))
+    finally:
+        lp.solve = raw
+    return results.hexdigest(), solves.hexdigest(), count
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
+    results, solves, count = run(root.resolve())
+    print(f"results {results}")
+    print(f"solves  {solves} ({count} solves)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
