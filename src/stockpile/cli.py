@@ -44,51 +44,60 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, benchmarks, sddp, weather
-from .config import ScenarioConfig, echo_text, validate_config
+from .config import (
+    ScenarioConfig,
+    SimulationOptions,
+    check_value,
+    echo_text,
+    field_kind,
+    validate_config,
+)
 from .errors import (
     ConfigError,
     DataError,
     EmptyPool,
     SolverFailure,
     StockpileError,
-    TreeTooLarge,
 )
 
 POLICY_FILE = "policy.json"
 
-# (TrainOptions field, type, the config's lower bound, help) of the
-# training overrides of train and oracle; flags are field names dashed.
+# The training overrides of train and oracle, (TrainOptions field,
+# help); flags are field names dashed.
 _TRAINING_FLAGS = (
-    ("seed", int, 0, "override training seed"),
-    ("max_iterations", int, 0, "override iteration budget"),
-    ("time_limit", float, 0, "override wall-clock budget in seconds"),
-    ("threads", int, 1, "override backward-pass thread count"),
+    ("seed", "override training seed"),
+    ("max_iterations", "override iteration budget"),
+    ("time_limit", "override wall-clock budget in seconds"),
+    ("threads", "override backward-pass thread count"),
 )
 
 
-def _at_least(kind, minimum):
-    """An argparse type: a ``kind`` value of at least ``minimum``."""
+def _flag_type(cls, key):
+    """An argparse type for field ``key`` of dataclass ``cls``, held to
+    the rules of the config key it overrides."""
+    kind = field_kind(cls, key)[0]
+
     def parse(text):
-        if (value := kind(text)) < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}")
+        value, problem = check_value(kind(text), kind, key)
+        if problem is not None:
+            raise argparse.ArgumentTypeError(problem)
         return value
     parse.__name__ = kind.__name__      # argparse names it in its errors
     return parse
 
 
 def _add_training_flags(p) -> None:
-    for key, kind, minimum, text in _TRAINING_FLAGS:
+    for key, text in _TRAINING_FLAGS:
         p.add_argument("--" + key.replace("_", "-"),
-                       type=_at_least(kind, minimum), help=text)
+                       type=_flag_type(sddp.TrainOptions, key), help=text)
 
 
 def _add_simulation_flags(p) -> None:
     p.add_argument("--policy",
                    help=f"policy file (default <out>/{POLICY_FILE})")
-    p.add_argument("--seed", type=_at_least(int, 0),
+    p.add_argument("--seed", type=_flag_type(SimulationOptions, "seed"),
                    help="override simulation seed")
-    p.add_argument("--n-paths", type=_at_least(int, 1),
+    p.add_argument("--n-paths", type=_flag_type(SimulationOptions, "n_paths"),
                    help="override number of sampled paths")
 
 
@@ -131,7 +140,7 @@ def _training_options(cfg: ScenarioConfig, args,
     if cfg.training is None:
         raise ConfigError(["training: block required by this command"])
     overrides = {"log_path": str(out / "training_log.csv")}
-    for key, *_ in _TRAINING_FLAGS:
+    for key, _ in _TRAINING_FLAGS:
         if getattr(args, key) is not None:
             overrides[key] = getattr(args, key)
     return dataclasses.replace(cfg.training, **overrides)
@@ -141,36 +150,29 @@ def _load_policy(args, cfg: ScenarioConfig, out: Path):
     """The path of the policy file named by ``--policy`` (default
     ``<out>/policy.json``) and the policy read from it."""
     path = Path(args.policy) if args.policy else out / POLICY_FILE
-    try:
-        policy = sddp.load_policy(path, cfg.catalog, cfg.scenario,
+    return path, sddp.load_policy(path, cfg.catalog, cfg.scenario,
                                   cfg.lattice)
-    except OSError as exc:
-        raise DataError(f"cannot read policy {str(path)!r}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"policy {str(path)!r} is not valid JSON: "
-                        f"{exc}") from exc
-    return path, policy
 
 
 def _simulate_paths(args, cfg: ScenarioConfig, policy) -> list:
     """Simulate ``policy`` over freshly sampled paths; ``--seed`` and
     ``--n-paths`` override the config's simulation block."""
-    seed = args.seed if args.seed is not None else cfg.simulation_seed
+    seed = args.seed if args.seed is not None else cfg.simulation.seed
     if seed is None:
         raise ConfigError(["simulation.seed: required by this command"])
     n_paths = args.n_paths if args.n_paths is not None else \
-        cfg.simulation_paths
+        cfg.simulation.n_paths
     rng = np.random.default_rng(seed)
     paths = [weather.sample_path(cfg.lattice, rng) for _ in range(n_paths)]
     return sddp.simulate(policy, paths)
 
 
-def _extensive_form(cfg: ScenarioConfig) -> benchmarks.BenchmarkResult:
-    try:
-        return benchmarks.extensive_form(cfg.catalog, cfg.scenario,
-                                         cfg.lattice)
-    except TreeTooLarge as exc:
-        raise DataError(str(exc)) from exc
+def _bound(policy: sddp.Policy) -> float:
+    """The policy's lower bound: its last training-log entry, or a
+    capacity-stage solve when it was trained zero iterations."""
+    if policy.training_log:
+        return policy.training_log[-1][1]
+    return sddp.lower_bound(policy)
 
 
 def _run_train(args, cfg: ScenarioConfig, out: Path) -> int:
@@ -179,7 +181,7 @@ def _run_train(args, cfg: ScenarioConfig, out: Path) -> int:
     policy_path = out / POLICY_FILE
     sddp.save_policy(policy, policy_path)
     _write(out / "resolved_config.yaml", echo_text(cfg))
-    lb = sddp.lower_bound(policy)
+    lb = _bound(policy)
     print(f"trained {len(policy.training_log)} iterations, "
           f"lower bound {lb!r} MEUR, stopped: {policy.stopped_reason}")
     print(f"policy written to {policy_path}")
@@ -233,7 +235,7 @@ def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _run_bench(args, cfg: ScenarioConfig, out: Path) -> int:
-    ef = _extensive_form(cfg)
+    ef = benchmarks.extensive_form(cfg.catalog, cfg.scenario, cfg.lattice)
     pf = benchmarks.perfect_foresight(cfg.catalog, cfg.scenario,
                                       benchmarks.enumerate_paths(cfg.lattice))
     for prefix, result in (("ef", ef), ("pf", pf)):
@@ -249,11 +251,7 @@ def _run_bench(args, cfg: ScenarioConfig, out: Path) -> int:
 def _run_acf(args, cfg: ScenarioConfig, out: Path) -> int:
     if cfg.analysis.series is None:
         raise ConfigError(["analysis.series: required by the acf command"])
-    try:
-        table = weather.ingest_series(cfg.analysis.series)
-    except OSError as exc:
-        raise DataError(f"cannot read series "
-                        f"{cfg.analysis.series!r}: {exc}") from exc
+    table = weather.ingest_series(cfg.analysis.series)
     report = weather.acf_test(table, stage_length=cfg.analysis.stage_length,
                               max_lag=cfg.analysis.max_lag)
     _write(out / "acf.csv", report.to_table())
@@ -306,8 +304,8 @@ def _run_curves(args, cfg: ScenarioConfig, out: Path) -> int:
 def _run_oracle(args, cfg: ScenarioConfig, out: Path) -> int:
     options = _training_options(cfg, args, out)
     policy = sddp.train(cfg.catalog, cfg.scenario, cfg.lattice, options)
-    ef = _extensive_form(cfg)
-    lb = sddp.lower_bound(policy)
+    ef = benchmarks.extensive_form(cfg.catalog, cfg.scenario, cfg.lattice)
+    lb = _bound(policy)
     gap = abs(ef.objective - lb) / max(1.0, abs(ef.objective))
     row = "oracle_optimum_meur,sddp_lower_bound_meur,relative_gap\n" \
           f"{ef.objective!r},{lb!r},{gap!r}\n"

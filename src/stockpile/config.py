@@ -6,8 +6,8 @@ Schema version 1. Top-level keys:
     Must equal 1.
 ``scenario``
     Preset name (``no_imports``, ``constrained_imports``,
-    ``unlimited_imports``) or a mapping with ``name``, ``voll`` and
-    optional ``spot_price`` / ``spot_cap``.
+    ``unlimited_imports``) or a mapping whose keys are the fields of
+    :class:`~stockpile.model.MarketScenario`.
 ``annualization_rate``
     Interest rate used by technology presets (default 0.04).
 ``catalog``
@@ -30,16 +30,23 @@ Schema version 1. Top-level keys:
     of :class:`~stockpile.sddp.TrainOptions` except ``log_path``;
     ``seed`` is mandatory when the block is present.
 ``simulation``
-    Optional; required by the simulate and curves commands. ``seed``
-    is mandatory when present; ``n_paths`` defaults to 200.
+    Optional; required by the simulate and curves commands. Its keys
+    are the fields of :class:`SimulationOptions`; ``seed`` is
+    mandatory when the block is present.
 ``analysis``
-    Optional: ``grid_step`` (GWh), ``max_lag``, ``stage_length``
-    (``month`` or ``week``), ``series`` (path, required by the acf
-    command).
+    Optional; its keys are the fields of :class:`AnalysisOptions`.
 
-The key lists and value types of catalog entries and the training
-block come from their dataclasses (``dataclasses.fields`` and the type
-hints), so a field added there is a config key and is echoed.
+One reader, :func:`_read`, builds each section but the inline lattice
+as its dataclass: keys are the fields, each value is checked against
+its field's type hint (``bool``, ``str``, ``int`` or ``float``, each
+optionally ``None``; never NaN or the empty string), a field without a
+default is required, and the constructor's own range checks are
+reported at the section path. Each lower bound is declared once, in
+:data:`MINIMUM`; the CLI's override flags read the same entries.
+Hand-written rules: mandatory seeds, one lattice source,
+``grid_step > 0``, ``stage_length``, ``first_month <= 12``, the inline
+realizations, the preset fill and the lattice echo.
+
 Validation reports every violation found, not just the first, each
 prefixed with the field path. ``echo_text`` renders the fully resolved
 configuration (defaults applied, content hashes attached) as
@@ -49,6 +56,7 @@ every section but the lattice is echoed as its dataclass.
 from __future__ import annotations
 
 import hashlib
+import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -56,7 +64,7 @@ import numpy as np
 import yaml
 
 from . import presets, weather
-from .errors import ConfigError, StockpileError
+from .errors import ConfigError, DataError, StockpileError
 from .model import (
     Generator,
     MarketScenario,
@@ -68,6 +76,19 @@ from .sddp import TrainOptions
 from .weather import SamplingLattice
 
 SCHEMA_VERSION = 1
+
+# The lower bound of each bounded number key, by key name: it holds in
+# every section that has the key and for the CLI flag overriding it.
+MINIMUM = {"annualization_rate": 0, "seed": 0, "max_iterations": 0,
+           "time_limit": 0, "threads": 1, "gap_paths": 2,
+           "gap_check_every": 1, "n_paths": 1, "max_lag": 1, "block": 1,
+           "first_month": 1}
+
+# The violation a value of the wrong type reads, by expected type.
+_EXPECTED = {bool: "expected true or false",
+             str: "expected a non-empty string, got {!r}",
+             int: "expected an integer, got {!r}",
+             float: "expected a number, got {!r}"}
 
 # Capacity bounds: always explicit, never filled by a preset.
 _BOUNDS = {Generator: ("max_capacity", "min_capacity"),
@@ -83,12 +104,32 @@ _UNREAD_TRAINING = ("log_path",)
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Knobs for the curves and acf commands."""
+    """Knobs for the curves and acf commands: the bid-curve grid step
+    (GWh), the largest autocorrelation lag, the stage length (``month``
+    or ``week``) and the series file the acf command reads."""
 
     grid_step: float = 10.0
     max_lag: int = 12
     stage_length: str = "month"
     series: str | None = None
+
+
+@dataclass(frozen=True)
+class SimulationOptions:
+    """Path sampling for the simulate and curves commands; ``seed`` is
+    None only when the config has no simulation block."""
+
+    seed: int | None = None
+    n_paths: int = 200
+
+
+@dataclass(frozen=True)
+class _SeriesLattice:
+    """The keys of a lattice built from a series file."""
+
+    series: str
+    block: int = 1
+    first_month: int = 7
 
 
 @dataclass(frozen=True)
@@ -101,8 +142,7 @@ class ScenarioConfig:
         lattice: Per-stage weather sample spaces.
         training: Training options, or None when the config has no
             training block.
-        simulation_seed: Seed for simulation path sampling, or None.
-        simulation_paths: Number of Monte-Carlo paths to simulate.
+        simulation: Simulation seed and path count.
         analysis: Curve and autocorrelation options.
         annualization_rate: Interest rate behind preset costs.
         resolved: Plain-data echo of the configuration with all
@@ -114,106 +154,70 @@ class ScenarioConfig:
     catalog: TechnologyCatalog
     lattice: SamplingLattice
     training: TrainOptions | None
-    simulation_seed: int | None
-    simulation_paths: int
+    simulation: SimulationOptions
     analysis: AnalysisOptions
     annualization_rate: float
     resolved: dict = field(repr=False)
     source_hash: str = ""
 
 
-class _Collector:
-    """Accumulates violations with their field paths."""
+def _fits(raw, kind) -> bool:
+    if kind is bool or isinstance(raw, bool):
+        return kind is bool and isinstance(raw, bool)
+    if kind is float:
+        return isinstance(raw, (int, float)) and not math.isnan(raw)
+    if kind is str:
+        return isinstance(raw, str) and raw != ""
+    return isinstance(raw, int)
 
-    def __init__(self):
-        self.violations: list[str] = []
 
-    def error(self, path: str, message: str) -> None:
-        self.violations.append(f"{path}: {message}")
+def check_value(raw, kind, key: str, nullable: bool = False):
+    """``raw`` read as the value of key ``key`` of type ``kind``
+    (``bool``, ``str``, ``int`` or ``float``; ``nullable`` admits None).
 
-    def raise_if_any(self) -> None:
-        if self.violations:
-            raise ConfigError(self.violations)
+    Returns the value (a ``float`` for a number key) and None, or None
+    and the violation: a wrong type, NaN, an empty string, or a value
+    below the key's :data:`MINIMUM`.
+    """
+    if raw is None and nullable:
+        return None, None
+    if not _fits(raw, kind):
+        return None, _EXPECTED[kind].format(raw)
+    value = float(raw) if kind is float else raw
+    if key in MINIMUM and value < MINIMUM[key]:
+        return None, f"must be >= {MINIMUM[key]}, got {value}"
+    return value, None
+
+
+def field_kind(cls, key: str):
+    """The type of field ``key`` of dataclass ``cls`` and whether it
+    admits None, from its type hint (``T`` or ``T | None``)."""
+    hint = typing.get_type_hints(cls)[key]
+    args = typing.get_args(hint)
+    return (args[0], True) if type(None) in args else (hint, False)
+
+
+def _value(raw, kind, path, errors, nullable=False):
+    """:func:`check_value` of the key at ``path``, its violation
+    recorded there."""
+    value, problem = check_value(raw, kind, path.rsplit(".", 1)[-1],
+                                 nullable)
+    if problem is not None:
+        errors.append(f"{path}: {problem}")
+    return value
 
 
 def _require_mapping(raw, path, errors) -> dict | None:
     if not isinstance(raw, dict):
-        errors.error(path, f"expected a mapping, got {type(raw).__name__}")
+        errors.append(f"{path}: expected a mapping, got {type(raw).__name__}")
         return None
     return raw
-
-
-def _number(raw, path, errors, *, allow_none=False, minimum=None):
-    if raw is None and allow_none:
-        return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        errors.error(path, f"expected a number, got {raw!r}")
-        return None
-    value = float(raw)
-    if minimum is not None and value < minimum:
-        errors.error(path, f"must be >= {minimum}, got {value}")
-        return None
-    return value
-
-
-def _integer(raw, path, errors, *, minimum=0):
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        errors.error(path, f"expected an integer, got {raw!r}")
-        return None
-    if raw < minimum:
-        errors.error(path, f"must be >= {minimum}, got {raw}")
-        return None
-    return raw
-
-
-def _series(raw, path, errors):
-    if not isinstance(raw, list) or not raw:
-        errors.error(path, "expected a non-empty list of numbers")
-        return None
-    values = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            errors.error(f"{path}[{i}]", f"expected a number, got {v!r}")
-            return None
-        values.append(float(v))
-    return np.asarray(values)
 
 
 def _check_unknown(raw: dict, known, path: str, errors) -> None:
     for key in raw:
         if key not in known:
-            errors.error(f"{path}.{key}", "unknown field")
-
-
-def _parse_scenario(raw, errors) -> MarketScenario | None:
-    if isinstance(raw, str):
-        try:
-            return presets.scenario(raw)
-        except ValueError as exc:
-            errors.error("scenario", str(exc))
-            return None
-    node = _require_mapping(raw, "scenario", errors)
-    if node is None:
-        return None
-    _check_unknown(node, {"name", "voll", "spot_price", "spot_cap"},
-                   "scenario", errors)
-    name = node.get("name")
-    if not isinstance(name, str) or not name:
-        errors.error("scenario.name", "expected a non-empty string")
-        return None
-    voll = _number(node.get("voll"), "scenario.voll", errors, minimum=0.0)
-    spot_price = _number(node.get("spot_price"), "scenario.spot_price",
-                         errors, allow_none=True, minimum=0.0)
-    spot_cap = _number(node.get("spot_cap"), "scenario.spot_cap", errors,
-                       allow_none=True, minimum=0.0)
-    if voll is None:
-        return None
-    try:
-        return MarketScenario(name=name, voll=voll, spot_price=spot_price,
-                              spot_cap=spot_cap)
-    except (StockpileError, ValueError) as exc:
-        errors.error("scenario", str(exc))
-        return None
+            errors.append(f"{path}.{key}: unknown field")
 
 
 def _keys(cls, skip=()) -> list[str]:
@@ -221,122 +225,117 @@ def _keys(cls, skip=()) -> list[str]:
     return [f.name for f in fields(cls) if f.name not in skip]
 
 
-def _read_fields(node, cls, path, errors, *, skip=(), minimum=None):
-    """Values of the keys of ``node`` that name fields of ``cls``.
+def _read(cls, raw, path, errors, *, base=None, extra=(), skip=(),
+          fills=()):
+    """Dataclass ``cls`` built from the mapping ``raw`` at ``path``,
+    or None when any check fails.
 
-    Each field's type hint picks its check: ``bool``, ``int`` (>= 0),
-    ``float`` or ``float | None``, floats held to ``minimum`` when one
-    is given. Absent keys are left out. Returns None when any value
-    fails its check.
+    Keys are the fields of ``cls`` less ``skip``, plus ``extra`` keys
+    the caller reads itself. Values are checked by :func:`check_value`.
+    ``base`` gives the values of absent keys and ``extra`` fields. A
+    field left without a value or default is required ("directly or
+    via preset" when in ``fills``). Constructor errors go to ``path``.
     """
-    hints = typing.get_type_hints(cls)
-    before = len(errors.violations)
-    values = {}
-    for key in _keys(cls, skip):
-        if key not in node:
-            continue
-        raw, where, kind = node[key], f"{path}.{key}", hints[key]
-        if kind is bool:
-            if not isinstance(raw, bool):
-                errors.error(where, "expected true or false")
-            values[key] = raw
-        elif kind is int:
-            values[key] = _integer(raw, where, errors)
-        else:
-            values[key] = _number(raw, where, errors,
-                                  allow_none=kind is not float,
-                                  minimum=minimum)
-    return None if len(errors.violations) > before else values
+    node = _require_mapping(raw, path, errors)
+    if node is None:
+        return None
+    before = len(errors)
+    keys = _keys(cls, (*skip, *extra))
+    _check_unknown(node, {*keys, *extra}, path, errors)
+    values = dict(base or {})
+    for key in keys:
+        if key in node:
+            kind, nullable = field_kind(cls, key)
+            values[key] = _value(node[key], kind, f"{path}.{key}", errors,
+                                 nullable)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            note = " (directly or via preset)" if f.name in fills else ""
+            errors.append(f"{path}.{f.name}: required{note}")
+    if len(errors) > before:
+        return None
+    try:
+        return cls(**values)
+    except (StockpileError, ValueError) as exc:
+        errors.append(f"{path}: {exc}")
+        return None
 
 
-def _preset(cls, key, name, rate):
-    """Preset ``key`` built as a ``cls`` named ``name``, bounds zero.
+def _series(raw, path, errors):
+    if not isinstance(raw, list) or not raw:
+        errors.append(f"{path}: expected a non-empty list of numbers")
+        return None
+    for i, v in enumerate(raw):
+        if _value(v, float, f"{path}[{i}]", errors) is None:
+            return None
+    return np.asarray(raw, dtype=float)
+
+
+def _parse_scenario(raw, errors) -> MarketScenario | None:
+    if not isinstance(raw, str):
+        return _read(MarketScenario, raw, "scenario", errors)
+    try:
+        return presets.scenario(raw)
+    except ValueError as exc:
+        errors.append(f"scenario: {exc}")
+        return None
+
+
+def _preset(cls, key, rate):
+    """Preset ``key`` built as a ``cls`` with zero capacity bounds.
 
     Raises:
         ValueError: ``key`` names no preset of that kind.
     """
     bounds = dict.fromkeys(_BOUNDS[cls], 0.0)
     if cls is Generator:
-        return presets.generator(key, name, rate=rate, **bounds)
+        return presets.generator(key, rate=rate, **bounds)
     if not isinstance(key, str) or key not in _STORAGE_PRESETS:
         raise ValueError(f"expected one of {sorted(_STORAGE_PRESETS)}, "
                          f"got {key!r}")
-    return _STORAGE_PRESETS[key](name, rate=rate, **bounds)
+    return _STORAGE_PRESETS[key](rate=rate, **bounds)
 
 
-def _technology(cls, node, path, rate, errors):
+def _technology(cls, raw, path, rate, errors):
     """One catalog entry as a :class:`Generator` or :class:`Storage`.
 
     A ``preset`` fills every field except the name and the capacity
     bounds; explicit keys override it. ``marginal_cost`` defaults to 0.
     """
-    _check_unknown(node, {"preset", *_keys(cls)}, path, errors)
-    name = node.get("name")
-    if not isinstance(name, str) or not name:
-        errors.error(f"{path}.name", "expected a non-empty string")
-        return None
-    bounds = _BOUNDS[cls]
-    values = {}
-    if node.get("preset") is not None:
+    fills = _keys(cls, ("name", *_BOUNDS[cls]))
+    base = {"marginal_cost": 0.0} if cls is Generator else {}
+    preset = raw.get("preset") if isinstance(raw, dict) else None
+    if preset is not None:
         try:
-            base = _preset(cls, node["preset"], name, rate)
+            made = _preset(cls, preset, rate)
         except ValueError as exc:
-            errors.error(f"{path}.preset", str(exc))
+            errors.append(f"{path}.preset: {exc}")
             return None
-        values = {key: getattr(base, key)
-                  for key in _keys(cls, ("name", *bounds))}
-    read = _read_fields(node, cls, path, errors, skip=("name",))
-    if read is None:
-        return None
-    values.update(read)
-    if cls is Generator:
-        values.setdefault("marginal_cost", 0.0)
-    missing = [f.name for f in fields(cls) if f.default is MISSING
-               and f.name not in values and f.name != "name"]
-    for key in missing:
-        errors.error(f"{path}.{key}", "required" if key in bounds
-                     else "required (directly or via preset)")
-    if missing:
-        return None
-    try:
-        return cls(name=name, **values)
-    except (StockpileError, ValueError) as exc:
-        errors.error(path, str(exc))
-        return None
+        base = {key: getattr(made, key) for key in fills}
+    return _read(cls, raw, path, errors, base=base, extra=("preset",),
+                 fills=fills)
 
 
 def _parse_catalog(raw, rate, errors) -> TechnologyCatalog | None:
     node = _require_mapping(raw, "catalog", errors)
     if node is None:
         return None
-    _check_unknown(node, {"ltc_price", "ltc_max", "generators", "storages"},
-                   "catalog", errors)
-    ltc_price = _number(node.get("ltc_price", 0.0), "catalog.ltc_price",
-                        errors, minimum=0.0)
-    ltc_max = _number(node.get("ltc_max", 0.0), "catalog.ltc_max", errors,
-                      minimum=0.0)
+    before = len(errors)
     entries = {}
     for key, cls in (("generators", Generator), ("storages", Storage)):
         raw_list = node.get(key, [])
         if not isinstance(raw_list, list):
-            errors.error(f"catalog.{key}", "expected a list")
+            errors.append(f"catalog.{key}: expected a list")
             raw_list = []
         entries[key] = []
-        for i, raw_entry in enumerate(raw_list):
-            path = f"catalog.{key}[{i}]"
-            mapping = _require_mapping(raw_entry, path, errors)
-            tech = None if mapping is None else \
-                _technology(cls, mapping, path, rate, errors)
+        for i, entry in enumerate(raw_list):
+            tech = _technology(cls, entry, f"catalog.{key}[{i}]", rate,
+                               errors)
             if tech is not None:
                 entries[key].append(tech)
-    if errors.violations:
-        return None
-    try:
-        return TechnologyCatalog(**entries, ltc_price=ltc_price or 0.0,
-                                 ltc_max=ltc_max or 0.0)
-    except (StockpileError, ValueError) as exc:
-        errors.error("catalog", str(exc))
-        return None
+    catalog = _read(TechnologyCatalog, node, "catalog", errors,
+                    base=entries, extra=tuple(entries))
+    return None if len(errors) > before else catalog
 
 
 def _vector_from_node(node, path, period_hours, errors) -> WeatherVector | None:
@@ -349,7 +348,7 @@ def _vector_from_node(node, path, period_hours, errors) -> WeatherVector | None:
     factors = {}
     raw_cf = node.get("capacity_factors", {})
     if not isinstance(raw_cf, dict):
-        errors.error(f"{path}.capacity_factors", "expected a mapping")
+        errors.append(f"{path}.capacity_factors: expected a mapping")
         return None
     for gname, series in raw_cf.items():
         arr = _series(series, f"{path}.capacity_factors.{gname}", errors)
@@ -367,16 +366,16 @@ def _vector_from_node(node, path, period_hours, errors) -> WeatherVector | None:
                              heat_demand=heat, heat_pump_cop=cop,
                              period_hours=period_hours)
     except (StockpileError, ValueError) as exc:
-        errors.error(path, str(exc))
+        errors.append(f"{path}: {exc}")
         return None
 
 
 def _parse_inline_lattice(node, errors) -> SamplingLattice | None:
-    period_hours = _number(node.get("period_hours", 4.0),
-                           "lattice.period_hours", errors)
+    period_hours = _value(node.get("period_hours", 4.0),
+                          float, "lattice.period_hours", errors)
     raw_stages = node.get("stages")
     if not isinstance(raw_stages, list) or not raw_stages:
-        errors.error("lattice.stages", "expected a non-empty list")
+        errors.append("lattice.stages: expected a non-empty list")
         return None
     stages = []
     labels = []
@@ -388,7 +387,7 @@ def _parse_inline_lattice(node, errors) -> SamplingLattice | None:
         _check_unknown(mapping, {"realizations"}, path, errors)
         raw_reals = mapping.get("realizations")
         if not isinstance(raw_reals, list) or not raw_reals:
-            errors.error(f"{path}.realizations", "expected a non-empty list")
+            errors.append(f"{path}.realizations: expected a non-empty list")
             return None
         vectors = []
         stage_labels = []
@@ -397,9 +396,9 @@ def _parse_inline_lattice(node, errors) -> SamplingLattice | None:
             rmapping = _require_mapping(rnode, rpath, errors)
             if rmapping is None:
                 return None
-            label = rmapping.get("year_label", f"sample-{i}")
-            if not isinstance(label, str):
-                errors.error(f"{rpath}.year_label", "expected a string")
+            label = _value(rmapping.get("year_label", f"sample-{i}"), str,
+                           f"{rpath}.year_label", errors)
+            if label is None:
                 return None
             vec = _vector_from_node(rmapping, rpath, period_hours or 4.0,
                                     errors)
@@ -412,34 +411,25 @@ def _parse_inline_lattice(node, errors) -> SamplingLattice | None:
     try:
         return SamplingLattice.from_vectors(stages, year_labels=labels)
     except (StockpileError, ValueError) as exc:
-        errors.error("lattice", str(exc))
+        errors.append(f"lattice: {exc}")
         return None
 
 
 def _parse_series_lattice(node, errors):
-    path = node.get("series")
-    if not isinstance(path, str) or not path:
-        errors.error("lattice.series", "expected a file path")
+    source = _read(_SeriesLattice, node, "lattice", errors)
+    if source is None:
         return None, None
-    block = node.get("block", 1)
-    block = _integer(block, "lattice.block", errors, minimum=1)
-    first_month = _integer(node.get("first_month", 7), "lattice.first_month",
-                           errors, minimum=1)
-    if block is None or first_month is None or first_month > 12:
-        if first_month is not None and first_month > 12:
-            errors.error("lattice.first_month", "must be in 1..12")
+    if source.first_month > 12:
+        errors.append("lattice.first_month: must be in 1..12")
         return None, None
     try:
-        table = weather.ingest_series(path)
-        table = weather.aggregate(table, block)
-        lattice = weather.build_lattice(table, first_month=first_month)
-    except OSError as exc:
-        errors.error("lattice.series", str(exc))
-        return None, None
+        table = weather.aggregate(weather.ingest_series(source.series),
+                                  source.block)
+        lattice = weather.build_lattice(table, first_month=source.first_month)
     except (StockpileError, ValueError) as exc:
-        errors.error("lattice.series", str(exc))
+        errors.append(f"lattice.series: {exc}")
         return None, None
-    with open(path, "rb") as fh:
+    with open(source.series, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     return lattice, digest
 
@@ -451,74 +441,37 @@ def _parse_lattice(raw, errors):
     has_inline = "stages" in node
     has_series = "series" in node
     if has_inline == has_series:
-        errors.error("lattice",
-                     "provide exactly one of 'stages' or 'series'")
+        errors.append("lattice: provide exactly one of 'stages' or 'series'")
         return None, None
     if has_inline:
         _check_unknown(node, {"stages", "period_hours"}, "lattice", errors)
         return _parse_inline_lattice(node, errors), None
-    _check_unknown(node, {"series", "block", "first_month"}, "lattice",
-                   errors)
     return _parse_series_lattice(node, errors)
 
 
 def _parse_training(raw, errors) -> TrainOptions | None:
-    node = _require_mapping(raw, "training", errors)
-    if node is None:
-        return None
-    _check_unknown(node, _keys(TrainOptions, _UNREAD_TRAINING), "training",
-                   errors)
-    if "seed" not in node:
-        errors.error("training.seed", "required (seeds are mandatory)")
-        return None
-    kwargs = _read_fields(node, TrainOptions, "training", errors,
-                          skip=_UNREAD_TRAINING, minimum=0.0)
-    if kwargs is None:
-        return None
-    if kwargs.get("threads", 1) < 1:
-        errors.error("training.threads", "must be >= 1")
-        return None
-    return TrainOptions(**kwargs)
+    options = _read(TrainOptions, raw, "training", errors,
+                    skip=_UNREAD_TRAINING)
+    if isinstance(raw, dict) and "seed" not in raw:
+        errors.append("training.seed: required (seeds are mandatory)")
+    return options
 
 
-def _parse_simulation(raw, errors):
-    node = _require_mapping(raw, "simulation", errors)
-    if node is None:
-        return None, 200
-    _check_unknown(node, {"seed", "n_paths"}, "simulation", errors)
-    if "seed" not in node:
-        errors.error("simulation.seed", "required (seeds are mandatory)")
-        return None, 200
-    seed = _integer(node["seed"], "simulation.seed", errors)
-    n_paths = _integer(node.get("n_paths", 200), "simulation.n_paths",
-                       errors, minimum=1)
-    return seed, (n_paths if n_paths is not None else 200)
+def _parse_simulation(raw, errors) -> SimulationOptions | None:
+    options = _read(SimulationOptions, raw, "simulation", errors)
+    if isinstance(raw, dict) and raw.get("seed") is None:
+        errors.append("simulation.seed: required (seeds are mandatory)")
+    return options
 
 
-def _parse_analysis(raw, errors) -> AnalysisOptions:
-    node = _require_mapping(raw, "analysis", errors)
-    if node is None:
-        return AnalysisOptions()
-    _check_unknown(node, {"grid_step", "max_lag", "stage_length", "series"},
-                   "analysis", errors)
-    grid_step = _number(node.get("grid_step", 10.0), "analysis.grid_step",
-                        errors)
-    max_lag = _integer(node.get("max_lag", 12), "analysis.max_lag", errors,
-                       minimum=1)
-    stage_length = node.get("stage_length", "month")
-    if stage_length not in ("month", "week"):
-        errors.error("analysis.stage_length", "expected 'month' or 'week'")
-        stage_length = "month"
-    series = node.get("series")
-    if series is not None and not isinstance(series, str):
-        errors.error("analysis.series", "expected a file path")
-        series = None
-    if grid_step is not None and grid_step <= 0:
-        errors.error("analysis.grid_step", "must be > 0")
-        grid_step = 10.0
-    return AnalysisOptions(grid_step=grid_step or 10.0,
-                           max_lag=max_lag or 12,
-                           stage_length=stage_length, series=series)
+def _parse_analysis(raw, errors) -> AnalysisOptions | None:
+    options = _read(AnalysisOptions, raw, "analysis", errors)
+    if options is not None:
+        if options.grid_step <= 0:
+            errors.append("analysis.grid_step: must be > 0")
+        if options.stage_length not in ("month", "week"):
+            errors.append("analysis.stage_length: expected 'month' or 'week'")
+    return options
 
 
 def _plain(value):
@@ -535,7 +488,7 @@ def _plain(value):
 
 
 def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, training,
-                   sim_seed, sim_paths, analysis, rate, series_hash) -> dict:
+                   simulation, analysis, rate, series_hash) -> dict:
     stages = []
     for t in range(1, lattice.n_stages + 1):
         reals = []
@@ -565,7 +518,7 @@ def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, training,
         "catalog": asdict(catalog),
         "lattice": {"period_hours": period_hours, "stages": stages},
         "training": training_node,
-        "simulation": {"seed": sim_seed, "n_paths": sim_paths},
+        "simulation": asdict(simulation),
         "analysis": asdict(analysis),
         "source": source,
     })
@@ -584,8 +537,6 @@ def validate_config(path: str) -> ScenarioConfig:
         DataError: The file is missing or not valid YAML.
         ConfigError: One or more schema violations, all listed.
     """
-    from .errors import DataError
-
     try:
         with open(path, "rb") as fh:
             raw_bytes = fh.read()
@@ -595,41 +546,34 @@ def validate_config(path: str) -> ScenarioConfig:
         raw = yaml.safe_load(raw_bytes)
     except yaml.YAMLError as exc:
         raise DataError(f"config {path!r} is not valid YAML: {exc}") from exc
-    errors = _Collector()
+    errors = []
     node = _require_mapping(raw, "config", errors)
-    errors.raise_if_any()
+    if errors:
+        raise ConfigError(errors)
     _check_unknown(node, {"schema_version", "scenario", "annualization_rate",
                           "catalog", "lattice", "training", "simulation",
                           "analysis"}, "config", errors)
     version = node.get("schema_version")
     if version != SCHEMA_VERSION:
-        errors.error("schema_version",
-                     f"expected {SCHEMA_VERSION}, got {version!r}")
-    rate = _number(node.get("annualization_rate", 0.04),
-                   "annualization_rate", errors, minimum=0.0)
+        errors.append(f"schema_version: expected {SCHEMA_VERSION}, "
+                      f"got {version!r}")
+    rate = _value(node.get("annualization_rate", 0.04), float,
+                  "annualization_rate", errors)
     if rate is None:
         rate = 0.04
-    scenario = None
-    if "scenario" not in node:
-        errors.error("scenario", "required")
-    else:
-        scenario = _parse_scenario(node["scenario"], errors)
-    catalog = None
-    if "catalog" not in node:
-        errors.error("catalog", "required")
-    else:
-        catalog = _parse_catalog(node["catalog"], rate, errors)
-    lattice, series_hash = (None, None)
-    if "lattice" not in node:
-        errors.error("lattice", "required")
-    else:
-        lattice, series_hash = _parse_lattice(node["lattice"], errors)
-    training = None
-    if "training" in node:
-        training = _parse_training(node["training"], errors)
-    sim_seed, sim_paths = (None, 200)
-    if "simulation" in node:
-        sim_seed, sim_paths = _parse_simulation(node["simulation"], errors)
+    for key in ("scenario", "catalog", "lattice"):
+        if key not in node:
+            errors.append(f"{key}: required")
+    scenario = _parse_scenario(node["scenario"], errors) \
+        if "scenario" in node else None
+    catalog = _parse_catalog(node["catalog"], rate, errors) \
+        if "catalog" in node else None
+    lattice, series_hash = _parse_lattice(node["lattice"], errors) \
+        if "lattice" in node else (None, None)
+    training = _parse_training(node["training"], errors) \
+        if "training" in node else None
+    simulation = _parse_simulation(node["simulation"], errors) \
+        if "simulation" in node else SimulationOptions()
     analysis = _parse_analysis(node["analysis"], errors) \
         if "analysis" in node else AnalysisOptions()
     if catalog is not None and lattice is not None:
@@ -639,19 +583,18 @@ def validate_config(path: str) -> ScenarioConfig:
             for i, vec in enumerate(lattice.realizations(t)):
                 for gname in weather_driven:
                     if gname not in vec.capacity_factors:
-                        errors.error(
-                            f"lattice.stages[{t - 1}].realizations[{i}]",
+                        errors.append(
+                            f"lattice.stages[{t - 1}].realizations[{i}]: "
                             f"missing capacity factors for weather-driven "
                             f"generator {gname!r}")
-    errors.raise_if_any()
+    if errors:
+        raise ConfigError(errors)
     digest = hashlib.sha256(raw_bytes).hexdigest()
     resolved = _resolved_echo(digest, scenario, catalog, lattice, training,
-                              sim_seed, sim_paths, analysis, rate,
-                              series_hash)
+                              simulation, analysis, rate, series_hash)
     return ScenarioConfig(scenario=scenario, catalog=catalog,
                           lattice=lattice, training=training,
-                          simulation_seed=sim_seed,
-                          simulation_paths=sim_paths, analysis=analysis,
+                          simulation=simulation, analysis=analysis,
                           annualization_rate=rate, resolved=resolved,
                           source_hash=digest)
 

@@ -37,29 +37,33 @@ class NotOptimal(StockpileError):
     """Tried to extract results from a non-optimal solve."""
 
 
-# --- weather data ---
+# --- data files ---
 
-class GapDetected(StockpileError):
+class DataError(StockpileError):
+    """An input file is missing or does not match its declared format."""
+
+
+class GapDetected(DataError):
     """Timestamps in an input series are not uniformly spaced."""
 
 
-class OutOfRange(StockpileError):
-    """A capacity factor lies outside [0, 1]."""
+class OutOfRange(DataError):
+    """A value lies outside its range (a capacity factor, a cost)."""
 
 
-class ParseError(StockpileError):
+class ParseError(DataError):
     """Malformed input data; message carries the offending row."""
 
 
-class IndivisibleBlock(StockpileError):
+class IndivisibleBlock(DataError):
     """Aggregation block does not divide the samples per day."""
 
 
-class PartialYear(StockpileError):
+class PartialYear(DataError):
     """Series does not span whole July-to-June years."""
 
 
-class ZeroVariance(StockpileError):
+class ZeroVariance(DataError):
     """A series is constant; autocorrelation is undefined."""
 
 
@@ -69,7 +73,7 @@ class SolverFailure(StockpileError):
     """A stage solve ended non-optimal where optimality was required."""
 
 
-class TreeTooLarge(StockpileError):
+class TreeTooLarge(DataError):
     """Scenario tree exceeds the enumeration guard."""
 
 
@@ -77,7 +81,7 @@ class EmptyPool(StockpileError):
     """Requested a cut pool that holds no cuts yet."""
 
 
-# --- configuration / data files ---
+# --- configuration ---
 
 class ConfigError(StockpileError):
     """Invalid run configuration; ``violations`` lists every problem found."""
@@ -87,7 +91,3 @@ class ConfigError(StockpileError):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class DataError(StockpileError):
-    """An input file is missing or does not match its declared format."""

@@ -340,10 +340,6 @@ class LpSolution:
         self._need_optimal()
         return float(self.duals[self.instance.row_index[label]])
 
-    def reduced_cost(self, label: str) -> float:
-        self._need_optimal()
-        return float(self.reduced_costs[self.instance.var_index[label]])
-
 
 # basis status codes
 _BASIC = 0

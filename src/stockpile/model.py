@@ -50,6 +50,11 @@ _POWER_COST_SCALE = 1.0   # EUR/kW-yr == MEUR/GW-yr (and EUR/kWh-yr == MEUR/GWh-
 _ENERGY_COST_SCALE = 1e-3  # EUR/MWh -> MEUR/GWh
 
 
+def _cost_ok(*costs) -> bool:
+    """Whether every cost is finite and >= 0 (NaN is neither)."""
+    return all(0 <= c < np.inf for c in costs)
+
+
 def _check_name(name: str, what: str) -> None:
     if not name or ":" in name:
         raise ValueError(f"{what} name {name!r} must be non-empty and contain no ':'")
@@ -79,8 +84,9 @@ class Generator:
 
     def __post_init__(self):
         _check_name(self.name, "generator")
-        if self.capital_cost < 0 or self.marginal_cost < 0:
-            raise OutOfRange(f"generator {self.name!r} has a negative cost")
+        if not _cost_ok(self.capital_cost, self.marginal_cost):
+            raise OutOfRange(
+                f"generator {self.name!r} has a negative or infinite cost")
         if self.min_capacity > self.max_capacity:
             raise InconsistentBounds(
                 f"generator {self.name!r} capacity bounds are inverted")
@@ -127,9 +133,10 @@ class Storage:
 
     def __post_init__(self):
         _check_name(self.name, "storage")
-        if min(self.capital_cost_out, self.capital_cost_in,
-               self.capital_cost_energy) < 0:
-            raise OutOfRange(f"storage {self.name!r} has a negative cost")
+        if not _cost_ok(self.capital_cost_out, self.capital_cost_in,
+                        self.capital_cost_energy):
+            raise OutOfRange(
+                f"storage {self.name!r} has a negative or infinite cost")
         for eff in (self.efficiency_out, self.efficiency_in):
             if not 0.0 < eff <= 1.0:
                 raise OutOfRange(
@@ -168,8 +175,10 @@ class TechnologyCatalog:
         names = [s.name for s in self.storages]
         if len(set(names)) != len(names):
             raise ValueError("duplicate storage names")
-        if self.ltc_price < 0 or self.ltc_max < 0:
-            raise OutOfRange("contract price and volume bound must be >= 0")
+        if not _cost_ok(self.ltc_price):
+            raise OutOfRange("contract price must be finite and >= 0")
+        if self.ltc_max < 0:
+            raise OutOfRange("contract volume bound must be >= 0")
 
     @property
     def long_duration_storages(self) -> tuple[Storage, ...]:
@@ -208,10 +217,10 @@ class MarketScenario:
     spot_cap: float | None = None
 
     def __post_init__(self):
-        if self.voll < 0:
-            raise OutOfRange("lost-load price must be >= 0")
-        if self.spot_price is not None and self.spot_price < 0:
-            raise OutOfRange("spot price must be >= 0")
+        if not _cost_ok(self.voll):
+            raise OutOfRange("lost-load price must be finite and >= 0")
+        if self.spot_price is not None and not _cost_ok(self.spot_price):
+            raise OutOfRange("spot price must be finite and >= 0")
         if self.spot_cap is not None:
             if self.spot_price is None:
                 raise ValueError("spot cap given without a spot price")
@@ -355,12 +364,6 @@ class StateLayout:
 
     def position(self, label: str) -> int:
         return self._position[label]
-
-    def __eq__(self, other):
-        return isinstance(other, StateLayout) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(self.labels)
 
 
 @dataclass(frozen=True)

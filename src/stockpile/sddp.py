@@ -19,19 +19,21 @@ solve restarts from that problem's last optimal basis (see
 (stage, realization) that belongs to one run: :func:`train` keeps one
 and passes it to :func:`forward_pass`, :func:`backward_pass` and
 :func:`lower_bound`, and each :func:`simulate` call starts a fresh one.
-Neither is stored on the policy or in its JSON. The capacity solves
-that fix :attr:`Policy.capacities` (at gap checks and at the end of
-:func:`train`) and calls of :func:`lower_bound`, :func:`forward_pass`
-and :func:`backward_pass` without a dict solve cold.
+Neither is stored on the policy or in its JSON. The capacity solve
+that sets a new :class:`Policy`'s capacities and calls of
+:func:`lower_bound`, :func:`forward_pass` and :func:`backward_pass`
+without a dict solve cold.
 
 The same dict serves repeated solves. A solve whose incoming state has
 the same bytes, and whose pool the same length, as the last solve of its
 (stage, realization) is that instance again, and gets the stored
 (problem, solution) pair back, exactly what restarting from its own
 basis would give. Within training this hands the lower bound's
-capacity-stage solve to the next forward pass and the forward pass's
-last-stage solve to the backward pass; in simulation, paths that share
-a prefix share its solves. The dict holds one pair per lattice node.
+capacity-stage solve to the next forward pass and to the capacity
+decision (at gap checks and at the end of :func:`train`), and the
+forward pass's last-stage solve to the backward pass; in simulation,
+paths that share a prefix share its solves. The dict holds one pair
+per lattice node.
 
 Determinism: with a fixed seed, training twice yields bit-identical
 logs and policies. Threaded backward passes keep determinism because
@@ -52,7 +54,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import lp, model
-from .errors import DimensionMismatch
+from .errors import DataError, DimensionMismatch
 from .weather import SamplingLattice, WeatherPath, sample_path
 
 POLICY_FORMAT_VERSION = 1
@@ -209,7 +211,7 @@ class Policy:
         self.training_log: list[tuple[int, float, float]] = []
         self.stopped_reason: str | None = None
         self._templates: dict = {}
-        self._refresh_capacities()
+        self.capacities = model.extract_state(*self._solve(0, 0))
 
     # -- stage problem materialization ---------------------------------
 
@@ -261,9 +263,6 @@ class Policy:
             bases[key] = (stamp, problem, sol)
         return problem, sol
 
-    def _refresh_capacities(self) -> None:
-        self.capacities = model.extract_state(*self._solve(0, 0))
-
     # -- serialization ---------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -309,33 +308,39 @@ def load_policy(path, catalog: model.TechnologyCatalog,
     """Rebuild a policy from :func:`save_policy` output.
 
     The stored catalog hash must match the supplied catalog and
-    scenario; mismatches raise :class:`~stockpile.errors.DataError`.
+    scenario; mismatches raise :class:`~stockpile.errors.DataError`,
+    as does a file that cannot be read or parsed, or whose structure is
+    not that of a saved policy.
     """
-    from .errors import DataError
-
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != POLICY_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported policy format {payload.get('format_version')!r}")
-    if payload["catalog_hash"] != catalog_fingerprint(catalog, scenario):
-        raise DataError("policy was trained on a different catalog/scenario")
-    policy = Policy(catalog, scenario, lattice)
-    if list(policy.layout.labels) != payload["state_labels"]:
-        raise DataError("policy state layout does not match the catalog")
-    if payload["n_stages"] != policy.n_stages:
-        raise DataError("policy stage count does not match the lattice")
-    policy.capacities = np.asarray(payload["capacities"], dtype=float)
-    for t_str, cuts in payload["pools"].items():
-        t = int(t_str)
-        policy.pools[t] = [
-            Cut(stage=t, intercept=c["intercept"],
-                slope=np.asarray(c["slope"], dtype=float),
-                iteration=c["iteration"],
-                trial_state=np.asarray(c["trial_state"], dtype=float))
-            for c in cuts]
-    policy.training_log = [tuple(row) for row in payload["training_log"]]
-    policy.stopped_reason = payload["stopped_reason"]
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload.get("format_version") != POLICY_FORMAT_VERSION:
+            raise DataError(f"unsupported policy format "
+                            f"{payload.get('format_version')!r}")
+        if payload["catalog_hash"] != catalog_fingerprint(catalog, scenario):
+            raise DataError(
+                "policy was trained on a different catalog/scenario")
+        policy = Policy(catalog, scenario, lattice)
+        if list(policy.layout.labels) != payload["state_labels"]:
+            raise DataError("policy state layout does not match the catalog")
+        if payload["n_stages"] != policy.n_stages:
+            raise DataError("policy stage count does not match the lattice")
+        policy.capacities = np.asarray(payload["capacities"], dtype=float)
+        for t_str, cuts in payload["pools"].items():
+            t = int(t_str)
+            policy.pools[t] = [
+                Cut(stage=t, intercept=c["intercept"],
+                    slope=np.asarray(c["slope"], dtype=float),
+                    iteration=c["iteration"],
+                    trial_state=np.asarray(c["trial_state"], dtype=float))
+                for c in cuts]
+        policy.training_log = [tuple(row) for row in payload["training_log"]]
+        policy.stopped_reason = payload["stopped_reason"]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            DimensionMismatch) as exc:
+        raise DataError(f"cannot read policy {str(path)!r}: "
+                        f"{type(exc).__name__}: {exc}") from exc
     return policy
 
 
@@ -477,7 +482,8 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
     capacity-stage solve behind that bound also opens the next forward
     pass. All training solves restart from, and are served by, one dict
     of last solves (see :meth:`Policy._solve`). The final capacity
-    decision is the capacity-stage optimum under the final pool.
+    decision is the capacity-stage optimum under the final pool, which
+    the last bound solve already found.
     """
     opt = options or TrainOptions()
     policy = Policy(catalog, scenario, lattice)
@@ -495,7 +501,8 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
         policy.training_log.append((k, lb, forward_cost))
         log_rows.append((k, time.monotonic() - start, lb, forward_cost))
         if opt.stop_on_gap and k % opt.gap_check_every == 0:
-            policy._refresh_capacities()
+            policy.capacities = model.extract_state(
+                *policy._solve(0, 0, bases=bases))
             ub = upper_bound_estimate(policy, opt.gap_paths,
                                       rng_seed=opt.seed + k)
             if lb >= ub.mean - 2 * ub.std_error:
@@ -505,7 +512,7 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
                 time.monotonic() - start) > opt.time_limit:
             policy.stopped_reason = "time_limit"
             break
-    policy._refresh_capacities()
+    policy.capacities = model.extract_state(*policy._solve(0, 0, bases=bases))
     if opt.log_path:
         with open(opt.log_path, "w") as fh:
             fh.write("iteration,seconds,lower_bound,forward_cost\n")

@@ -61,13 +61,18 @@ def ingest_series(source) -> SeriesTable:
 
     ``source`` is a path or an open text file. Timestamps must be
     uniformly spaced with no gaps; capacity-factor columns must lie in
-    [0, 1] up to 1e-9 slack and are clamped to the interval.
+    [0, 1] up to 1e-9 slack and are clamped to the interval. Every
+    failure to read or parse the table is a
+    :class:`~stockpile.errors.DataError`.
     """
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-    else:
-        with open(source, newline="") as fh:
-            rows = list(csv.reader(fh))
+    try:
+        if hasattr(source, "read"):
+            rows = list(csv.reader(source))
+        else:
+            with open(source, newline="") as fh:
+                rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read series: {exc}") from exc
     if not rows:
         raise ParseError("empty table")
     header = [h.strip() for h in rows[0]]
@@ -304,7 +309,6 @@ def build_lattice(table: SeriesTable, first_month: int = 7) -> SamplingLattice:
         month = (first_month - 1 + s) % 12 + 1
         entries = []
         labs = []
-        expected = None
         for y in years:
             rows = rows_by.get((y, s))
             if rows is None:
@@ -315,8 +319,6 @@ def build_lattice(table: SeriesTable, first_month: int = 7) -> SamplingLattice:
                 raise PartialYear(
                     f"weather year {y} month {month} has {len(rows)} rows, "
                     f"expected {days}")
-            if expected is None:
-                expected = len(rows)
             entries.append(_vector_from_rows(columns, rows,
                                              table.stride_hours))
             labs.append(f"{y}/{(y + 1) % 100:02d}")

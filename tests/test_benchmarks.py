@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_vector
-from stockpile import benchmarks, lp, model, sddp
+from stockpile import benchmarks, lp, model, presets, sddp
 from stockpile.errors import SolverFailure, TreeTooLarge
 from stockpile.weather import SamplingLattice, WeatherPath
 
@@ -259,3 +259,46 @@ def test_cuts_stay_below_brute_force_cost_to_go(canonical,
                 stage, x)
             for cut in pool:
                 assert cut.value_at(x) <= exact + 1e-6
+
+
+def test_training_reaches_tree_with_imports_contract_and_battery():
+    """On a 2-stage, 2-realization, 2-period lattice with a battery, a
+    cavern, capped spot imports and a contract, the reference's spot,
+    contract (lift, ltclo, ltchi) and circular battery rows all shape
+    the tree optimum, and training reaches that optimum to 1e-6
+    relative without its bound ever exceeding it."""
+    wind = model.Generator(name="wind", capital_cost=2.0, marginal_cost=0.0,
+                           max_capacity=30.0)
+    battery = model.Storage(name="battery", capital_cost_out=0.5,
+                            capital_cost_in=0.0, capital_cost_energy=0.1,
+                            efficiency_out=0.95, efficiency_in=0.95,
+                            max_power_out=10.0, max_power_in=10.0,
+                            max_energy=20.0)
+    cavern = model.Storage(name="cavern", capital_cost_out=1.5,
+                           capital_cost_in=1.0, capital_cost_energy=0.02,
+                           efficiency_out=0.4, efficiency_in=0.7,
+                           max_power_out=12.0, max_power_in=12.0,
+                           max_energy=80.0, long_duration=True)
+    catalog = model.TechnologyCatalog(generators=(wind,),
+                                      storages=(battery, cavern),
+                                      ltc_price=100.0, ltc_max=2.0)
+    scenario = presets.scenario("constrained_imports")
+    demand = [5.0, 5.0]
+    lattice = SamplingLattice.from_vectors([
+        [make_vector(demand, {"wind": [0.9, 0.1]}),
+         make_vector(demand, {"wind": [0.2, 0.0]})],
+        [make_vector(demand, {"wind": [0.1, 0.8]}),
+         make_vector(demand, {"wind": [0.0, 0.1]})],
+    ])
+    ef = benchmarks.extensive_form(catalog, scenario, lattice)
+    assert ef.capacities.ltc_volume > 0
+    assert ef.capacities.storage_energy["battery"] > 0
+    without_spot = benchmarks.extensive_form(
+        catalog, presets.scenario("no_imports"), lattice)
+    assert ef.objective < without_spot.objective
+
+    policy = sddp.train(catalog, scenario, lattice,
+                        sddp.TrainOptions(max_iterations=80, seed=0))
+    bounds = [lb for _, lb, _ in policy.training_log]
+    assert max(bounds) <= ef.objective * (1 + 1e-9)
+    assert bounds[-1] == pytest.approx(ef.objective, rel=1e-6)

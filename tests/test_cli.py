@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end (in-process)."""
 
+import copy
 import json
 import textwrap
 from datetime import datetime, timedelta
@@ -264,3 +265,166 @@ def test_acf_command_writes_report(tmp_path):
     table = (tmp_path / "out" / "acf.csv").read_text().splitlines()
     assert table[0] == "variable,lag,rho,band"
     assert len(table) == 1 + 2 * 6
+
+
+def _exit_code(argv):
+    """The exit code of cli.main, argparse's rejections included."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _dotted(path):
+    """The violation path of a key path: ("a", 0, "b") -> "a[0].b"."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the key at ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# CONFIG with every number key the reader checks given: a scenario
+# mapping with spot terms, contract terms, every generator and storage
+# number, a gap check and an analysis block.
+CHECKED = yaml.safe_load(CONFIG)
+CHECKED.update(scenario={"name": "capped", "voll": 9000.0,
+                         "spot_price": 120.0, "spot_cap": 2.5},
+               annualization_rate=0.05, analysis={"grid_step": 5.0})
+CHECKED["catalog"].update(ltc_price=80.0, ltc_max=1.5)
+CHECKED["catalog"]["generators"][0].update(marginal_cost=1.0,
+                                           min_capacity=0.0)
+CHECKED["training"].update(time_limit=30.0, stop_on_gap=True, gap_paths=4,
+                           gap_check_every=2)
+
+NAN = float("nan")
+_NAN_KEYS = [
+    ("scenario", "voll"), ("scenario", "spot_price"), ("scenario", "spot_cap"),
+    ("catalog", "ltc_price"), ("catalog", "ltc_max"),
+    *[("catalog", "generators", 0, key) for key in (
+        "capital_cost", "marginal_cost", "max_capacity", "min_capacity")],
+    *[("catalog", "storages", 0, key) for key in (
+        "capital_cost_out", "capital_cost_in", "capital_cost_energy",
+        "max_power_out", "max_power_in", "max_energy")],
+    ("training", "time_limit"), ("analysis", "grid_step"),
+    ("annualization_rate",),
+]
+
+
+@pytest.mark.parametrize("path,value,flags,message", [
+    *[(path, NAN, [], "expected a number, got nan") for path in _NAN_KEYS],
+    (("training", "gap_paths"), 1, [], "must be >= 2, got 1"),
+    (("training", "gap_check_every"), 0, [], "must be >= 1, got 0"),
+    ((), None, ["--time-limit", "nan"], "expected a number, got nan"),
+], ids=[*map(_dotted, _NAN_KEYS), "gap_paths", "gap_check_every",
+        "--time-limit"])
+def test_nan_or_out_of_range_value_exits_2(tmp_path, capsys, path, value,
+                                           flags, message):
+    """NaN in any number key, a gap check that cannot run and a NaN
+    time-limit flag are each rejected as the one violation (exit 2),
+    before training starts."""
+    doc = _with(CHECKED, path, value) if path else CHECKED
+    cfg, out = setup_run(tmp_path, yaml.safe_dump(doc))
+    assert _exit_code(["train", "--config", cfg, "--out", out, *flags]) == 2
+    err = capsys.readouterr().err
+    if path:
+        assert err.splitlines() == [
+            f"config error: {_dotted(path)}: {message}"]
+    else:
+        assert f"argument {flags[0]}: {message}" in err
+    assert not (tmp_path / "out" / "policy.json").exists()
+
+
+_INFINITE_COSTS = [
+    (("catalog", "generators", 0, "capital_cost"),
+     "catalog.generators[0]: generator 'wind' has a negative or infinite "
+     "cost"),
+    (("catalog", "storages", 0, "capital_cost_energy"),
+     "catalog.storages[0]: storage 'cavern' has a negative or infinite "
+     "cost"),
+    (("scenario", "voll"),
+     "scenario: lost-load price must be finite and >= 0"),
+    (("scenario", "spot_price"),
+     "scenario: spot price must be finite and >= 0"),
+    (("catalog", "ltc_price"),
+     "catalog: contract price must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("path,message", _INFINITE_COSTS,
+                         ids=[_dotted(path) for path, _ in _INFINITE_COSTS])
+def test_infinite_cost_exits_2(tmp_path, capsys, path, message):
+    """An infinite cost or price is rejected by the model constructor
+    and reported at its entry's path (exit 2); an infinite capacity
+    bound stays legal."""
+    doc = _with(CHECKED, ("catalog", "generators", 0, "max_capacity"),
+                float("inf"))
+    cfg, out = setup_run(tmp_path, yaml.safe_dump(_with(doc, path,
+                                                        float("inf"))))
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {message}"]
+
+
+def _series_config(tmp_path, years=3, gap=False):
+    """CONFIG with a daily series of whole July-to-June years for acf;
+    ``gap`` drops New Year's Day 1991."""
+    rng = np.random.default_rng(1)
+    day, end = datetime(1990, 7, 1), datetime(1990 + years, 6, 30)
+    rows = ["timestamp,demand,cf_wind"]
+    while day <= end:
+        if not (gap and day == datetime(1991, 1, 1)):
+            rows.append(f"{day.isoformat()},{5 + rng.normal():.4f},"
+                        f"{rng.uniform(0, 1):.4f}")
+        day += timedelta(days=1)
+    series = tmp_path / "daily.csv"
+    series.write_text("\n".join(rows) + "\n")
+    return CONFIG + f"analysis:\n  series: {series}\n"
+
+
+def _binary_series_config(tmp_path):
+    series = tmp_path / "daily.csv"
+    series.write_bytes(b"timestamp,demand\n\xff\xfe\x00\x81\n")
+    return CONFIG + f"analysis:\n  series: {series}\n"
+
+
+def _policy(tmp_path, edit):
+    """--policy naming a zero-iteration policy of CONFIG whose payload
+    went through ``edit``."""
+    cfg, out = setup_run(tmp_path)
+    assert cli.main(["train", "--config", cfg, "--out", out,
+                     "--max-iterations", "0"]) == 0
+    path = tmp_path / "out" / "policy.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return ["--policy", str(path)]
+
+
+DATA_ERRORS = {
+    "series with a gap": lambda tmp: (
+        "acf", _series_config(tmp, gap=True), []),
+    "series under three years": lambda tmp: (
+        "acf", _series_config(tmp, years=2), []),
+    "series not text": lambda tmp: ("acf", _binary_series_config(tmp), []),
+    "policy is a list": lambda tmp: (
+        "simulate", CONFIG, _policy(tmp, lambda payload: [payload])),
+    "policy without pools": lambda tmp: (
+        "simulate", CONFIG, _policy(tmp, lambda payload: {
+            k: v for k, v in payload.items() if k != "pools"})),
+}
+
+
+@pytest.mark.parametrize("case", DATA_ERRORS)
+def test_unusable_series_or_policy_exits_3(tmp_path, capsys, case):
+    """A series the acf command cannot use, or a policy file that is not
+    a saved policy, is a data error (exit 3), not a traceback."""
+    command, text, flags = DATA_ERRORS[case](tmp_path)
+    cfg, out = setup_run(tmp_path, text)
+    assert cli.main([command, "--config", cfg, "--out", out, *flags]) == 3
+    assert "data error: " in capsys.readouterr().err

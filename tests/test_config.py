@@ -71,8 +71,7 @@ def test_minimal_config_round_trip(tmp_path):
     assert cfg.lattice.branch_count(2) == 2
     assert cfg.training.seed == 7
     assert cfg.training.max_iterations == 20
-    assert cfg.simulation_seed == 11
-    assert cfg.simulation_paths == 50
+    assert cfg.simulation == config.SimulationOptions(seed=11, n_paths=50)
     assert len(cfg.source_hash) == 64
 
 
@@ -472,3 +471,36 @@ def test_missing_technology_fields_are_all_listed(tmp_path):
         "catalog.generators[0].max_capacity: required",
         "catalog.storages[0].max_energy: required",
     ]
+
+
+def test_each_violation_reads_once_at_its_path(tmp_path):
+    """The reader's messages: a missing key is "required", a non-string
+    in a string key has one type message, a bound prints as declared,
+    a range the model checks is reported at the section path, and a
+    null simulation seed is a missing seed; no key is listed twice."""
+    doc = yaml.safe_load(MINIMAL)
+    doc["scenario"] = {"name": 5, "spot_price": -1.0}
+    doc["annualization_rate"] = -1
+    doc["catalog"]["ltc_max"] = -2.0
+    doc["training"]["threads"] = 0
+    doc["simulation"]["seed"] = None
+    doc["analysis"] = {"series": 5, "stage_length": "day"}
+    with pytest.raises(ConfigError) as err:
+        config.validate_config(write(tmp_path, yaml.safe_dump(doc)))
+    assert err.value.violations == [
+        "annualization_rate: must be >= 0, got -1.0",
+        "scenario.name: expected a non-empty string, got 5",
+        "scenario.voll: required",
+        "catalog: contract volume bound must be >= 0",
+        "training.threads: must be >= 1, got 0",
+        "simulation.seed: required (seeds are mandatory)",
+        "analysis.series: expected a non-empty string, got 5",
+    ]
+    doc["scenario"] = {"name": "s", "voll": 10.0, "spot_price": -1.0}
+    doc["analysis"] = {"stage_length": "day"}
+    with pytest.raises(ConfigError) as err:
+        config.validate_config(write(tmp_path, yaml.safe_dump(doc)))
+    assert err.value.violations[1] == \
+        "scenario: spot price must be finite and >= 0"
+    assert err.value.violations[-1] == \
+        "analysis.stage_length: expected 'month' or 'week'"

@@ -621,9 +621,10 @@ def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
     monkeypatch.setattr(sddp.Policy, "_solve", stage)
     _train_canonical(canonical, 40)
     last = canonical["lattice"].n_stages
-    # the lower bound's capacity solve opens each later forward pass, and
-    # each backward pass repeats the forward pass's last-stage solve
-    assert sum(t == 0 for t, _ in hits) == 39
+    # the lower bound's capacity solve opens each later forward pass and
+    # fixes the final capacities, and each backward pass repeats the
+    # forward pass's last-stage solve
+    assert sum(t == 0 for t, _ in hits) == 40
     assert sum(t == last for t, _ in hits) >= 40
     for _, served in hits:
         again = lp.solve(served.instance, basis=served.basis)

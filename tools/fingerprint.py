@@ -57,7 +57,7 @@ def _feed(h, obj) -> None:
     element (dict keys sorted)."""
     if isinstance(obj, np.ndarray):
         h.update(f"a{obj.dtype.str}{obj.shape}".encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
+        h.update(np.ascontiguousarray(obj))
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             h.update(f.name.encode())
