@@ -26,12 +26,25 @@ and drops zeros as it turns the CSR rows into compressed sparse columns,
 then equilibrates them on their nonzeros. Slack and phase-1
 artificial columns are unit columns, stored as a row and a sign. Every
 product with the matrix (pricing ``y @ A``, the leaving row of the
-tableau, ``A @ x``) is one ``np.bincount`` over the nonzeros, and an
-entering column is ``B^-1[:, rows] @ vals``. The explicit basis inverse
-is updated in product form only on the columns where the pivot row is
-nonzero, and refactored blockwise: each basic unit column covers its
-own row, so only the block of the structural basics on the remaining
-rows is inverted, and the all-slack start inverts nothing.
+tableau, ``A @ x``) is one ``np.bincount`` over the nonzeros.
+
+Nor does it form an m x m basis inverse. Each basic unit column covers
+its own row; with K the structural basics, R the rows no basic unit
+covers and S the covered ones, the basis inverse is held as the k x k
+inverse of the block A_RK (k = |K| = |R|) plus the signs of the
+covering units, so memory and work per pivot grow with k, not m:
+
+* an entering column is d_K = A_RK^-1 a_R, then
+  d_U = sigma (a_S - A_SK d_K);
+* duals are y_S = sigma c_U, then y_R = (c_K - y_S A_SK) A_RK^-1;
+* a pivot updates A_RK^-1 by the kind of the swap: a rank-1 column
+  update (structural for structural), a border by one row and column
+  (a structural in place of a unit), a shrink by one (a unit in place
+  of a structural), a rank-1 row update (units on different rows), or
+  a sign alone (units on the same row).
+
+Every 100 pivots, and once at the end, the block is inverted afresh;
+the all-slack start inverts nothing.
 
 The solver is deterministic: the same instance solved twice in one
 process yields bit-identical results, and the returned solution is
@@ -50,11 +63,12 @@ dual feasible, so the restart installs it, runs a bounded-variable
 dual simplex until no basic variable violates its bounds (leaving row:
 largest violation; entering column: smallest |z_j / alpha_j|, ties to
 the largest |alpha_j|), then the primal simplex, and then the same
-residual, bound and duality-gap checks as a cold solve. A basis that
-does not fit the instance, a singular basis, any numerical failure and
-any non-optimal end send the solve down the cold two-phase path
-instead, so a restart changes the work done but never whether a solve
-succeeds.
+residual, bound and duality-gap checks as a cold solve. A leaving row
+that no column can enter proves the LP infeasible, and the restart
+reports INFEASIBLE. A basis that does not fit the instance, a singular
+basis, any numerical failure and any other non-optimal end send the
+solve down the cold two-phase path instead, so a restart changes the
+work done but never whether a solve succeeds.
 """
 from __future__ import annotations
 
@@ -353,6 +367,18 @@ _FIXED = 4
 _GAIN_SIGN = np.array([0.0, -1.0, 1.0, 0.0, 0.0])
 
 
+def _subtract_outer(a, u, v):
+    """``a -= outer(u, v)`` in place. When under a quarter of ``v`` is
+    nonzero, only those columns are touched: elsewhere the update would
+    subtract zeros, and indexing the columns costs more than the dense
+    update unless they are few."""
+    nz = v.nonzero()[0]
+    if 4 * len(nz) < len(v):
+        a[:, nz] -= u[:, None] * v[nz]
+    else:
+        a -= u[:, None] * v
+
+
 def _status_fits(status, lower, upper) -> bool:
     """Whether every nonbasic status names a bound its variable has."""
     fixed = lower == upper
@@ -370,18 +396,28 @@ class _Simplex:
     The columns are those of a :class:`_Prepared` instance: its ``ns``
     structural columns in compressed sparse column form, one slack per
     row, and then any artificials :meth:`add_units` appends. A slack or
-    an artificial is a unit column, +1 or -1 in a single row, and is
-    stored as that row and that sign. The entries of all columns form
-    one coordinate list (``entry_col``, ``entry_row``, ``entry_val``):
-    the structural entries column by column, so that column j's are at
-    ``colptr[j]:colptr[j + 1]``, then one entry per unit column. Every
-    product with the constraint matrix is built from that list; there
-    is no dense copy of it.
+    an artificial is a unit column, +1 or -1 in a single row. The
+    entries of all columns form one coordinate list (``entry_col``,
+    ``entry_row``, ``entry_val``) in column order, column j's at
+    ``colptr[j]:colptr[j + 1]``, so a unit column is the one entry at
+    ``colptr[j]``. Every product with the constraint matrix is built
+    from that list; there is no dense copy of it.
 
-    ``binv`` is the explicit basis inverse, row p for basis position p.
-    :meth:`refactor` inverts only the block of the structural basics on
-    the rows no basic unit column covers, and :meth:`_replace` updates
-    only the columns where the pivot row is nonzero.
+    The basis inverse is held in partitioned form and never as an
+    m x m matrix. A basic unit column covers its own row. With K the
+    basis positions of the structural basics, R the rows no basic unit
+    covers (|R| = |K| = k), S the covered rows and sigma the signs of
+    the units covering them,
+
+        B^-1 = [[A_RK^-1, 0], [-sigma A_SK A_RK^-1, sigma]],
+
+    so the factor is the k x k matrix ``inv`` = A_RK^-1 (row t for the
+    basis position ``kpos[t]``, column t for the row ``rrow[t]``) plus
+    the maps ``kslot`` (column to its row of ``inv``, -1 unless a
+    structural basic), ``rslot`` (row to its column of ``inv``, -1 when
+    covered), ``urow`` and ``usign`` (basis position to the row and sign
+    of its unit; 0 and 0.0 for a structural). :meth:`refactor` builds it
+    and :meth:`_replace` updates it on each pivot.
 
     ``status`` gives each column's starting status; by default every
     column is nonbasic at a finite bound (fixed, lower, then upper) or
@@ -392,11 +428,12 @@ class _Simplex:
         self.m = p.m
         self.ns = p.n
         self.n = p.n + p.m
-        self.colptr = p.colptr
-        self.n_entries = len(p.entry_row) - p.m     # structural entries
+        self.colptr = np.concatenate([p.colptr,
+                                      p.colptr[-1] + np.arange(1, p.m + 1)])
         self.entry_col = p.entry_col
         self.entry_row = p.entry_row
         self.entry_val = p.entry_val
+        self.rowptr, self.row_col, self.row_val = p.rowptr, p.row_col, p.row_val
         self.b = p.b_s
         self.c = p.c
         self.lower = p.lower.copy()
@@ -416,14 +453,17 @@ class _Simplex:
         self.x = np.where(status == _AT_UPPER, self.upper, np.where(
             (status == _AT_LOWER) | (status == _FIXED), self.lower, 0.0))
         self.basis = None
-        self.binv = None
-        self.priced = None          # (y, z) of the current inverse and costs
+        self.inv = self.kpos = self.rrow = None     # the factor, see above
+        self.kslot = self.rslot = self.urow = self.usign = None
+        self.priced = None          # (y, z) of the current factor and costs
         self.fresh = False          # no step since the last refactor()
 
     def add_units(self, rows, signs):
         """Append unit columns, column t being ``signs[t]`` in row
         ``rows[t]``, at zero cost and nonbasic at their lower bound 0."""
         k = len(rows)
+        self.colptr = np.concatenate([self.colptr,
+                                      self.colptr[-1] + np.arange(1, k + 1)])
         self.entry_col = np.concatenate([self.entry_col,
                                          np.arange(self.n, self.n + k)])
         self.entry_row = np.concatenate([self.entry_row, rows])
@@ -452,13 +492,67 @@ class _Simplex:
         return np.bincount(self.entry_col, y[self.entry_row] * self.entry_val,
                            self.n)
 
+    # -- products with the basis inverse --------------------------------
+
+    def _ftran(self, v):
+        """``B^-1 v`` for ``v`` over rows, as a vector over basis
+        positions: d_K = A_RK^-1 v_R, then d_U = sigma (v_S - A_SK d_K)."""
+        dk = self.inv @ v[self.rrow]
+        xk = np.zeros(self.n)
+        xk[self.basis[self.kpos]] = dk
+        d = self.usign * (v - self.times(xk))[self.urow]
+        d[self.kpos] = dk
+        return d
+
+    def _btran(self, g):
+        """``g @ B^-1`` for ``g`` over basis positions, as a vector over
+        rows: y_S = sigma g_U, then y_R = (g_K - y_S A_SK) A_RK^-1. Slacks
+        cost nothing, so y_S is often zero, and then so is y_S A_SK."""
+        gu = self.usign * g
+        gk = g[self.kpos]
+        if gu.any():
+            y = np.bincount(self.urow, gu, self.m)
+            gk = gk - self.row_times(y)[self.basis[self.kpos]]
+        else:
+            y = np.zeros(self.m)
+        y[self.rrow] = gk @ self.inv
+        return y
+
     def column(self, j):
         """Column ``j`` times the current inverse."""
-        if j < self.ns:
-            nz = slice(self.colptr[j], self.colptr[j + 1])
-            return self.binv[:, self.entry_row[nz]] @ self.entry_val[nz]
-        k = self.n_entries + j - self.ns
-        return self.entry_val[k] * self.binv[:, self.entry_row[k]]
+        v = np.zeros(self.m)
+        nz = slice(self.colptr[j], self.colptr[j + 1])
+        v[self.entry_row[nz]] = self.entry_val[nz]
+        return self._ftran(v)
+
+    def inverse_row(self, r):
+        """Row ``r`` of B^-1: row t of A_RK^-1 on R and zero on S for a
+        structural basic, -sigma_s A_sK A_RK^-1 on R and sigma_s at s for
+        the unit covering row s."""
+        rho = np.zeros(self.m)
+        t = self.kslot[self.basis[r]]
+        if t >= 0:
+            rho[self.rrow] = self.inv[t]
+        else:
+            sign = self.usign[r]
+            rho[self.rrow] = -sign * self._row_block(self.urow[r])
+            rho[self.urow[r]] = sign
+        return rho
+
+    def _row_block(self, s):
+        """A_sK A_RK^-1: the entries of row ``s`` in the structural
+        basics' columns times the block inverse."""
+        nz = slice(self.rowptr[s], self.rowptr[s + 1])
+        t = self.kslot[self.row_col[nz]]
+        basic = t >= 0
+        return self.row_val[nz][basic] @ self.inv[t[basic]]
+
+    def _leaving_row_block(self, r, rho):
+        """A_sK A_RK^-1 for the row s of the unit in basis position
+        ``r``, read off ``rho``, row r of the inverse, when given."""
+        if rho is None:
+            return self._row_block(self.urow[r])
+        return -self.usign[r] * rho[self.rrow]
 
     # -- basis handling -------------------------------------------------
 
@@ -468,52 +562,47 @@ class _Simplex:
         self.refactor()
 
     def refactor(self):
-        """Invert the basis blockwise. A basic unit column covers its own
-        row; with K the structural basics, R the rows no basic unit
-        covers, S the covered rows and sigma the units' signs,
-
-            B^-1 = [[A_RK^-1, 0], [-sigma A_SK A_RK^-1, sigma]],
-
-        so only the k x k block A_RK is inverted, and a basis of unit
-        columns alone inverts nothing. Two basic units on one row, or a
-        singular A_RK, raise :class:`NumericalFailure`."""
+        """Factor the basis in the partitioned form of the class
+        docstring, inverting only the k x k block A_RK, and set the
+        basics by the same block solve. A basis of unit columns alone
+        inverts nothing. Two basic units on one row, or a singular A_RK,
+        raise :class:`NumericalFailure`."""
         m, basis = self.m, self.basis
         unit = basis >= self.ns
-        upos = unit.nonzero()[0]
-        at = basis[upos] + (self.n_entries - self.ns)
-        urow = self.entry_row[at]
-        usign = self.entry_val[at]
-        hits = np.bincount(urow, minlength=m)
+        at = self.colptr[basis]             # a unit column's one entry
+        self.urow = np.where(unit, self.entry_row[at], 0)
+        self.usign = np.where(unit, self.entry_val[at], 0.0)
+        hits = np.bincount(self.urow, unit, m)
         if hits.max(initial=0) > 1:
             raise NumericalFailure("two basic unit columns share a row")
-        binv = np.zeros((m, m))
-        binv[upos, urow] = usign
-        k = m - len(upos)
+        self.kpos = (~unit).nonzero()[0]
+        self.rrow = (hits == 0).nonzero()[0]
+        k = len(self.kpos)
+        struct = basis[self.kpos]
+        self.kslot = np.full(self.n, -1, dtype=np.intp)
+        self.kslot[struct] = np.arange(k)
+        self.rslot = np.full(m, -1, dtype=np.intp)
+        self.rslot[self.rrow] = np.arange(k)
+        block = np.zeros((k, k))
         if k:
-            spos = (~unit).nonzero()[0]
-            struct = basis[spos]
             first = self.colptr[struct]
             count = self.colptr[struct + 1] - first
             end = count.cumsum()
             # the entries of the structural basics, one column after another
             at = np.arange(end[-1]) + (first - end + count).repeat(count)
-            block = np.zeros((m, k))
-            block[self.entry_row[at],
-                  np.arange(k).repeat(count)] = self.entry_val[at]
-            open_rows = (hits == 0).nonzero()[0]
+            rows = self.rslot[self.entry_row[at]]
+            cols = np.arange(k).repeat(count)
+            open_ = rows >= 0
+            block[rows[open_], cols[open_]] = self.entry_val[at[open_]]
             try:
-                inv = np.linalg.inv(block[open_rows])
+                block = np.linalg.inv(block)
             except np.linalg.LinAlgError:
                 raise NumericalFailure("basis matrix is singular") from None
-            cols = np.empty((m, k))
-            cols[spos] = inv
-            cols[upos] = (-usign[:, None] * block[urow]) @ inv
-            binv[:, open_rows] = cols
-        self.binv = binv
+        self.inv = block
         self.priced = None
         xn = self.x.copy()
         xn[basis] = 0.0
-        self.x[basis] = binv @ (self.b - self.times(xn))
+        self.x[basis] = self._ftran(self.b - self.times(xn))
         self.fresh = True
 
     def _leave(self, j, upper):
@@ -524,26 +613,87 @@ class _Simplex:
         else:
             self.status[j] = _AT_UPPER if upper else _AT_LOWER
 
-    def _replace(self, r, q, d):
+    def _replace(self, r, q, d, rho=None):
         """Put column ``q`` into basis position ``r``; ``d`` is its
-        column times the current inverse."""
+        column times the current inverse and ``rho``, when the caller
+        has it, row ``r`` of that inverse. The factor is updated by the
+        kind of the swap; see the branches."""
+        leaving = self.basis[r]
+        t = self.kslot[leaving]
+        self.kslot[leaving] = -1
         self.status[q] = _BASIC
         self.basis[r] = q
-        # product-form update of the inverse, on the columns where the
-        # pivot row is nonzero: elsewhere it would subtract zeros
-        pivrow = self.binv[r] / d[r]
-        nz = pivrow.nonzero()[0]
-        self.binv[:, nz] -= np.outer(d, pivrow[nz])
-        self.binv[r] = pivrow
         self.priced = None
+        if q < self.ns:
+            dk = d[self.kpos]
+            if t >= 0:
+                # structural for structural: column t of A_RK is replaced,
+                # a rank-1 update
+                pivrow = self.inv[t] / dk[t]
+                _subtract_outer(self.inv, dk, pivrow)
+                self.inv[t] = pivrow
+                self.kslot[q] = t
+                return
+            # structural in, unit out: the unit's row s opens, and A_RK
+            # is bordered by row s and column q; the Schur complement
+            # a_sq - A_sK d_K is sigma_s d_r
+            s = self.urow[r]
+            h = self._leaving_row_block(r, rho)
+            delta = self.usign[r] * d[r]
+            k = len(self.kpos)
+            h /= -delta
+            inv = np.empty((k + 1, k + 1))
+            inv[:k, :k] = self.inv
+            _subtract_outer(inv[:k, :k], dk, h)
+            inv[:k, k] = dk / -delta
+            inv[k, :k] = h
+            inv[k, k] = 1.0 / delta
+            self.inv = inv
+            self.kpos = np.concatenate((self.kpos, [r]))
+            self.rrow = np.concatenate((self.rrow, [s]))
+            self.kslot[q] = self.rslot[s] = k
+            self.urow[r] = 0
+            self.usign[r] = 0.0
+            return
+        at = self.colptr[q]
+        i, sign = self.entry_row[at], self.entry_val[at]
+        slot = self.rslot[i]
+        if t >= 0:
+            # unit in on the open row i, structural out: A_RK loses row i
+            # and column t; the inverse of what is left is the Schur
+            # complement of the pivot inv[t, slot] in A_RK^-1
+            keep_k = np.arange(len(self.kpos)) != t
+            keep_r = np.arange(len(self.rrow)) != slot
+            self.inv = (self.inv[np.ix_(keep_k, keep_r)]
+                        - self.inv[keep_k, slot, None]
+                        * (self.inv[t, keep_r] / self.inv[t, slot]))
+            self.kpos = self.kpos[keep_k]
+            self.rrow = self.rrow[keep_r]
+            self.rslot[i] = -1
+            self.kslot[self.basis[self.kpos]] = np.arange(len(self.kpos))
+            self.rslot[self.rrow] = np.arange(len(self.rrow))
+        elif self.urow[r] != i:
+            # unit for unit on different rows: row i of A_RK is replaced
+            # by the leaving unit's row s, a rank-1 row update
+            s = self.urow[r]
+            h = self._leaving_row_block(r, rho)
+            col = self.inv[:, slot] / h[slot]
+            h[slot] -= 1.0
+            _subtract_outer(self.inv, col, h)
+            self.rrow[slot] = s
+            self.rslot[s] = slot
+            self.rslot[i] = -1
+        # a unit for a unit on the same row changes only the sign
+        self.urow[r] = i
+        self.usign[r] = sign
 
     # -- pricing --------------------------------------------------------
 
     def duals_and_reduced_costs(self):
         """Duals and reduced costs of the current basis, computed once
-        per inverse and cost vector (a bound flip changes neither)."""
+        per factor and cost vector (a bound flip changes neither)."""
         if self.priced is None:
-            y = self.c[self.basis] @ self.binv
+            y = self._btran(self.c[self.basis])
             self.priced = y, self.c - self.row_times(y)
         return self.priced
 
@@ -553,7 +703,7 @@ class _Simplex:
         a lower bound, v at an upper bound, |v| when free, 0 when basic
         or fixed."""
         return np.where(self.status == _FREE_NB, np.abs(v),
-                        _GAIN_SIGN[self.status] * v)
+                        _GAIN_SIGN.take(self.status) * v)
 
     def _dual_violation(self, z):
         """How far each nonbasic reduced cost has the sign that makes its
@@ -583,16 +733,15 @@ class _Simplex:
         d = self.column(q)
         delta = -direction * d              # change of each basic per unit step
         xb = self.x[self.basis]
-        lb = self.lower[self.basis]
-        ub = self.upper[self.basis]
-        limits = np.full(self.m, np.inf)
-        dn = (delta < -_PIVOT_TOL) & np.isfinite(lb)
-        up = (delta > _PIVOT_TOL) & np.isfinite(ub)
-        if dn.any():
-            limits[dn] = (xb[dn] - lb[dn]) / -delta[dn]
-        if up.any():
-            limits[up] = (ub[up] - xb[up]) / delta[up]
-        limits = np.maximum(limits, 0.0)
+        # each basic heads for the bound in the direction it moves, an
+        # infinite one setting no limit; a move within the pivot
+        # tolerance sets none either
+        bound = np.where(delta < 0.0, self.lower[self.basis],
+                         self.upper[self.basis])
+        moving = np.abs(d) > _PIVOT_TOL
+        limits = np.divide(bound - xb, delta, out=np.full(self.m, np.inf),
+                           where=moving)
+        np.maximum(limits, 0.0, out=limits)
         lim_min = limits.min() if self.m else np.inf
         if np.isfinite(self.lower[q]) and np.isfinite(self.upper[q]):
             t_flip = self.upper[q] - self.lower[q]
@@ -608,7 +757,7 @@ class _Simplex:
             self._count_step(t_flip)
             return True
         tie = limits <= lim_min + _RATIO_TIE * (1.0 + lim_min)
-        usable = tie & (np.abs(d) > _PIVOT_TOL)
+        usable = tie & moving
         cand = (usable if usable.any() else tie).nonzero()[0]
         r = int(cand[np.argmin(self.basis[cand])])
         t = limits[r]
@@ -630,8 +779,11 @@ class _Simplex:
         column minimises |z_j / alpha_j| over the nonbasics whose move
         in their feasible direction pushes the leaving variable towards
         that bound (alpha is the leaving row of the tableau), ties going
-        to the largest |alpha_j|. Raises :class:`NumericalFailure` when
-        the basis is not dual feasible or no column can enter.
+        to the largest |alpha_j|. Returns False when no column can
+        enter: no nonbasic can move the leaving variable towards its
+        bound, which proves the LP infeasible. Returns True once the
+        basis is primal feasible. Raises :class:`NumericalFailure` when
+        the basis is not dual feasible.
         """
         while True:
             self._check_pivot_limit()
@@ -639,18 +791,19 @@ class _Simplex:
             below = self.lower[self.basis] - xb
             viol = np.maximum(below, xb - self.upper[self.basis])
             if viol.max(initial=0.0) <= _PRIMAL_TOL:
-                return
+                return True
             r = int(viol.argmax())
             _, z = self.duals_and_reduced_costs()
             if self._dual_violation(z).max() > OPTIMALITY_TOL:
                 raise NumericalFailure("dual simplex basis is not dual feasible")
             rise = below[r] > 0.0
-            alpha = self.row_times(self.binv[r])
+            rho = self.inverse_row(r)
+            alpha = self.row_times(rho)
             # raising nonbasic j by one moves the leaving variable by -alpha_j
             g = alpha if rise else -alpha
             cand = (self._gain(g) > _PIVOT_TOL).nonzero()[0]
             if not cand.size:
-                raise NumericalFailure("dual simplex found no entering column")
+                return False
             ratio = np.abs(z[cand] / alpha[cand])
             best = ratio.min()
             tie = cand[ratio <= best + _RATIO_TIE * (1.0 + best)]
@@ -664,7 +817,7 @@ class _Simplex:
             self.x[self.basis] = xb - d * t
             self.x[q] = self.x[q] + t
             self._leave(leaving, not rise)
-            self._replace(r, q, d)
+            self._replace(r, q, d, rho)
             self._count_step(best)
 
     def _count_step(self, t):
@@ -741,7 +894,9 @@ class _Prepared:
     kept (nonempty) rows, with one slack column per kept row after the
     structural columns. The entries of all columns are one coordinate
     list: the scaled structural entries column by column, column j's at
-    ``colptr[j]:colptr[j + 1]``, then the slacks' unit entries."""
+    ``colptr[j]:colptr[j + 1]``, then the slacks' unit entries. The
+    scaled structural entries are also kept row by row, row i's in the
+    columns ``row_col[rowptr[i]:rowptr[i + 1]]``."""
 
     instance: LpInstance
     keep: np.ndarray          # instance row of each kept row
@@ -750,6 +905,9 @@ class _Prepared:
     entry_col: np.ndarray
     entry_row: np.ndarray
     entry_val: np.ndarray
+    rowptr: np.ndarray
+    row_col: np.ndarray
+    row_val: np.ndarray
     b_s: np.ndarray
     c: np.ndarray             # structural costs, then zeros for the slacks
     lower: np.ndarray
@@ -833,6 +991,8 @@ def _prepare(instance: LpInstance):
         entry_col=np.concatenate([col[order], np.arange(n, n + m)]),
         entry_row=np.concatenate([row[order], np.arange(m)]),
         entry_val=np.concatenate([a[order], np.ones(m)]),
+        rowptr=np.concatenate([[0], row_count.cumsum()]), row_col=col,
+        row_val=a,
         b_s=b / rscale, c=np.concatenate([c_s / cost_scale, np.zeros(m)]),
         lower=np.concatenate([instance.lower * dscale,
                               np.where(ge, -np.inf, 0.0)]),
@@ -889,9 +1049,10 @@ def _cold(p: _Prepared) -> LpSolution:
 
 def _warm(p: _Prepared, basis) -> LpSolution | None:
     """Solve from a given basis: dual simplex to primal feasibility,
-    then primal simplex to optimality. Returns None, sending the caller
-    to the cold path, when the basis does not fit the instance, is
-    singular, or the restart fails or ends non-optimal."""
+    then primal simplex to optimality. An infeasibility the dual simplex
+    proves is the result. Returns None, sending the caller to the cold
+    path, when the basis does not fit the instance, is singular, or the
+    restart fails or ends unbounded."""
     cols, rows = basis
     m_all = p.instance.n_rows
     if len(cols) != p.n or len(rows) > m_all:
@@ -905,7 +1066,9 @@ def _warm(p: _Prepared, basis) -> LpSolution | None:
     sx = _Simplex(p, status)
     try:
         sx.install_basis(basic)
-        sx.dual_run()
+        if not sx.dual_run():
+            return LpSolution(INFEASIBLE, None, None, None, None, sx.pivots,
+                              p.instance)
         sx.degenerate_run = 0
         sx.bland = False
         if sx.run() != OPTIMAL:
@@ -985,9 +1148,10 @@ def solve(instance: LpInstance, *, basis=None) -> LpSolution:
     instance with the same variables whose rows are a prefix of this
     instance's rows; the rows beyond that prefix start with their slack
     basic. The solve then restarts from that basis (see the module
-    docstring) and falls back to the cold two-phase path whenever the
-    restart cannot finish, so a basis never changes whether a solve
-    succeeds.
+    docstring): it ends infeasible when the dual simplex proves
+    infeasibility, and falls back to the cold two-phase path whenever
+    the restart cannot finish otherwise, so a basis never changes
+    whether a solve succeeds.
     """
     p = _prepare(instance)
     if isinstance(p, LpSolution):

@@ -196,11 +196,14 @@ class Policy:
     Holds everything needed to run forward passes: the catalog and
     scenario (to rebuild stage problems), the lattice (sample spaces),
     the cut pools, and the capacity decision. Training appends to the
-    pools and updates the decision in place.
+    pools and updates the decision in place. ``capacities``, when
+    given (a loaded policy's), is the decision; otherwise the
+    constructor solves the capacity stage under the empty pools.
     """
 
     def __init__(self, catalog: model.TechnologyCatalog,
-                 scenario: model.MarketScenario, lattice: SamplingLattice):
+                 scenario: model.MarketScenario, lattice: SamplingLattice,
+                 capacities=None):
         self.catalog = catalog
         self.scenario = scenario
         self.lattice = lattice
@@ -211,7 +214,9 @@ class Policy:
         self.training_log: list[tuple[int, float, float]] = []
         self.stopped_reason: str | None = None
         self._templates: dict = {}
-        self.capacities = model.extract_state(*self._solve(0, 0))
+        self.capacities = (model.extract_state(*self._solve(0, 0))
+                           if capacities is None
+                           else np.asarray(capacities, dtype=float))
 
     # -- stage problem materialization ---------------------------------
 
@@ -321,14 +326,16 @@ def load_policy(path, catalog: model.TechnologyCatalog,
         if payload["catalog_hash"] != catalog_fingerprint(catalog, scenario):
             raise DataError(
                 "policy was trained on a different catalog/scenario")
-        policy = Policy(catalog, scenario, lattice)
+        policy = Policy(catalog, scenario, lattice, payload["capacities"])
         if list(policy.layout.labels) != payload["state_labels"]:
             raise DataError("policy state layout does not match the catalog")
         if payload["n_stages"] != policy.n_stages:
             raise DataError("policy stage count does not match the lattice")
-        policy.capacities = np.asarray(payload["capacities"], dtype=float)
         for t_str, cuts in payload["pools"].items():
             t = int(t_str)
+            if t not in policy.pools:
+                raise DataError(f"policy has a cut pool for stage {t_str!r}, "
+                                f"outside 1..{policy.n_stages}")
             policy.pools[t] = [
                 Cut(stage=t, intercept=c["intercept"],
                     slope=np.asarray(c["slope"], dtype=float),

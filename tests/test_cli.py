@@ -4,6 +4,7 @@ import copy
 import json
 import textwrap
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,3 +429,40 @@ def test_unusable_series_or_policy_exits_3(tmp_path, capsys, case):
     cfg, out = setup_run(tmp_path, text)
     assert cli.main([command, "--config", cfg, "--out", out, *flags]) == 3
     assert "data error: " in capsys.readouterr().err
+
+
+def _readme_run(tmp_path):
+    """The complete config README.md shows, trained into ``out``; the
+    config path and the output directory."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("A complete config for a toy two-stage system:\n\n"
+                        "```yaml\n", 1)[1].split("```", 1)[0]
+    cfg, out = setup_run(tmp_path, text)
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 0
+    return cfg, out
+
+
+def test_policy_pool_outside_stages_exits_3(tmp_path, capsys):
+    """A policy file with a cut pool keyed outside 1..n_stages is a data
+    error, even when that pool is empty."""
+    cfg, out = _readme_run(tmp_path)
+    path = tmp_path / "out" / "policy.json"
+    payload = json.loads(path.read_text())
+    payload["pools"]["99"] = []
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 3
+    assert "stage '99', outside 1..2" in capsys.readouterr().err
+
+
+def test_simulate_solves_no_capacity_stage(tmp_path, monkeypatch):
+    """Simulating one path of the README config solves its two dispatch
+    stages and nothing else: the loaded policy brings its capacities."""
+    cfg, out = _readme_run(tmp_path)
+    solved = []
+    raw = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda inst, **kw: solved.append(
+        inst.n_rows) or raw(inst, **kw))
+    assert cli.main(["simulate", "--config", cfg, "--out", out,
+                     "--n-paths", "1"]) == 0
+    assert len(solved) == 2

@@ -730,6 +730,22 @@ def _unit_and_structural_basis(rng, n, m, art_rows, dense):
     raise AssertionError("the all-unit basis is never singular")
 
 
+def _expanded_inverse(sx, dense):
+    """The dense B^-1 that the simplex's partitioned factor stands for,
+
+        B^-1 = [[A_RK^-1, 0], [-sigma A_SK A_RK^-1, sigma]],
+
+    with rows in basis-position order and columns in row order;
+    ``dense`` holds every column of the simplex, units included."""
+    binv = np.zeros((sx.m, sx.m))
+    binv[np.ix_(sx.kpos, sx.rrow)] = sx.inv
+    upos = sx.usign.nonzero()[0]
+    binv[upos, sx.urow[upos]] = sx.usign[upos]
+    a_sk = dense[np.ix_(sx.urow[upos], sx.basis[sx.kpos])]
+    binv[np.ix_(upos, sx.rrow)] = -sx.usign[upos, None] * a_sk @ sx.inv
+    return binv
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_block_refactor_matches_dense_inverse(seed):
     """The blockwise inverse of a basis mixing structural, slack and
@@ -751,8 +767,148 @@ def test_block_refactor_matches_dense_inverse(seed):
     dense[sx.entry_row, sx.entry_col] = sx.entry_val
     basis = _unit_and_structural_basis(rng, n, m, art_rows, dense)
     sx.install_basis(basis)
-    assert np.abs(sx.binv - np.linalg.inv(dense[:, basis])).max() <= 1e-10
+    assert np.abs(_expanded_inverse(sx, dense)
+                  - np.linalg.inv(dense[:, basis])).max() <= 1e-10
     assert np.allclose(dense @ sx.x, p.b_s, atol=1e-10)
+
+
+_SWAPS = ("structural for structural", "structural in, unit out",
+          "unit in, structural out", "unit for unit, same row",
+          "unit for unit, other row")
+
+
+def _swap_kind(sx, r, q):
+    """The kind of the swap that puts column ``q`` into basis position
+    ``r``, and by how much it changes the block size k."""
+    unit_out = sx.usign[r] != 0.0
+    if q < sx.ns:
+        return (_SWAPS[1], 1) if unit_out else (_SWAPS[0], 0)
+    if not unit_out:
+        return _SWAPS[2], -1
+    same = sx.urow[r] == sx.entry_row[sx.colptr[q]]
+    return (_SWAPS[3] if same else _SWAPS[4]), 0
+
+
+def _mixed_basis_simplex(seed):
+    """A random 10-row, 14-column LP in a ``_Simplex`` whose every row
+    has its slack and an artificial, installed at a random basis of five
+    structural columns and five units (slacks and artificials), with a
+    random cost on every column; with the dense matrix of all its
+    columns and the generator that drew them."""
+    rng = np.random.default_rng(seed)
+    n, m = 14, 10
+    a = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < 0.4)
+    a[np.arange(m), rng.integers(0, n, m)] = rng.integers(1, 4, m)
+    inst = build(rng.integers(-3, 4, n).astype(float), a.astype(float),
+                 list(rng.choice(["<=", ">=", "="], m)),
+                 rng.integers(-5, 6, m).astype(float), [0.0] * n, [5.0] * n)
+    sx = lp._Simplex(lp._prepare(inst))
+    sx.add_units(np.arange(m), rng.choice([-1.0, 1.0], m))
+    sx.set_costs(rng.normal(size=sx.n))     # unit columns cost too
+    dense = np.zeros((m, sx.n))
+    dense[sx.entry_row, sx.entry_col] = sx.entry_val
+    while True:
+        # five structural basics, and the slack or the artificial of each
+        # of the other five rows
+        covered = rng.choice(m, size=5, replace=False)
+        basis = np.concatenate([rng.choice(n, size=5, replace=False),
+                                covered + rng.choice([n, n + m], size=5)])
+        if np.linalg.cond(dense[:, basis]) < 1e4:
+            break
+    sx.install_basis(rng.permutation(basis))
+    return rng, sx, dense
+
+
+def _assert_matches_dense(sx, dense):
+    """The factor, its rows, the duals and reduced costs of ``sx`` equal
+    the dense formulas of its basis B within 1e-10."""
+    binv = np.linalg.inv(dense[:, sx.basis])
+    assert np.abs(_expanded_inverse(sx, dense) - binv).max() <= 1e-10
+    for r in range(sx.m):
+        assert np.abs(sx.inverse_row(r) - binv[r]).max() <= 1e-10
+    sx.priced = None
+    y, z = sx.duals_and_reduced_costs()
+    assert np.abs(y - sx.c[sx.basis] @ binv).max() <= 1e-10
+    assert np.abs(z - (sx.c - y @ dense)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", _SWAPS)
+def test_factor_update_matches_dense_inverse(kind, seed):
+    """Three swaps of one kind in a row, each on a random pair whose new
+    basis is well conditioned: every entering column equals B^-1 a_q,
+    and after every update the partitioned factor, expanded to dense,
+    equals ``np.linalg.inv`` of the new basis within 1e-10, as do the
+    rows of the inverse, the duals and the reduced costs. The second
+    swap is given row r of the inverse, as the dual simplex gives it."""
+    rng, sx, dense = _mixed_basis_simplex(9000 + seed)
+    _assert_matches_dense(sx, dense)
+    for swap in range(3):
+        nonbasic = np.setdiff1d(np.arange(sx.n), sx.basis)
+        pairs = [(r, q) for r in range(sx.m) for q in nonbasic
+                 if _swap_kind(sx, r, q)[0] == kind]
+        for at in rng.permutation(len(pairs)):
+            r, q = pairs[at]
+            new = sx.basis.copy()
+            new[r] = q
+            if np.linalg.cond(dense[:, new]) < 1e4:
+                break
+        else:
+            raise AssertionError(f"no well-conditioned {kind} swap")
+        d = sx.column(q)
+        entering = np.linalg.solve(dense[:, sx.basis], dense[:, q])
+        assert np.abs(d - entering).max() <= 1e-10
+        k = len(sx.kpos)
+        step = _swap_kind(sx, r, q)[1]
+        sx._replace(r, q, d, sx.inverse_row(r) if swap == 1 else None)
+        assert np.array_equal(sx.basis, new)
+        assert len(sx.kpos) == len(sx.rrow) == k + step
+        _assert_matches_dense(sx, dense)
+
+
+def _sparse_feasible_lp(seed):
+    """A random sparse LP of 40 rows and 30 columns, boxed and feasible
+    at a random point of its box: with more rows than columns, every
+    basis keeps fewer structural basics than rows."""
+    rng = np.random.default_rng(seed)
+    n, m = 30, 40
+    a = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < 0.1)
+    a[np.arange(m), rng.integers(0, n, m)] = rng.integers(1, 4, m)
+    senses = rng.choice(["<=", ">=", "="], m, p=[0.45, 0.45, 0.1])
+    point = rng.integers(0, 5, n)
+    gap = rng.integers(0, 4, m) * np.where(senses == "<=", 1,
+                                           np.where(senses == ">=", -1, 0))
+    return build(rng.integers(-5, 6, n).astype(float), a.astype(float),
+                 list(senses), (a @ point + gap).astype(float), [0.0] * n,
+                 [5.0] * n)
+
+
+def test_simplex_holds_no_m_by_m_array(monkeypatch):
+    """Through a cold solve and a restart after the right-hand sides
+    move, no array the simplex holds has m x m entries: its largest is
+    the k x k block inverse or the column data."""
+    inst = _sparse_feasible_lp(5)
+    seen = []
+
+    def spy(raw):
+        def checked(self, *args):
+            out = raw(self, *args)
+            sizes = [v.size for v in vars(self).values()
+                     if isinstance(v, np.ndarray)]
+            seen.append((len(self.kpos), self.m, max(sizes)))
+            return out
+        return checked
+
+    monkeypatch.setattr(lp._Simplex, "_replace", spy(lp._Simplex._replace))
+    monkeypatch.setattr(lp._Simplex, "refactor", spy(lp._Simplex.refactor))
+    cold = lp.solve(inst)
+    assert cold.status == lp.OPTIMAL
+    moved = lp.replace_rhs(inst, range(inst.n_rows), inst.rhs + 1.0)
+    assert lp.solve(moved, basis=cold.basis).status == lp.OPTIMAL
+    assert len(seen) > 20 and max(k for k, _, _ in seen) > 10
+    for k, m, largest in seen:
+        assert m == inst.n_rows and k < m
+        assert largest < m * m
 
 
 def _dependent_columns_instance():
@@ -937,3 +1093,28 @@ def test_restart_after_moved_rhs_and_new_rows_matches_cold_property(case):
     if cold.status == lp.OPTIMAL:
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
                                                abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_moved_and_grown())
+def test_restart_proves_infeasibility_without_cold_solve(case):
+    """On the examples of the restart property test, a restart ends with
+    the cold solve's status, and an infeasible one is settled by the
+    dual simplex without a cold solve."""
+    inst, rhs, (block, senses, new_rhs) = case
+    first = lp.solve(inst)
+    assume(first.basis is not None)
+    moved = lp.replace_rhs(inst, range(inst.n_rows), rhs)
+    grown = lp.extend_rows(moved, block.indptr, block.indices, block.data,
+                           senses, new_rhs,
+                           [f"new{i}" for i in range(len(senses))])
+    colds = []
+    raw = lp._cold
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_cold", lambda p: colds.append(p) or raw(p))
+        warm = lp.solve(grown, basis=first.basis)
+    cold = lp.solve(grown)
+    assert warm.status == cold.status
+    if cold.status == lp.INFEASIBLE:
+        assert colds == []
+        assert warm.primal is None and warm.basis is None
