@@ -68,7 +68,8 @@ that no column can enter proves the LP infeasible, and the restart
 reports INFEASIBLE. A basis that does not fit the instance, a singular
 basis, any numerical failure and any other non-optimal end send the
 solve down the cold two-phase path instead, so a restart changes the
-work done but never whether a solve succeeds.
+work done but never whether a solve succeeds. A solution's ``start``
+says which of these paths produced it.
 """
 from __future__ import annotations
 
@@ -330,7 +331,11 @@ class LpSolution:
     ``basis`` is the optimal basis as a read-only pair of status arrays,
     one entry per variable and one per row slack, for restarting a later
     :func:`solve`; it is None unless the status is optimal, and also
-    when an artificial variable is still basic.
+    when an artificial variable is still basic. ``start`` names the path
+    that produced the result: ``"warm"`` for a restart from a given
+    basis, ``"fallback"`` for the cold solve after a restart that could
+    not finish, and ``"cold"`` otherwise (no basis given, or presolve
+    settled the instance before any basis was installed).
     """
 
     status: str
@@ -341,6 +346,7 @@ class LpSolution:
     iterations: int
     instance: LpInstance = field(repr=False, compare=False)
     basis: tuple | None = field(default=None, repr=False, compare=False)
+    start: str = field(default="cold", compare=False)
 
     def _need_optimal(self):
         if self.status != OPTIMAL:
@@ -972,7 +978,8 @@ def _prepare(instance: LpInstance):
         violated = np.where(le, rhs < -FEASIBILITY_TOL, np.where(
             ge, rhs > FEASIBILITY_TOL, np.abs(rhs) > FEASIBILITY_TOL))
         if (violated & ~nonempty).any():
-            return LpSolution(INFEASIBLE, None, None, None, None, 0, instance)
+            return LpSolution(INFEASIBLE, None, None, None, None, 0, instance,
+                              start="cold")
         keep = nonempty.nonzero()[0]
         row = (nonempty.cumsum() - 1)[row]
         row_count = row_count[keep]
@@ -1030,7 +1037,7 @@ def _cold(p: _Prepared) -> LpSolution:
         art_sum = float(np.abs(sx.x[n + m:]).sum())
         if art_sum > FEASIBILITY_TOL * (1.0 + float(np.abs(p.b_s).max())):
             return LpSolution(INFEASIBLE, None, None, None, None,
-                              sx.pivots, p.instance)
+                              sx.pivots, p.instance, start="cold")
         # freeze artificials at zero, restore the real objective
         sx.set_costs(real_cost)
         sx.lower[n + m:] = 0.0
@@ -1043,8 +1050,8 @@ def _cold(p: _Prepared) -> LpSolution:
 
     if sx.run() == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, None, None, sx.pivots,
-                          p.instance)
-    return _finish(p, sx)
+                          p.instance, start="cold")
+    return _finish(p, sx, "cold")
 
 
 def _warm(p: _Prepared, basis) -> LpSolution | None:
@@ -1068,18 +1075,19 @@ def _warm(p: _Prepared, basis) -> LpSolution | None:
         sx.install_basis(basic)
         if not sx.dual_run():
             return LpSolution(INFEASIBLE, None, None, None, None, sx.pivots,
-                              p.instance)
+                              p.instance, start="warm")
         sx.degenerate_run = 0
         sx.bland = False
         if sx.run() != OPTIMAL:
             return None
-        return _finish(p, sx)
+        return _finish(p, sx, "warm")
     except NumericalFailure:
         return None
 
 
-def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
-    """Verify an optimal basis on the scaled system, then unscale it."""
+def _finish(p: _Prepared, sx: _Simplex, start: str) -> LpSolution:
+    """Verify an optimal basis on the scaled system, then unscale it;
+    ``start`` labels the result."""
     n, m = p.n, p.m
     instance = p.instance
     # refactor in column order, so that the output depends on the final
@@ -1134,7 +1142,7 @@ def _finish(p: _Prepared, sx: _Simplex) -> LpSolution:
         rows[p.keep] = sx.status[n:n + m]
         basis = (_frozen(stat_n), _frozen(rows))
     return LpSolution(OPTIMAL, obj, _frozen(primal), _frozen(duals),
-                      _frozen(red), sx.pivots, instance, basis)
+                      _frozen(red), sx.pivots, instance, basis, start)
 
 
 def solve(instance: LpInstance, *, basis=None) -> LpSolution:
@@ -1156,11 +1164,10 @@ def solve(instance: LpInstance, *, basis=None) -> LpSolution:
     p = _prepare(instance)
     if isinstance(p, LpSolution):
         return p
-    if basis is not None:
-        sol = _warm(p, basis)
-        if sol is not None:
-            return sol
-    return _cold(p)
+    if basis is None:
+        return _cold(p)
+    sol = _warm(p, basis)
+    return replace(_cold(p), start="fallback") if sol is None else sol
 
 
 def solve_optimal(instance: LpInstance, where: str,

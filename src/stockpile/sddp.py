@@ -15,14 +15,28 @@ pruning is attempted, which is fine at desk scale.
 Warm starts: between two solves of one (stage, realization) only the
 fishing-row right-hand sides change and cut rows are appended, so each
 solve restarts from that problem's last optimal basis (see
-:func:`stockpile.lp.solve`). The last solves live in a dict keyed by
-(stage, realization) that belongs to one run: :func:`train` keeps one
-and passes it to :func:`forward_pass`, :func:`backward_pass` and
-:func:`lower_bound`, and each :func:`simulate` call starts a fresh one.
-Neither is stored on the policy or in its JSON. The capacity solve
-that sets a new :class:`Policy`'s capacities and calls of
-:func:`lower_bound`, :func:`forward_pass` and :func:`backward_pass`
-without a dict solve cold.
+:func:`stockpile.lp.solve`). Two realizations of one dispatch stage
+have the same variables and rows as well. They differ only in
+right-hand sides and in the capacity-factor coefficients of the
+generator copy columns, each of which is basic and the only entry of
+its own fishing row, so a realization's optimal basis is dual feasible
+for its siblings too. A (stage, realization) with no solve of its own
+yet therefore restarts from the basis of the last solve of its stage
+that :func:`_rollout` made, whichever realization that was.
+
+The last solves live in a dict that belongs to one run. It maps each
+(stage, realization) to that problem's last optimal solve, and each
+dispatch stage ``t`` (the bare integer) to the basis of its last
+rollout solve. :func:`_rollout` alone writes these per-stage entries;
+:func:`backward_pass` and :func:`lower_bound` only read them.
+:func:`train` keeps one dict and passes it to :func:`forward_pass`,
+:func:`backward_pass` and :func:`lower_bound`, and each
+:func:`simulate` call starts a fresh one, so a simulation solves one
+problem per dispatch stage cold, on its first path. Neither is stored
+on the policy or in its JSON. The capacity solve that sets a new
+:class:`Policy`'s capacities and calls of :func:`lower_bound`,
+:func:`forward_pass` and :func:`backward_pass` without a dict solve
+cold.
 
 The same dict serves repeated solves. A solve whose incoming state has
 the same bytes, and whose pool the same length, as the last solve of its
@@ -33,15 +47,18 @@ capacity-stage solve to the next forward pass and to the capacity
 decision (at gap checks and at the end of :func:`train`), and the
 forward pass's last-stage solve to the backward pass; in simulation,
 paths that share a prefix share its solves. The dict holds one pair
-per lattice node.
+per lattice node and one basis per dispatch stage.
 
 Determinism: with a fixed seed, training twice yields bit-identical
 logs and policies. Threaded backward passes keep determinism because
-realization results are reduced in realization order, and each
-(stage, realization) sees the same sequence of warm starts on any
-thread count. The training log kept on the policy stores no
-wall-clock times; the optional CSV log file adds a seconds column and
-is therefore not byte-reproducible.
+realization results are reduced in realization order, each
+(stage, realization) entry is written only by the thread solving that
+problem, and the per-stage entries a first visit starts from are
+written only by the serial rollout, never during a backward pass. So
+each solve starts from the same basis on any thread count. The
+training log kept on the policy stores no wall-clock times; the
+optional CSV log file adds a seconds column and is therefore not
+byte-reproducible.
 """
 from __future__ import annotations
 
@@ -237,15 +254,17 @@ class Policy:
 
         The problem carries the current cut pool on its cost-to-go
         variable and, when ``x_in`` is given, that incoming state.
-        ``bases``, when given, maps (stage, realization) to the last
-        optimal solve of that problem: the solve restarts from the
-        stored basis and stores itself. When the incoming state's bytes
-        and the pool length both equal those of the stored solve, the
-        instance is the same, so the stored (problem, solution) pair is
-        returned without solving; a restart from a solve's own basis
-        would reproduce it bit for bit. Each key is only touched by the
-        thread solving that problem. Returns the problem and its
-        solution.
+        ``bases``, when given, is a run's dict of last solves (see the
+        module docstring). The solve restarts from the basis stored
+        under (stage, realization) or, when that key holds no solve
+        yet, from the stage's basis stored by :func:`_rollout`, and
+        stores itself under its key; it never writes the stage's entry.
+        When the incoming state's bytes and the pool length both equal
+        those of the stored solve, the instance is the same, so the
+        stored (problem, solution) pair is returned without solving; a
+        restart from a solve's own basis would reproduce it bit for
+        bit. A (stage, realization) key is only written by the thread
+        solving that problem. Returns the problem and its solution.
         """
         key = (t, node)
         pool = self.pools.get(t + 1, ())
@@ -262,8 +281,11 @@ class Policy:
         if pool and problem.theta_column is not None:
             inst = lp.extend_rows(inst, *cut_block(problem, pool))
         where = f"stage {t}" if t == 0 else f"stage {t} realization {node}"
-        sol = lp.solve_optimal(inst, where,
-                               None if last is None else last[2].basis)
+        if last is not None:
+            basis = last[2].basis
+        else:
+            basis = None if bases is None else bases.get(t)
+        sol = lp.solve_optimal(inst, where, basis)
         if bases is not None and sol.basis is not None:
             bases[key] = (stamp, problem, sol)
         return problem, sol
@@ -357,7 +379,10 @@ def _rollout(policy: Policy, path: WeatherPath, first: StageRecord,
 
     Stage 1 receives the outgoing state of the capacity-stage record
     ``first``; each later stage receives the previous stage's. Solves
-    restart from and update ``bases`` as in :meth:`Policy._solve`.
+    restart from and update ``bases`` as in :meth:`Policy._solve`, and
+    each sets its stage's entry in ``bases`` to its basis, from which
+    a realization of that stage not solved yet restarts. This is the
+    only code that writes those entries.
     """
     if path.n_stages != policy.n_stages:
         raise DimensionMismatch(
@@ -367,6 +392,8 @@ def _rollout(policy: Policy, path: WeatherPath, first: StageRecord,
     for t in range(1, policy.n_stages + 1):
         node = path.node_indices[t - 1]
         problem, sol = policy._solve(t, node, x, bases)
+        if bases is not None and sol.basis is not None:
+            bases[t] = sol.basis
         x_out = model.extract_state(problem, sol)
         dispatch = model.extract_dispatch(problem, sol, policy.catalog)
         theta = (None if problem.theta_column is None
@@ -455,7 +482,8 @@ def simulate(policy: Policy, paths) -> list:
     Every trajectory shares the policy's capacity decision; dispatch
     follows the learned cost-to-go pools. Each stage solve restarts
     from the basis of the last solve of its (stage, realization) within
-    this call.
+    this call, or, on that realization's first visit, from the last
+    solve of its stage; so only the first path's solves start cold.
     """
     x0 = np.asarray(policy.capacities, dtype=float)
     first = StageRecord(stage=0, node=None, incoming=None, outgoing=x0,

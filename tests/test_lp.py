@@ -541,6 +541,32 @@ def test_unusable_basis_falls_back_to_cold(monkeypatch, basis):
     assert np.array_equal(sol.duals, cold.duals)
 
 
+def test_solution_start_names_the_path_that_produced_it():
+    """``start`` is "cold" without a basis and when presolve settles the
+    instance, "warm" when the restart finishes (an optimum or a proved
+    infeasibility), and "fallback" for the cold solve after a restart
+    that could not finish."""
+    inst = _unused_column_instance()
+    cold = lp.solve(inst)
+    assert cold.start == "cold"
+    warm = lp.solve(inst, basis=cold.basis)
+    assert warm.start == "warm"
+    assert warm.objective == cold.objective
+    singular = ([lp._BASIC, lp._AT_LOWER, lp._BASIC],
+                [lp._AT_UPPER, lp._AT_LOWER])
+    fallback = lp.solve(inst, basis=singular)
+    assert fallback.start == "fallback"
+    assert fallback.objective == cold.objective
+    capped = lp.extend_rows(inst, [0, 2], [0, 1], [1.0, 1.0], ["<="], [1.0],
+                            ["cap"])
+    assert lp.solve(capped).start == "cold"
+    proved = lp.solve(capped, basis=cold.basis)
+    assert (proved.status, proved.start) == (lp.INFEASIBLE, "warm")
+    empty = build([1.0], [[0.0]], [">="], [1.0], [0.0], [np.inf])
+    settled = lp.solve(empty, basis=([lp._AT_LOWER], [lp._BASIC]))
+    assert (settled.status, settled.start) == (lp.INFEASIBLE, "cold")
+
+
 def test_basis_is_none_unless_optimal():
     infeasible = build([1.0], [[1.0], [1.0]], [">=", "<="], [2.0, 1.0],
                        [0.0], [np.inf])

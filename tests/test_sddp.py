@@ -1,5 +1,8 @@
 """Tests for the nested-decomposition training engine."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -635,3 +638,122 @@ def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
                              (again.reduced_costs, served.reduced_costs),
                              *zip(again.basis, served.basis)):
             assert mine.tobytes() == theirs.tobytes()
+
+
+def _distinct_incoming_states(policy, paths):
+    """The distinct incoming states of every dispatch stage of a cold
+    simulation, in order of first appearance. The state layout is one
+    for all stages, so each is a valid incoming state of any stage."""
+    first = sddp.simulate(policy, paths[:1])[0].record(0)
+    states = {}
+    for path in paths:
+        for rec in sddp._rollout(policy, path, first).records[1:]:
+            states.setdefault(rec.incoming.tobytes(), rec.incoming)
+    return list(states.values())
+
+
+def test_sibling_basis_restarts_every_stage_warm(sector):
+    """For every dispatch stage and every ordered pair of realizations
+    (i, j), realization j at one incoming state restarts warm from i's
+    optimal basis at another state, and ends at the cold optimum."""
+    policy = sector["policy"]
+    x_i, x_j = _distinct_incoming_states(policy, sector["paths"])[:2]
+    assert x_i.tobytes() != x_j.tobytes()
+    n_real = sector["lattice"].branch_count(1)
+    assert n_real == 3
+    for t in range(1, policy.n_stages + 1):
+        for i in range(n_real):
+            _, from_i = policy._solve(t, i, x_i)
+            assert from_i.basis is not None
+            for j in range(n_real):
+                _, cold = policy._solve(t, j, x_j)
+                assert cold.start == "cold"
+                warm = lp.solve(cold.instance, basis=from_i.basis)
+                assert warm.start == "warm", (t, i, j)
+                assert warm.status == lp.OPTIMAL
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       rel=1e-9)
+
+
+def test_simulation_solves_one_stage_problem_cold_per_stage(sector,
+                                                            monkeypatch):
+    """A simulation solves only its first path's stages cold; every other
+    first visit of a (stage, realization) restarts from a sibling's
+    basis, without a fallback. The first path is the all-cold rollout
+    bit for bit, and every stage solve of every path is optimal: its
+    objective is a cold solve's at the same incoming state.
+
+    Paths are not compared with all-cold rollouts as a whole: a stage
+    whose optimal face is not a point (here stage 2, where buying spot
+    hydrogen now and a cut's value of the level trade one for one) may
+    end at another level from another start, and later stages differ
+    from there on.
+    """
+    policy, paths = sector["policy"], sector["paths"]
+    starts = []
+    raw = lp.solve
+
+    def spy(instance, **kwargs):
+        sol = raw(instance, **kwargs)
+        starts.append(sol.start)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", spy)
+    runs = sddp.simulate(policy, paths)
+    assert starts.count("cold") == policy.n_stages
+    assert starts.count("fallback") == 0
+    visited = {(t, n) for p in paths for t, n in enumerate(p.node_indices)}
+    assert len(visited) > policy.n_stages
+    monkeypatch.undo()
+
+    cold = sddp._rollout(policy, paths[0], runs[0].record(0), None)
+    assert _costs_and_prices([cold]) == _costs_and_prices(runs[:1])
+    for run in runs:
+        for rec in run.records[1:]:
+            _, sol = policy._solve(rec.stage, rec.node, rec.incoming)
+            assert sol.start == "cold"
+            objective = rec.stage_cost + (rec.theta or 0.0)
+            assert objective == pytest.approx(sol.objective, rel=1e-9)
+
+
+def test_backward_pass_leaves_the_stage_bases_alone(sector):
+    """Only the rollout writes a stage's basis entry in the dict of last
+    solves; a backward pass reads them. On four threads switching every
+    few microseconds, it leaves each entry as it found it and adds the
+    cuts a serial pass adds."""
+    policies = [sddp.Policy(sector["catalog"], sector["scenario"],
+                            sector["lattice"]) for _ in range(2)]
+    dicts = [{}, {}]
+    rng = np.random.default_rng(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for k in range(1, 4):
+            path = sample_path(sector["lattice"], rng)
+            for policy, bases, threads in zip(policies, dicts, (1, 4)):
+                trajectory = sddp.forward_pass(policy, path, bases)
+                stages = {key: entry for key, entry in bases.items()
+                          if isinstance(key, int)}
+                assert sorted(stages) == list(range(1, policy.n_stages + 1))
+                sddp.backward_pass(policy, trajectory, iteration=k,
+                                   threads=threads, bases=bases)
+                after = {key: entry for key, entry in bases.items()
+                         if isinstance(key, int)}
+                assert after.keys() == stages.keys()
+                assert all(after[key] is stages[key] for key in stages)
+    finally:
+        sys.setswitchinterval(interval)
+    serial, threaded = (policy.to_payload()["pools"] for policy in policies)
+    assert threaded == serial
+
+
+def test_threaded_training_policy_matches_serial_on_three_realizations(
+        sector):
+    """With three realizations per stage, first visits in the backward
+    pass restart from the rollout's stage bases; two threads train the
+    byte-identical policy that one thread does."""
+    payloads = [json.dumps(sddp.train(
+        sector["catalog"], sector["scenario"], sector["lattice"],
+        sddp.TrainOptions(max_iterations=6, seed=1, threads=threads),
+    ).to_payload(), sort_keys=True) for threads in (1, 2)]
+    assert payloads[0] == payloads[1]

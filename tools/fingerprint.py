@@ -19,6 +19,11 @@ SHA-256 digests:
     over every ``lp.solve`` result along the way: status, objective,
     primal, duals and reduced costs.
 
+It also prints the number of those solves, split by the path that
+produced each (``LpSolution.start``: cold, warm, or fallback, a cold
+solve after a restart that could not finish; "unlabelled" on a tree
+whose solutions do not say). The split is not part of either digest.
+
 Two trees that print the same digests solved every LP of these runs to
 the same bits. To check that a refactor changes no number, run the
 script on a checkout of the parent commit and on the change, on the
@@ -77,9 +82,9 @@ def _feed(h, obj) -> None:
     h.update(b";")
 
 
-def run(root: Path) -> tuple[str, str, int]:
-    """The results digest, the solves digest and the solve count of the
-    tree at ``root``."""
+def run(root: Path) -> tuple[str, str, dict]:
+    """The results digest, the solves digest and the solve count by
+    ``start`` of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import instances
     from stockpile import benchmarks, lp, sddp
@@ -90,13 +95,14 @@ def run(root: Path) -> tuple[str, str, int]:
         raise SystemExit(f"imported {source}, not the package under {root}")
 
     results, solves = hashlib.sha256(), hashlib.sha256()
-    count = 0
+    count = dict.fromkeys(("cold", "warm", "fallback"), 0)
     raw = lp.solve
 
     def solve(instance, **kwargs):
-        nonlocal count
         sol = raw(instance, **kwargs)
-        count += 1
+        # a tree older than LpSolution.start has its solves unlabelled
+        start = getattr(sol, "start", "unlabelled")
+        count[start] = count.get(start, 0) + 1
         _feed(solves, (sol.status, sol.objective, sol.primal, sol.duals,
                        sol.reduced_costs))
         return sol
@@ -142,7 +148,8 @@ def main(argv=None) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
     results, solves, count = run(root.resolve())
     print(f"results {results}")
-    print(f"solves  {solves} ({count} solves)")
+    split = ", ".join(f"{n} {start}" for start, n in count.items())
+    print(f"solves  {solves} ({sum(count.values())} solves: {split})")
     return 0
 
 
