@@ -31,7 +31,11 @@ seeded from the config (``--seed`` overrides); reruns with identical
 inputs give identical outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver
-failure, 1 unexpected internal error.
+failure, 1 unexpected internal error. A solver failure in a stage
+problem first writes the failing LP (:func:`stockpile.lp.dump_instance`)
+to ``failure_stage0.lp`` for the capacity stage, or
+``failure_stage<t>_node<n>.lp`` for realization n of dispatch stage t,
+in the output directory, so that the failure can be replayed.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, benchmarks, sddp, weather
+from . import analysis, benchmarks, lp, sddp, weather
 from .config import (
     ScenarioConfig,
     SimulationOptions,
@@ -343,6 +347,11 @@ def main(argv=None) -> int:
         return 3
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        if exc.instance is not None and exc.stage is not None:
+            name = (f"failure_stage{exc.stage}.lp" if exc.node is None
+                    else f"failure_stage{exc.stage}_node{exc.node}.lp")
+            lp.dump_instance(exc.instance, out / name)
+            print(f"wrote the failing LP to {out / name}", file=sys.stderr)
         return 4
     except StockpileError as exc:
         print(f"error: {exc}", file=sys.stderr)

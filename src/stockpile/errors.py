@@ -70,7 +70,19 @@ class ZeroVariance(DataError):
 # --- training / benchmarks ---
 
 class SolverFailure(StockpileError):
-    """A stage solve ended non-optimal where optimality was required."""
+    """A stage solve ended non-optimal where optimality was required.
+
+    ``instance`` is the LP that failed, when known; ``stage`` and
+    ``node`` name the stage problem it came from (``node`` is None for
+    the capacity stage, and both are None outside training and
+    simulation).
+    """
+
+    def __init__(self, message, instance=None):
+        super().__init__(message)
+        self.instance = instance
+        self.stage = None
+        self.node = None
 
 
 class TreeTooLarge(DataError):

@@ -18,7 +18,10 @@ the columns ``indices[indptr[i]:indptr[i + 1]]``, the triple that
 a caller can build a block of rows with array operations. A row may
 name a column twice or with a zero coefficient. Every instance,
 including those :func:`extend_rows` and :func:`replace_rhs` derive, is
-checked by its constructor; there is no unchecked path.
+checked by its constructor. An :class:`LpState` is built from a checked
+instance, and checks the rows it appends and the right-hand sides it
+rewrites when they arrive, with the constructor's messages; there is no
+unchecked path.
 
 The simplex kernel is sparse and never forms a dense copy of the
 constraint matrix. Presolve, alone, sums a column repeated within a row
@@ -55,21 +58,37 @@ max-norm equilibrated internally, so the stated tolerances apply to the
 scaled system; for data of order one they coincide with the raw
 residuals.
 
-Restarts: an optimal :class:`LpSolution` carries its basis, and
-:func:`solve` accepts it back for an instance with the same variables
+Every solve runs on an :class:`LpState`, the problem presolved and
+scaled. :func:`solve` builds one for an instance and solves it once,
+so a one-shot solve depends on the instance alone. A caller that
+solves one problem many times keeps its state: :meth:`LpState.set_rhs`
+rewrites right-hand sides in place and :meth:`LpState.append_rows`
+appends rows, so the next solve needs no new instance, no presolve and
+no new scaling. Only the rows appended get scales, each its own over
+the column scales the state fixed at the start.
+
+Restarts: after an optimal solve, a state keeps the factor of its
+basis, the one the last refactor in sorted basis order made. An
+appended row enters with its slack basic; that is one more row a basic
+unit covers, so A_RK^-1 stays as it is. The next solve of the state
+sets the basics for the current right-hand sides (one ftran) and
+restarts from that factor. Without one, it restarts from a given
+basis: an optimal :class:`LpSolution` carries its basis, and
+:func:`solve` accepts it back for a problem with the same variables
 whose rows extend the earlier rows (new rows start with their slack
-basic). Changing right-hand sides or appending rows keeps such a basis
-dual feasible, so the restart installs it, runs a bounded-variable
-dual simplex until no basic variable violates its bounds (leaving row:
-largest violation; entering column: smallest |z_j / alpha_j|, ties to
-the largest |alpha_j|), then the primal simplex, and then the same
-residual, bound and duality-gap checks as a cold solve. A leaving row
-that no column can enter proves the LP infeasible, and the restart
-reports INFEASIBLE. A basis that does not fit the instance, a singular
-basis, any numerical failure and any other non-optimal end send the
-solve down the cold two-phase path instead, so a restart changes the
-work done but never whether a solve succeeds. A solution's ``start``
-says which of these paths produced it.
+basic), and installs it. Changing right-hand sides or appending rows
+keeps such a basis dual feasible, so either restart runs a
+bounded-variable dual simplex until no basic variable violates its
+bounds (leaving row: largest violation; entering column: smallest
+|z_j / alpha_j|, ties to the largest |alpha_j|), then the primal
+simplex, and then the same residual, bound and duality-gap checks as a
+cold solve. A leaving row that no column can enter proves the LP
+infeasible, and the restart reports INFEASIBLE. A basis that does not
+fit the problem, a singular basis, any numerical failure and any other
+non-optimal end send the solve down the cold two-phase path instead,
+so a restart changes the work done but never whether a solve succeeds.
+A solution's ``start`` says which of these paths produced it, and its
+counters how many pivots and factorizations it took.
 """
 from __future__ import annotations
 
@@ -131,6 +150,31 @@ def _label_index(labels: tuple, kind: str) -> dict:
     return index
 
 
+def _check_rows(indptr, indices, values, senses, rhs, m: int, n: int):
+    """Check ``m`` rows in CSR form over ``n`` columns, with their senses
+    and right-hand sides; raises ValueError with the message the
+    :class:`LpInstance` constructor gives."""
+    if rhs.shape != (m,) or len(senses) != m:
+        raise ValueError("rhs/senses length does not match row count")
+    if indptr.shape != (m + 1,):
+        raise ValueError("row storage length does not match row count")
+    if indices.ndim != 1 or indices.shape != values.shape:
+        raise ValueError("row index/value length mismatch")
+    if (indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any()
+            or indptr[-1] != len(indices)):
+        raise ValueError("indptr must start at 0, never decrease and "
+                         "end at the nonzero count")
+    if not np.isfinite(values).all():
+        raise ValueError("row coefficients must be finite")
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs must be finite")
+    unknown = set(senses).difference(_SENSES)
+    if unknown:
+        raise ValueError(f"unknown row sense {min(unknown, key=senses.index)!r}")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("row references an unknown variable index")
+
+
 @dataclass(frozen=True)
 class LpInstance:
     """Immutable LP description with CSR rows and labeled components.
@@ -166,35 +210,17 @@ class LpInstance:
         for name in ("senses", "var_labels", "row_labels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.var_labels)
-        m = len(self.row_labels)
         if self.objective.shape != (n,) or self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("objective/bounds length does not match variable count")
-        if self.rhs.shape != (m,) or len(self.senses) != m:
-            raise ValueError("rhs/senses length does not match row count")
-        if self.indptr.shape != (m + 1,):
-            raise ValueError("row storage length does not match row count")
-        if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
-            raise ValueError("row index/value length mismatch")
-        if (self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0)
-                or self.indptr[-1] != len(self.indices)):
-            raise ValueError("indptr must start at 0, never decrease and "
-                             "end at the nonzero count")
+        _check_rows(self.indptr, self.indices, self.values, self.senses,
+                    self.rhs, len(self.row_labels), n)
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective coefficients must be finite")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("row coefficients must be finite")
-        if not np.all(np.isfinite(self.rhs)):
-            raise ValueError("rhs must be finite")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise ValueError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             bad = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"lower > upper for variable {self.var_labels[bad]!r}")
-        unknown = set(self.senses).difference(_SENSES)
-        if unknown:
-            raise ValueError(f"unknown row sense {min(unknown, key=self.senses.index)!r}")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
-            raise ValueError("row references an unknown variable index")
         object.__setattr__(self, "var_index", _label_index(self.var_labels, "variable"))
         object.__setattr__(self, "row_index", _label_index(self.row_labels, "row"))
 
@@ -208,7 +234,7 @@ class LpInstance:
 
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))
-        row, col, val, _ = _entries(self)
+        row, col, val, _ = _entries(self.indptr, self.indices, self.values)
         a[row, col] = val
         return a
 
@@ -327,15 +353,24 @@ def replace_rhs(instance: LpInstance, rows, values) -> LpInstance:
 class LpSolution:
     """Result of a solve. Primal/dual data is populated only when optimal.
 
-    ``iterations`` counts the pivots of the solve, dual and primal.
-    ``basis`` is the optimal basis as a read-only pair of status arrays,
-    one entry per variable and one per row slack, for restarting a later
-    :func:`solve`; it is None unless the status is optimal, and also
-    when an artificial variable is still basic. ``start`` names the path
-    that produced the result: ``"warm"`` for a restart from a given
-    basis, ``"fallback"`` for the cold solve after a restart that could
-    not finish, and ``"cold"`` otherwise (no basis given, or presolve
-    settled the instance before any basis was installed).
+    ``iterations`` counts the pivots of the solve, ``dual_pivots`` those
+    of the dual simplex and ``primal_pivots`` those of the primal one
+    (phase 1 included), so the two add up to ``iterations``;
+    ``refactors`` counts the factorizations of the basis, those that
+    install a basis and the last one included. ``basis`` is the optimal
+    basis as a read-only pair of status arrays, one entry per variable
+    and one per row slack, for restarting a later :func:`solve`; it is
+    None unless the status is optimal, and also when an artificial
+    variable is still basic. ``start`` names the path that produced the
+    result: ``"warm"`` for a restart from a basis (a given one or the
+    factor an :class:`LpState` kept), ``"fallback"`` for the cold solve
+    after a restart that could not finish, and ``"cold"`` otherwise (no
+    basis, or presolve settled the problem before any basis was
+    installed).
+
+    ``source`` is the solved :class:`LpInstance`, or for an
+    :class:`LpState` a snapshot of its rows and right-hand sides at the
+    solve; :attr:`instance` builds the instance from it on first read.
     """
 
     status: str
@@ -344,9 +379,20 @@ class LpSolution:
     duals: np.ndarray | None
     reduced_costs: np.ndarray | None
     iterations: int
-    instance: LpInstance = field(repr=False, compare=False)
+    source: object = field(repr=False, compare=False)
     basis: tuple | None = field(default=None, repr=False, compare=False)
     start: str = field(default="cold", compare=False)
+    dual_pivots: int = field(default=0, compare=False)
+    primal_pivots: int = field(default=0, compare=False)
+    refactors: int = field(default=0, compare=False)
+
+    @property
+    def instance(self) -> LpInstance:
+        """The instance this solution solved, whatever its state did
+        since."""
+        if isinstance(self.source, LpInstance):
+            return self.source
+        return self.source.instance()
 
     def _need_optimal(self):
         if self.status != OPTIMAL:
@@ -354,11 +400,14 @@ class LpSolution:
 
     def value(self, label: str) -> float:
         self._need_optimal()
-        return float(self.primal[self.instance.var_index[label]])
+        return float(self.primal[self.source.var_index[label]])
 
     def dual(self, label: str) -> float:
         self._need_optimal()
-        return float(self.duals[self.instance.row_index[label]])
+        i = self.source.row_index[label]
+        if i >= len(self.duals):            # a row appended after the solve
+            raise KeyError(label)
+        return float(self.duals[i])
 
 
 # basis status codes
@@ -397,9 +446,11 @@ def _status_fits(status, lower, upper) -> bool:
 
 
 class _Simplex:
-    """Working state for one solve of an equality-form bounded LP.
+    """Working state of the simplex on an equality-form bounded LP. It
+    outlives its solve when an :class:`LpState` keeps it as the factor
+    of its last optimal basis.
 
-    The columns are those of a :class:`_Prepared` instance: its ``ns``
+    The columns are those of an :class:`LpState`: its ``ns``
     structural columns in compressed sparse column form, one slack per
     row, and then any artificials :meth:`add_units` appends. A slack or
     an artificial is a unit column, +1 or -1 in a single row. The
@@ -431,21 +482,10 @@ class _Simplex:
     """
 
     def __init__(self, p, status=None):
-        self.m = p.m
-        self.ns = p.n
-        self.n = p.n + p.m
-        self.colptr = np.concatenate([p.colptr,
-                                      p.colptr[-1] + np.arange(1, p.m + 1)])
-        self.entry_col = p.entry_col
-        self.entry_row = p.entry_row
-        self.entry_val = p.entry_val
-        self.rowptr, self.row_col, self.row_val = p.rowptr, p.row_col, p.row_val
-        self.b = p.b_s
-        self.c = p.c
-        self.lower = p.lower.copy()
-        self.upper = p.upper.copy()
-        self.pivot_limit = _PIVOT_LIMIT + _PIVOT_LIMIT_PER_DIM * (p.m + p.n)
+        self._bind(p)
         self.pivots = 0
+        self.dual_pivots = 0
+        self.refactors = 0
         self.degenerate_run = 0
         self.bland = False
         if status is None:
@@ -463,6 +503,71 @@ class _Simplex:
         self.kslot = self.rslot = self.urow = self.usign = None
         self.priced = None          # (y, z) of the current factor and costs
         self.fresh = False          # no step since the last refactor()
+
+    def _bind(self, p):
+        """Take the columns, rows, costs and bounds of the
+        :class:`LpState` ``p``."""
+        self.m = p.m
+        self.ns = p.n
+        self.n = p.n + p.m
+        self.colptr = np.concatenate([p.colptr,
+                                      p.colptr[-1] + np.arange(1, p.m + 1)])
+        self.entry_col = p.entry_col
+        self.entry_row = p.entry_row
+        self.entry_val = p.entry_val
+        self.rowptr, self.row_col, self.row_val = p.rowptr, p.row_col, p.row_val
+        self.b = p.b_s
+        self.c = p.c
+        self.lower = p.lower.copy()
+        self.upper = p.upper.copy()
+        self.pivot_limit = _PIVOT_LIMIT + _PIVOT_LIMIT_PER_DIM * (p.m + p.n)
+
+    def take_rows(self, p):
+        """Take the rows appended to ``p`` since :meth:`_bind`, each with
+        its slack basic. Each is one more covered row, so A_RK^-1, K and
+        R stay as they are; the basics are set by :meth:`resume`."""
+        old = self.m
+        self._bind(p)
+        k = self.m - old
+        slacks = np.arange(self.ns + old, self.n)
+        self.status = np.concatenate([self.status,
+                                      np.full(k, _BASIC, dtype=np.int8)])
+        self.x = np.concatenate([self.x, np.zeros(k)])
+        self.basis = np.concatenate([self.basis, slacks])
+        self.urow = np.concatenate([self.urow, np.arange(old, self.m)])
+        self.usign = np.concatenate([self.usign, np.ones(k)])
+        self.kslot = np.concatenate([self.kslot, np.full(k, -1, dtype=np.intp)])
+        self.rslot = np.concatenate([self.rslot, np.full(k, -1, dtype=np.intp)])
+        self.priced = None
+
+    def drop_units(self):
+        """Forget the artificial columns :meth:`add_units` appended, none
+        of them basic, so that slacks of appended rows can follow the
+        row slacks."""
+        n = self.ns + self.m
+        self.colptr = self.colptr[:n + 1]
+        nz = self.colptr[-1]
+        self.entry_col = self.entry_col[:nz]
+        self.entry_row = self.entry_row[:nz]
+        self.entry_val = self.entry_val[:nz]
+        for name in ("c", "lower", "upper", "x", "status", "kslot"):
+            setattr(self, name, getattr(self, name)[:n])
+        self.n = n
+        self.priced = None
+
+    def resume(self):
+        """Start another solve from the factor held: zero the counters
+        and set the basics for the current right-hand sides."""
+        self.pivots = self.dual_pivots = self.refactors = 0
+        self.degenerate_run = 0
+        self.bland = False
+        self.set_basics()
+
+    def counts(self) -> dict:
+        """The solve counters, as :class:`LpSolution` takes them."""
+        return {"dual_pivots": self.dual_pivots,
+                "primal_pivots": self.pivots - self.dual_pivots,
+                "refactors": self.refactors}
 
     def add_units(self, rows, signs):
         """Append unit columns, column t being ``signs[t]`` in row
@@ -606,10 +711,16 @@ class _Simplex:
                 raise NumericalFailure("basis matrix is singular") from None
         self.inv = block
         self.priced = None
-        xn = self.x.copy()
-        xn[basis] = 0.0
-        self.x[basis] = self._ftran(self.b - self.times(xn))
+        self.refactors += 1
+        self.set_basics()
         self.fresh = True
+
+    def set_basics(self):
+        """Set the basics so that the rows hold with every nonbasic at
+        its value: one :meth:`_ftran`."""
+        xn = self.x.copy()
+        xn[self.basis] = 0.0
+        self.x[self.basis] = self._ftran(self.b - self.times(xn))
 
     def _leave(self, j, upper):
         """Make basic column ``j`` nonbasic at its upper or lower bound."""
@@ -824,6 +935,7 @@ class _Simplex:
             self.x[q] = self.x[q] + t
             self._leave(leaving, not rise)
             self._replace(r, q, d, rho)
+            self.dual_pivots += 1
             self._count_step(best)
 
     def _count_step(self, t):
@@ -894,53 +1006,15 @@ def _scale(row, col, val, row_count, col_order, n):
     return a, col_count, r, d
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """An instance after presolve and scaling, in equality form over its
-    kept (nonempty) rows, with one slack column per kept row after the
-    structural columns. The entries of all columns are one coordinate
-    list: the scaled structural entries column by column, column j's at
-    ``colptr[j]:colptr[j + 1]``, then the slacks' unit entries. The
-    scaled structural entries are also kept row by row, row i's in the
-    columns ``row_col[rowptr[i]:rowptr[i + 1]]``."""
-
-    instance: LpInstance
-    keep: np.ndarray          # instance row of each kept row
-    b: np.ndarray             # unscaled right-hand sides of the kept rows
-    colptr: np.ndarray
-    entry_col: np.ndarray
-    entry_row: np.ndarray
-    entry_val: np.ndarray
-    rowptr: np.ndarray
-    row_col: np.ndarray
-    row_val: np.ndarray
-    b_s: np.ndarray
-    c: np.ndarray             # structural costs, then zeros for the slacks
-    lower: np.ndarray
-    upper: np.ndarray
-    rscale: np.ndarray
-    dscale: np.ndarray
-    cost_scale: float
-
-    @property
-    def n(self) -> int:
-        return self.instance.n_vars
-
-    @property
-    def m(self) -> int:
-        return len(self.keep)
-
-
-def _entries(instance: LpInstance):
-    """The nonzero entries of the instance as (row, col, val) in row
+def _entries(indptr, indices, values):
+    """The nonzero entries of rows in CSR form as (row, col, val) in row
     order, plus the permutation that sorts them by column with rows
     ascending within a column. The only code that merges entries: a
     column repeated within a row (a capacity-stage cut names the
     opening-level column twice) is one entry holding the sum, and an
     explicit zero (a cut's zero slope, say) is no entry."""
-    indptr = instance.indptr
-    row = np.arange(instance.n_rows).repeat(indptr[1:] - indptr[:-1])
-    col, val = instance.indices, instance.values
+    row = np.arange(len(indptr) - 1).repeat(indptr[1:] - indptr[:-1])
+    col, val = indices, values
     nonzero = val != 0.0
     if not nonzero.all():
         row, col, val = row[nonzero], col[nonzero], val[nonzero]
@@ -960,234 +1034,472 @@ def _entries(instance: LpInstance):
     return row, col, val, order
 
 
-def _prepare(instance: LpInstance):
-    """Presolve and scale. Returns an :class:`LpSolution` instead when
-    presolve alone settles the instance."""
-    # presolve: drop rows with no nonzero entry, checking constant feasibility
-    row, col, val, order = _entries(instance)
-    m_all = instance.n_rows
-    row_count = np.bincount(row, minlength=m_all)
-    senses = np.asarray(instance.senses, dtype=str)
-    le = senses == LESS_EQUAL
-    ge = senses == GREATER_EQUAL
-    rhs = instance.rhs
-    if row_count.all():
-        keep = np.arange(m_all)
-    else:
+def _slack_bounds(senses):
+    """The bounds of the slacks of rows with ``senses``: a <= row's
+    slack is nonnegative, a >= row's nonpositive, an equality row's
+    zero."""
+    return (np.array([-np.inf if s == GREATER_EQUAL else 0.0 for s in senses]),
+            np.array([np.inf if s == LESS_EQUAL else 0.0 for s in senses]))
+
+
+class LpState:
+    """An LP prepared once and kept across solves.
+
+    The constructor presolves and scales a checked :class:`LpInstance`,
+    its template: rows with no nonzero entry are dropped (their
+    right-hand sides are checked at each solve), and the rest are
+    max-norm equilibrated as one block by :func:`_scale`, which fixes
+    the column scales and the cost scale for the life of the state. The
+    system is then held in equality form over the kept rows, with one
+    slack column per kept row after the structural columns. The entries
+    of all columns are one coordinate list: the scaled structural
+    entries column by column, column j's at ``colptr[j]:colptr[j + 1]``,
+    then the slacks' unit entries. The scaled structural entries are
+    also kept row by row, row i's in the columns
+    ``row_col[rowptr[i]:rowptr[i + 1]]``.
+
+    Between solves, :meth:`set_rhs` rewrites right-hand sides in place
+    and :meth:`append_rows` appends rows, each scaled by its own max-norm
+    over the fixed column scales; both check what they are given with
+    the messages of the instance constructor. An optimal solve keeps the
+    factor of its basis in ``sx``, and the next solve restarts from it
+    (see the module docstring). Like an instance, a state answers
+    ``n_rows``, ``var_index`` and ``row_index``, the last kept current
+    row by row, and :meth:`instance` gives the instance it stands for.
+    """
+
+    def __init__(self, instance: LpInstance):
+        self.template = instance
+        self.var_index = instance.var_index
+        self.row_labels = list(instance.row_labels)
+        self.row_index = dict(instance.row_index)
+        self.senses = list(instance.senses)
+        self.rhs = np.array(instance.rhs)       # of every row, unscaled
+        self._blocks = []                       # appended rows, as given
+        self._instance = instance               # None once the state moves
+        self.sx = None                          # factor of the last optimum
+        row, col, val, order = _entries(instance.indptr, instance.indices,
+                                        instance.values)
+        row_count = np.bincount(row, minlength=instance.n_rows)
         nonempty = row_count > 0
-        violated = np.where(le, rhs < -FEASIBILITY_TOL, np.where(
-            ge, rhs > FEASIBILITY_TOL, np.abs(rhs) > FEASIBILITY_TOL))
-        if (violated & ~nonempty).any():
-            return LpSolution(INFEASIBLE, None, None, None, None, 0, instance,
-                              start="cold")
-        keep = nonempty.nonzero()[0]
-        row = (nonempty.cumsum() - 1)[row]
-        row_count = row_count[keep]
-        le, ge = le[keep], ge[keep]
-    m, n = len(keep), instance.n_vars
-    b = rhs[keep]
+        self.keep = nonempty.nonzero()[0]       # instance row of each kept row
+        self.dropped = (~nonempty).nonzero()[0]
+        if self.dropped.size:
+            row = (nonempty.cumsum() - 1)[row]
+            row_count = row_count[self.keep]
+        self.row_slot = np.full(instance.n_rows, -1, dtype=np.intp)
+        self.row_slot[self.keep] = np.arange(len(self.keep))
+        m, n = len(self.keep), instance.n_vars
+        a, col_count, self.rscale, self.dscale = _scale(row, col, val,
+                                                        row_count, order, n)
+        c_s = instance.objective / self.dscale
+        self.cost_scale = max(1.0, float(np.abs(c_s).max(initial=0.0)))
+        # slack columns are exactly unit columns after scaling (their own
+        # column scale cancels the row scale); bounds encode the row sense
+        self.colptr = np.concatenate([[0], col_count.cumsum()])
+        self.entry_col = np.concatenate([col[order], np.arange(n, n + m)])
+        self.entry_row = np.concatenate([row[order], np.arange(m)])
+        self.entry_val = np.concatenate([a[order], np.ones(m)])
+        self.rowptr = np.concatenate([[0], row_count.cumsum()])
+        self.row_col, self.row_val = col, a
+        self.b_s = self.rhs[self.keep] / self.rscale
+        self.c = np.concatenate([c_s / self.cost_scale, np.zeros(m)])
+        slack_lo, slack_hi = _slack_bounds(
+            [instance.senses[i] for i in self.keep])
+        self.lower = np.concatenate([instance.lower * self.dscale, slack_lo])
+        self.upper = np.concatenate([instance.upper * self.dscale, slack_hi])
 
-    a, col_count, rscale, dscale = _scale(row, col, val, row_count, order, n)
-    c_s = instance.objective / dscale
-    cost_scale = max(1.0, float(np.abs(c_s).max(initial=0.0)))
-    # slack columns are exactly unit columns after scaling (their own
-    # column scale cancels the row scale); bounds encode the row sense
-    return _Prepared(
-        instance=instance, keep=keep, b=b,
-        colptr=np.concatenate([[0], col_count.cumsum()]),
-        entry_col=np.concatenate([col[order], np.arange(n, n + m)]),
-        entry_row=np.concatenate([row[order], np.arange(m)]),
-        entry_val=np.concatenate([a[order], np.ones(m)]),
-        rowptr=np.concatenate([[0], row_count.cumsum()]), row_col=col,
-        row_val=a,
-        b_s=b / rscale, c=np.concatenate([c_s / cost_scale, np.zeros(m)]),
-        lower=np.concatenate([instance.lower * dscale,
-                              np.where(ge, -np.inf, 0.0)]),
-        upper=np.concatenate([instance.upper * dscale,
-                              np.where(le, np.inf, 0.0)]),
-        rscale=rscale, dscale=dscale, cost_scale=cost_scale)
+    @property
+    def n(self) -> int:
+        return self.template.n_vars
 
+    @property
+    def m(self) -> int:
+        return len(self.keep)
 
-def _cold(p: _Prepared) -> LpSolution:
-    """Two-phase solve from the slack basis."""
-    n, m = p.n, p.m
-    sx = _Simplex(p)
+    @property
+    def n_rows(self) -> int:
+        return len(self.row_labels)
 
-    # initial point: nonbasics at bounds; rows whose residual fits inside the
-    # slack bounds start with a basic slack, the rest get an artificial
-    slack_lo, slack_hi = p.lower[n:], p.upper[n:]
-    resid = p.b_s - sx.times(sx.x)
-    absorbable = (resid >= slack_lo - 1e-9) & (resid <= slack_hi + 1e-9)
-    art_rows = (~absorbable).nonzero()[0]
-    n_art = len(art_rows)
-    basis = np.arange(n, n + m)                      # slack of each row
-    if n_art:
-        sx.add_units(art_rows, np.where(resid[art_rows] >= 0.0, 1.0, -1.0))
-        basis[art_rows] = np.arange(n + m, n + m + n_art)
-    sx.install_basis(basis)
+    # -- moving the problem --------------------------------------------
 
-    if n_art:
-        # phase 1: minimize the artificial sum
-        real_cost = sx.c
-        phase1 = np.zeros(sx.n)
-        phase1[n + m:] = 1.0
-        sx.set_costs(phase1)
-        if sx.run() != OPTIMAL:
-            raise NumericalFailure("phase 1 terminated unbounded")
-        art_sum = float(np.abs(sx.x[n + m:]).sum())
-        if art_sum > FEASIBILITY_TOL * (1.0 + float(np.abs(p.b_s).max())):
-            return LpSolution(INFEASIBLE, None, None, None, None,
-                              sx.pivots, p.instance, start="cold")
-        # freeze artificials at zero, restore the real objective
-        sx.set_costs(real_cost)
-        sx.lower[n + m:] = 0.0
-        sx.upper[n + m:] = 0.0
-        nb_art = np.arange(n + m, sx.n)[sx.status[n + m:] != _BASIC]
-        sx.status[nb_art] = _FIXED
-        sx.x[nb_art] = 0.0
-        sx.degenerate_run = 0
-        sx.bland = False
+    def set_rhs(self, rows, values) -> None:
+        """Rewrite the right-hand sides at the row positions ``rows`` to
+        ``values``, in place. A held factor stays; the next solve sets
+        its basics for the new right-hand sides."""
+        rows = np.asarray(rows, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        if values.shape != rows.shape:
+            raise ValueError("rhs length does not match the rows given")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("rhs must be finite")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
+            raise ValueError("rhs names an unknown row")
+        self.rhs[rows] = values
+        slot = self.row_slot[rows]
+        kept = slot >= 0
+        self.b_s[slot[kept]] = values[kept] / self.rscale[slot[kept]]
+        self._instance = None
 
-    if sx.run() == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None, None, sx.pivots,
-                          p.instance, start="cold")
-    return _finish(p, sx, "cold")
+    def append_rows(self, indptr, indices, values, senses, rhs,
+                    labels) -> None:
+        """Append a block of rows given as :func:`extend_rows` takes it.
 
+        Each new row with a nonzero entry is scaled by the largest of
+        its entries over their column scales, clamped as :func:`_scale`
+        clamps; a row with none is dropped, as presolve drops it. A held
+        factor takes the new rows with their slacks basic.
+        """
+        indptr = _as_readonly(indptr, np.intp)
+        indices = _as_readonly(indices, np.intp)
+        values = _as_readonly(values)
+        rhs = np.asarray(rhs, dtype=float)
+        senses, labels = tuple(senses), tuple(labels)
+        k = len(labels)
+        _check_rows(indptr, indices, values, senses, rhs, k, self.n)
+        _label_index(labels, "row")
+        clash = next((lab for lab in labels if lab in self.row_index), None)
+        if clash is not None:
+            raise ValueError(f"duplicate row label {clash!r}")
+        if not k:
+            return
+        row, col, val, _ = _entries(indptr, indices, values)
+        # entries of an appended row in column order, so that rows
+        # appended one block at a time are stored as the same rows
+        # appended at once
+        by_row = np.lexsort((col, row))
+        row, col, val = row[by_row], col[by_row], val[by_row]
+        count = np.bincount(row, minlength=k)
+        nonempty = count > 0
+        new = nonempty.nonzero()[0]
+        at = (nonempty.cumsum() - 1)[row]       # each entry's new kept row
+        v = val / self.dscale[col]
+        r = np.ones(len(new))
+        if v.size:
+            r = np.maximum.reduceat(np.abs(v), (count.cumsum() - count)[new])
+            r[r == 0.0] = 1.0
+            r = np.minimum(np.maximum(r, 1e-8), 1e8)
+        a = v / r[at]
+        n, m_old, first = self.n, self.m, self.n_rows
+        m = m_old + len(new)
+        nz = self.colptr[-1]
+        ecol = np.concatenate([self.entry_col[:nz], col])
+        erow = np.concatenate([self.entry_row[:nz], m_old + at])
+        eval_ = np.concatenate([self.entry_val[:nz], a])
+        by_col = ecol.argsort(kind="stable")
+        self.colptr = np.concatenate(
+            [[0], np.bincount(ecol, minlength=n).cumsum()])
+        self.entry_col = np.concatenate([ecol[by_col], np.arange(n, n + m)])
+        self.entry_row = np.concatenate([erow[by_col], np.arange(m)])
+        self.entry_val = np.concatenate([eval_[by_col], np.ones(m)])
+        self.rowptr = np.concatenate([self.rowptr,
+                                      self.rowptr[-1] + count[new].cumsum()])
+        self.row_col = np.concatenate([self.row_col, col])
+        self.row_val = np.concatenate([self.row_val, a])
+        self.keep = np.concatenate([self.keep, first + new])
+        self.dropped = np.concatenate([self.dropped,
+                                       first + (~nonempty).nonzero()[0]])
+        slot = np.full(k, -1, dtype=np.intp)
+        slot[new] = np.arange(m_old, m)
+        self.row_slot = np.concatenate([self.row_slot, slot])
+        self.rscale = np.concatenate([self.rscale, r])
+        self.b_s = np.concatenate([self.b_s, rhs[new] / r])
+        self.c = np.concatenate([self.c, np.zeros(len(new))])
+        slack_lo, slack_hi = _slack_bounds([senses[i] for i in new])
+        self.lower = np.concatenate([self.lower, slack_lo])
+        self.upper = np.concatenate([self.upper, slack_hi])
+        self.rhs = np.concatenate([self.rhs, rhs])
+        self.senses += senses
+        self.row_labels += labels
+        self.row_index.update(zip(labels, range(first, first + k)))
+        self._blocks.append((indptr, indices, values, senses, labels))
+        self._instance = None
+        if self.sx is not None:
+            self.sx.take_rows(self)
 
-def _warm(p: _Prepared, basis) -> LpSolution | None:
-    """Solve from a given basis: dual simplex to primal feasibility,
-    then primal simplex to optimality. An infeasibility the dual simplex
-    proves is the result. Returns None, sending the caller to the cold
-    path, when the basis does not fit the instance, is singular, or the
-    restart fails or ends unbounded."""
-    cols, rows = basis
-    m_all = p.instance.n_rows
-    if len(cols) != p.n or len(rows) > m_all:
-        return None
-    slacks = np.full(m_all, _BASIC, dtype=np.int8)
-    slacks[:len(rows)] = rows
-    status = np.concatenate([cols, slacks[p.keep]]).astype(np.int8)
-    basic = (status == _BASIC).nonzero()[0]
-    if len(basic) != p.m or not _status_fits(status, p.lower, p.upper):
-        return None
-    sx = _Simplex(p, status)
-    try:
-        sx.install_basis(basic)
-        if not sx.dual_run():
-            return LpSolution(INFEASIBLE, None, None, None, None, sx.pivots,
-                              p.instance, start="warm")
-        sx.degenerate_run = 0
-        sx.bland = False
-        if sx.run() != OPTIMAL:
+    # -- instances -------------------------------------------------------
+
+    def instance(self) -> LpInstance:
+        """The instance the state stands for now: the template's rows and
+        every appended row, at the current right-hand sides."""
+        if self._instance is None:
+            self._instance = self._materialize(len(self._blocks), self.rhs)
+        return self._instance
+
+    def _materialize(self, blocks: int, rhs) -> LpInstance:
+        """The template with its first ``blocks`` appended blocks and the
+        right-hand sides ``rhs`` of all those rows."""
+        t = self.template
+        parts = self._blocks[:blocks]
+        if not parts:
+            return replace(t, rhs=rhs)
+        start = np.cumsum([len(t.indices)] + [len(p[1]) for p in parts])
+        return replace(
+            t,
+            indptr=np.concatenate([t.indptr] + [s + p[0][1:] for s, p
+                                                in zip(start, parts)]),
+            indices=np.concatenate([t.indices] + [p[1] for p in parts]),
+            values=np.concatenate([t.values] + [p[2] for p in parts]),
+            senses=t.senses + tuple(s for p in parts for s in p[3]),
+            rhs=rhs,
+            row_labels=t.row_labels + tuple(lab for p in parts
+                                            for lab in p[4]))
+
+    def _source(self):
+        """What a solution of the state as it is now refers to."""
+        return self._instance if self._instance is not None else _Snapshot(self)
+
+    # -- solving ---------------------------------------------------------
+
+    def _solve(self, basis=None) -> LpSolution:
+        """Solve from the held factor, else from ``basis``, else cold;
+        see :func:`solve`."""
+        sx, self.sx = self.sx, None
+        if self.dropped.size:
+            senses = np.asarray(self.senses, dtype=str)[self.dropped]
+            rhs = self.rhs[self.dropped]
+            violated = np.where(
+                senses == LESS_EQUAL, rhs < -FEASIBILITY_TOL, np.where(
+                    senses == GREATER_EQUAL, rhs > FEASIBILITY_TOL,
+                    np.abs(rhs) > FEASIBILITY_TOL))
+            if violated.any():
+                return LpSolution(INFEASIBLE, None, None, None, None, 0,
+                                  self._source(), start="cold")
+        if sx is not None:
+            sx.resume()
+            sol = self._restart(sx)
+        elif basis is not None:
+            sol = self._warm(basis)
+        else:
+            return self._cold()
+        return replace(self._cold(), start="fallback") if sol is None else sol
+
+    def _cold(self) -> LpSolution:
+        """Two-phase solve from the slack basis."""
+        n, m = self.n, self.m
+        sx = _Simplex(self)
+
+        # initial point: nonbasics at bounds; rows whose residual fits
+        # inside the slack bounds start with a basic slack, the rest get
+        # an artificial
+        slack_lo, slack_hi = self.lower[n:], self.upper[n:]
+        resid = self.b_s - sx.times(sx.x)
+        absorbable = (resid >= slack_lo - 1e-9) & (resid <= slack_hi + 1e-9)
+        art_rows = (~absorbable).nonzero()[0]
+        n_art = len(art_rows)
+        basis = np.arange(n, n + m)                      # slack of each row
+        if n_art:
+            sx.add_units(art_rows, np.where(resid[art_rows] >= 0.0, 1.0, -1.0))
+            basis[art_rows] = np.arange(n + m, n + m + n_art)
+        sx.install_basis(basis)
+
+        if n_art:
+            # phase 1: minimize the artificial sum
+            real_cost = sx.c
+            phase1 = np.zeros(sx.n)
+            phase1[n + m:] = 1.0
+            sx.set_costs(phase1)
+            if sx.run() != OPTIMAL:
+                raise NumericalFailure("phase 1 terminated unbounded")
+            art_sum = float(np.abs(sx.x[n + m:]).sum())
+            if art_sum > FEASIBILITY_TOL * (1.0 + float(np.abs(self.b_s).max())):
+                return LpSolution(INFEASIBLE, None, None, None, None,
+                                  sx.pivots, self._source(), start="cold",
+                                  **sx.counts())
+            # freeze artificials at zero, restore the real objective
+            sx.set_costs(real_cost)
+            sx.lower[n + m:] = 0.0
+            sx.upper[n + m:] = 0.0
+            nb_art = np.arange(n + m, sx.n)[sx.status[n + m:] != _BASIC]
+            sx.status[nb_art] = _FIXED
+            sx.x[nb_art] = 0.0
+            sx.degenerate_run = 0
+            sx.bland = False
+
+        if sx.run() == UNBOUNDED:
+            return LpSolution(UNBOUNDED, None, None, None, None, sx.pivots,
+                              self._source(), start="cold", **sx.counts())
+        return self._finish(sx, "cold")
+
+    def _warm(self, basis) -> LpSolution | None:
+        """Install a given basis and restart from it (:meth:`_restart`).
+        Returns None, sending the caller to the cold path, when the
+        basis does not fit the problem or is singular."""
+        cols, rows = basis
+        m_all = self.n_rows
+        if len(cols) != self.n or len(rows) > m_all:
             return None
-        return _finish(p, sx, "warm")
-    except NumericalFailure:
-        return None
+        slacks = np.full(m_all, _BASIC, dtype=np.int8)
+        slacks[:len(rows)] = rows
+        status = np.concatenate([cols, slacks[self.keep]]).astype(np.int8)
+        basic = (status == _BASIC).nonzero()[0]
+        if len(basic) != self.m or not _status_fits(status, self.lower,
+                                                    self.upper):
+            return None
+        sx = _Simplex(self, status)
+        try:
+            sx.install_basis(basic)
+        except NumericalFailure:
+            return None
+        return self._restart(sx)
+
+    def _restart(self, sx: _Simplex) -> LpSolution | None:
+        """Solve from the factored basis in ``sx``: dual simplex to
+        primal feasibility, then primal simplex to optimality. An
+        infeasibility the dual simplex proves is the result. Returns
+        None, sending the caller to the cold path, when the restart
+        fails or ends unbounded."""
+        try:
+            if not sx.dual_run():
+                return LpSolution(INFEASIBLE, None, None, None, None,
+                                  sx.pivots, self._source(), start="warm",
+                                  **sx.counts())
+            sx.degenerate_run = 0
+            sx.bland = False
+            if sx.run() != OPTIMAL:
+                return None
+            return self._finish(sx, "warm")
+        except NumericalFailure:
+            return None
+
+    def _finish(self, sx: _Simplex, start: str) -> LpSolution:
+        """Verify an optimal basis on the scaled system, then unscale it;
+        ``start`` labels the result. A basis with no basic artificial
+        stays on the state, factored, for the next solve."""
+        n, m = self.n, self.m
+        t = self.template
+        # refactor in column order, so that the output depends on the
+        # final basis alone and not on the pivots that reached it; a
+        # sorted basis refactored with no step since (every 0-pivot
+        # restart) is that already
+        if not (sx.fresh and (sx.basis[:-1] < sx.basis[1:]).all()):
+            sx.basis.sort()
+            sx.refactor()
+        y_s, z_s = sx.duals_and_reduced_costs()
+
+        # verification on the scaled system
+        resid = np.abs(sx.times(sx.x) - self.b_s)
+        feas_ref = FEASIBILITY_TOL * (1.0 + float(np.abs(self.b_s).max(initial=0.0)))
+        if float(resid.max(initial=0.0)) > feas_ref:
+            raise NumericalFailure(
+                f"primal residual {resid.max():.3e} exceeds {feas_ref:.3e}")
+        # a value outside its box snaps onto the bound it crosses; the
+        # move, relative to that bound, is the bound violation
+        snapped = np.minimum(np.maximum(sx.x, sx.lower), sx.upper)
+        bound_viol = float((np.abs(snapped - sx.x)
+                            / (1.0 + np.abs(snapped))).max(initial=0.0))
+        if bound_viol > 10.0 * FEASIBILITY_TOL:
+            raise NumericalFailure(f"bound violation {bound_viol:.3e}")
+        # keep the snap of within-tolerance drift, so callers never see a
+        # primal outside its declared box
+        sx.x = snapped
+
+        # unscale
+        primal = sx.x[:n] / self.dscale
+        duals_kept = y_s * self.cost_scale / self.rscale
+        duals = np.zeros(self.n_rows)
+        duals[self.keep] = duals_kept
+        red = z_s[:n] * self.cost_scale * self.dscale
+        obj = float(t.objective @ primal)
+
+        # strong duality on the original data
+        dual_obj = float(duals_kept @ self.rhs[self.keep])
+        stat_n = sx.status[:n].copy()
+        at_lo = (stat_n == _AT_LOWER) | (stat_n == _FIXED)
+        at_hi = stat_n == _AT_UPPER
+        if at_lo.any():
+            dual_obj += float(red[at_lo] @ t.lower[at_lo])
+        if at_hi.any():
+            dual_obj += float(red[at_hi] @ t.upper[at_hi])
+        gap = abs(obj - dual_obj)
+        if gap > 1e-6 * (1.0 + abs(obj) + abs(dual_obj)):
+            raise NumericalFailure(f"duality gap {gap:.3e} on objective {obj:.6e}")
+
+        basis = None
+        if not (sx.status[n + m:] == _BASIC).any():      # no basic artificial
+            rows = np.full(self.n_rows, _BASIC, dtype=np.int8)
+            rows[self.keep] = sx.status[n:n + m]
+            basis = (_frozen(stat_n), _frozen(rows))
+            sx.drop_units()
+            self.sx = sx
+        return LpSolution(OPTIMAL, obj, _frozen(primal), _frozen(duals),
+                          _frozen(red), sx.pivots, self._source(), basis,
+                          start, **sx.counts())
 
 
-def _finish(p: _Prepared, sx: _Simplex, start: str) -> LpSolution:
-    """Verify an optimal basis on the scaled system, then unscale it;
-    ``start`` labels the result."""
-    n, m = p.n, p.m
-    instance = p.instance
-    # refactor in column order, so that the output depends on the final
-    # basis alone and not on the pivots that reached it; a sorted basis
-    # refactored with no step since (every 0-pivot restart) is that already
-    if not (sx.fresh and (sx.basis[:-1] < sx.basis[1:]).all()):
-        sx.basis.sort()
-        sx.refactor()
-    y_s, z_s = sx.duals_and_reduced_costs()
+class _Snapshot:
+    """The rows and right-hand sides of an :class:`LpState` at one
+    solve, from which that solve's instance is built on first read."""
 
-    # verification on the scaled system
-    resid = np.abs(sx.times(sx.x) - p.b_s)
-    feas_ref = FEASIBILITY_TOL * (1.0 + float(np.abs(p.b_s).max(initial=0.0)))
-    if float(resid.max(initial=0.0)) > feas_ref:
-        raise NumericalFailure(
-            f"primal residual {resid.max():.3e} exceeds {feas_ref:.3e}")
-    # a value outside its box snaps onto the bound it crosses; the move,
-    # relative to that bound, is the bound violation
-    snapped = np.minimum(np.maximum(sx.x, sx.lower), sx.upper)
-    bound_viol = float((np.abs(snapped - sx.x)
-                        / (1.0 + np.abs(snapped))).max(initial=0.0))
-    if bound_viol > 10.0 * FEASIBILITY_TOL:
-        raise NumericalFailure(f"bound violation {bound_viol:.3e}")
-    # keep the snap of within-tolerance drift, so callers never see a
-    # primal outside its declared box
-    sx.x = snapped
+    __slots__ = ("state", "blocks", "rhs", "built")
 
-    # unscale
-    primal = sx.x[:n] / p.dscale
-    duals_kept = y_s * p.cost_scale / p.rscale
-    duals = np.zeros(instance.n_rows)
-    duals[p.keep] = duals_kept
-    red = z_s[:n] * p.cost_scale * p.dscale
-    obj = float(instance.objective @ primal)
+    def __init__(self, state: LpState):
+        self.state = state
+        self.blocks = len(state._blocks)
+        self.rhs = state.rhs.copy()
+        self.built = None
 
-    # strong duality on the original data
-    dual_obj = float(duals_kept @ p.b)
-    stat_n = sx.status[:n].copy()
-    at_lo = (stat_n == _AT_LOWER) | (stat_n == _FIXED)
-    at_hi = stat_n == _AT_UPPER
-    if at_lo.any():
-        dual_obj += float(red[at_lo] @ instance.lower[at_lo])
-    if at_hi.any():
-        dual_obj += float(red[at_hi] @ instance.upper[at_hi])
-    gap = abs(obj - dual_obj)
-    if gap > 1e-6 * (1.0 + abs(obj) + abs(dual_obj)):
-        raise NumericalFailure(f"duality gap {gap:.3e} on objective {obj:.6e}")
+    @property
+    def var_index(self) -> dict:
+        return self.state.var_index
 
-    basis = None
-    if not (sx.status[n + m:] == _BASIC).any():      # no basic artificial
-        rows = np.full(instance.n_rows, _BASIC, dtype=np.int8)
-        rows[p.keep] = sx.status[n:n + m]
-        basis = (_frozen(stat_n), _frozen(rows))
-    return LpSolution(OPTIMAL, obj, _frozen(primal), _frozen(duals),
-                      _frozen(red), sx.pivots, instance, basis, start)
+    @property
+    def row_index(self) -> dict:
+        return self.state.row_index
+
+    def instance(self) -> LpInstance:
+        if self.built is None:
+            self.built = self.state._materialize(self.blocks, self.rhs)
+        return self.built
 
 
-def solve(instance: LpInstance, *, basis=None) -> LpSolution:
-    """Solve the instance and return status, primal, duals, reduced costs.
+def solve(problem, *, basis=None) -> LpSolution:
+    """Solve an :class:`LpInstance` or an :class:`LpState` and return
+    status, primal, duals, reduced costs.
 
     Two-phase bounded-variable revised simplex. Infeasible and unbounded
-    instances are reported by status alone. Raises
+    problems are reported by status alone. Raises
     :class:`NumericalFailure` if tolerances cannot be maintained.
 
-    ``basis`` is the :attr:`LpSolution.basis` of an earlier solve of an
-    instance with the same variables whose rows are a prefix of this
-    instance's rows; the rows beyond that prefix start with their slack
-    basic. The solve then restarts from that basis (see the module
+    An instance is solved once, in a state built for the purpose. A
+    state restarts from the factor its last optimal solve left, if any.
+    Otherwise, ``basis`` is the :attr:`LpSolution.basis` of an earlier
+    solve of a problem with the same variables whose rows are a prefix
+    of this problem's rows; the rows beyond that prefix start with their
+    slack basic. The solve then restarts from that basis (see the module
     docstring): it ends infeasible when the dual simplex proves
     infeasibility, and falls back to the cold two-phase path whenever
     the restart cannot finish otherwise, so a basis never changes
     whether a solve succeeds.
     """
-    p = _prepare(instance)
-    if isinstance(p, LpSolution):
-        return p
-    if basis is None:
-        return _cold(p)
-    sol = _warm(p, basis)
-    return replace(_cold(p), start="fallback") if sol is None else sol
+    state = LpState(problem) if isinstance(problem, LpInstance) else problem
+    return state._solve(basis)
 
 
-def solve_optimal(instance: LpInstance, where: str,
-                  basis=None) -> LpSolution:
-    """Solve, from ``basis`` if given, and return an optimal solution,
-    or raise.
+def solve_optimal(problem, where: str, basis=None) -> LpSolution:
+    """Solve, as :func:`solve` does, and return an optimal solution, or
+    raise.
 
     Any solver error or non-optimal status becomes a
     :class:`SolverFailure` whose message starts with ``where``, the
     caller's name for the problem (a stage and realization, or a
-    reference model). Calls :func:`solve` through the module namespace,
-    so a replacement installed on the module takes effect here too.
+    reference model), and which carries the problem as an instance.
+    Calls :func:`solve` through the module namespace, so a replacement
+    installed on the module takes effect here too.
     """
     try:
-        sol = solve(instance, basis=basis)
+        sol = solve(problem, basis=basis)
     except Exception as exc:
-        raise SolverFailure(f"{where}: {exc}") from exc
+        raise SolverFailure(f"{where}: {exc}",
+                            instance=_instance_of(problem)) from exc
     if sol.status != OPTIMAL:
-        raise SolverFailure(f"{where}: solve ended {sol.status}")
+        raise SolverFailure(f"{where}: solve ended {sol.status}",
+                            instance=_instance_of(problem))
     return sol
+
+
+def _instance_of(problem) -> LpInstance:
+    return problem if isinstance(problem, LpInstance) else problem.instance()
 
 
 def dump_instance(instance: LpInstance, path) -> None:

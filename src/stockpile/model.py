@@ -248,26 +248,45 @@ class WeatherVector:
     period_hours: float = 4.0
 
     def __post_init__(self):
-        cf = {k: _series(v) for k, v in dict(self.capacity_factors).items()}
-        object.__setattr__(self, "capacity_factors", cf)
-        object.__setattr__(self, "demand", _series(self.demand))
-        object.__setattr__(self, "heat_demand", _series(self.heat_demand))
-        object.__setattr__(self, "heat_pump_cop", _series(self.heat_pump_cop))
-        n = len(self.demand)
-        for name, arr in list(cf.items()) + [("heat_demand", self.heat_demand),
-                                             ("heat_pump_cop", self.heat_pump_cop)]:
+        factors = dict(self.capacity_factors)
+        k = len(factors)
+        arrays = [np.ascontiguousarray(v, dtype=float)
+                  for v in (*factors.values(), self.demand, self.heat_demand,
+                            self.heat_pump_cop)]
+        # the finite check covers the series before the first one that
+        # is not one-dimensional, so errors come in the order that
+        # checking each series in turn gives
+        flat_end = next((i for i, a in enumerate(arrays) if a.ndim != 1),
+                        len(arrays))
+        flat = np.concatenate(arrays[:flat_end]) if flat_end else np.zeros(0)
+        if not np.isfinite(flat).all():
+            raise OutOfRange("weather series must be finite")
+        if flat_end < len(arrays):
+            raise LengthMismatch("weather series must be one-dimensional")
+        n = len(arrays[k])
+        named = list(zip(factors, arrays)) + [("heat_demand", arrays[k + 1]),
+                                              ("heat_pump_cop", arrays[k + 2])]
+        for name, arr in named:
             if len(arr) != n:
                 raise LengthMismatch(
                     f"series {name!r} has length {len(arr)}, expected {n}")
-        for name, arr in cf.items():
-            if np.any(arr < 0) or np.any(arr > 1):
-                raise OutOfRange(f"capacity factors for {name!r} not in [0, 1]")
-        if np.any(self.demand < 0) or np.any(self.heat_demand < 0):
+        cf = flat[:k * n]
+        if cf.size and (cf.min() < 0 or cf.max() > 1):
+            name = next(name for name, arr in zip(factors, arrays)
+                        if np.any(arr < 0) or np.any(arr > 1))
+            raise OutOfRange(f"capacity factors for {name!r} not in [0, 1]")
+        if flat[k * n:(k + 2) * n].min(initial=0.0) < 0:
             raise OutOfRange("demand series must be >= 0")
-        if np.any(self.heat_pump_cop <= 0):
+        if flat[(k + 2) * n:].min(initial=np.inf) <= 0:
             raise OutOfRange("heat pump efficiency must be > 0")
         if not self.period_hours > 0:
             raise OutOfRange("period length must be > 0")
+        flat.setflags(write=False)
+        views = [flat[i * n:(i + 1) * n] for i in range(k + 3)]
+        object.__setattr__(self, "capacity_factors", dict(zip(factors, views)))
+        for name, view in zip(("demand", "heat_demand", "heat_pump_cop"),
+                              views[k:]):
+            object.__setattr__(self, name, view)
 
     @property
     def n_periods(self) -> int:
@@ -276,16 +295,6 @@ class WeatherVector:
     def electricity_requirement(self) -> np.ndarray:
         """Demand plus electrified heat, in GWh per period."""
         return self.demand + self.heat_demand / self.heat_pump_cop
-
-
-def _series(values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise LengthMismatch("weather series must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise OutOfRange("weather series must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 # StateLayout kind -> (capacity-stage variable prefix, CapacityDecision
@@ -602,6 +611,18 @@ def build_dispatch_stage(t: int, catalog: TechnologyCatalog,
                         period_hours=weather.period_hours)
 
 
+def incoming_rhs(problem: StageProblem, x_in) -> np.ndarray:
+    """``x_in`` as the right-hand sides of the fishing rows of a
+    dispatch stage, checked against the stage's state layout."""
+    if problem.stage == 0:
+        raise UnknownStage("the capacity stage has no incoming state")
+    x_in = np.asarray(x_in, dtype=float)
+    if x_in.shape != (problem.layout.size,):
+        raise DimensionMismatch(
+            f"state has shape {x_in.shape}, expected ({problem.layout.size},)")
+    return x_in
+
+
 def apply_incoming_state(problem: StageProblem,
                          x_in: np.ndarray) -> StageProblem:
     """Pin the incoming-state copies of a dispatch stage to ``x_in``.
@@ -609,14 +630,8 @@ def apply_incoming_state(problem: StageProblem,
     Returns a new problem sharing everything but the right-hand sides
     of the fishing rows; the original is untouched.
     """
-    if problem.stage == 0:
-        raise UnknownStage("the capacity stage has no incoming state")
-    x_in = np.asarray(x_in, dtype=float)
-    if x_in.shape != (problem.layout.size,):
-        raise DimensionMismatch(
-            f"state has shape {x_in.shape}, expected ({problem.layout.size},)")
     return replace(problem, instance=lp.replace_rhs(
-        problem.instance, problem.fishing_rows, x_in))
+        problem.instance, problem.fishing_rows, incoming_rhs(problem, x_in)))
 
 
 def extract_state(problem: StageProblem, sol: lp.LpSolution) -> np.ndarray:

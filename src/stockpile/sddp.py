@@ -12,49 +12,57 @@ cuts on the cost-to-go variable of problem ``t - 1``, which stands in
 for the expected cost of stages ``t`` onward. Pools only grow; no
 pruning is attempted, which is fine at desk scale.
 
-Warm starts: between two solves of one (stage, realization) only the
-fishing-row right-hand sides change and cut rows are appended, so each
-solve restarts from that problem's last optimal basis (see
-:func:`stockpile.lp.solve`). Two realizations of one dispatch stage
-have the same variables and rows as well. They differ only in
-right-hand sides and in the capacity-factor coefficients of the
-generator copy columns, each of which is basic and the only entry of
-its own fishing row, so a realization's optimal basis is dual feasible
-for its siblings too. A (stage, realization) with no solve of its own
-yet therefore restarts from the basis of the last solve of its stage
-that :func:`_rollout` made, whichever realization that was.
+Persistent stage problems: between two solves of one (stage,
+realization) only the fishing-row right-hand sides change and cut rows
+are appended. So each such problem is kept, within a run, as one
+:class:`stockpile.lp.LpState` built from its stage template: a solve
+rewrites the fishing right-hand sides in place, appends the cuts added
+to the pool since the last solve, and restarts from the basis factor
+the state kept (see :mod:`stockpile.lp`). No instance is built,
+presolved or scaled again, and the basis is not inverted again. Two
+realizations of one dispatch stage have the same variables and rows as
+well. They differ only in right-hand sides and in the capacity-factor
+coefficients of the generator copy columns, each of which is basic and
+the only entry of its own fishing row, so a realization's optimal basis
+is dual feasible for its siblings too. A (stage, realization) with no
+state yet therefore builds one from its template and restarts from the
+basis of the last solve of its stage that :func:`_rollout` made,
+whichever realization that was.
 
-The last solves live in a dict that belongs to one run. It maps each
-(stage, realization) to that problem's last optimal solve, and each
-dispatch stage ``t`` (the bare integer) to the basis of its last
-rollout solve. :func:`_rollout` alone writes these per-stage entries;
-:func:`backward_pass` and :func:`lower_bound` only read them.
-:func:`train` keeps one dict and passes it to :func:`forward_pass`,
-:func:`backward_pass` and :func:`lower_bound`, and each
-:func:`simulate` call starts a fresh one, so a simulation solves one
-problem per dispatch stage cold, on its first path. Neither is stored
-on the policy or in its JSON. The capacity solve that sets a new
-:class:`Policy`'s capacities and calls of :func:`lower_bound`,
-:func:`forward_pass` and :func:`backward_pass` without a dict solve
-cold.
+The states live in a dict of last solves that belongs to one run. It
+maps each (stage, realization) to that problem's state and its last
+solve, and each dispatch stage ``t`` (the bare integer) to the basis of
+its last rollout solve. :meth:`Policy._solve` writes the (stage,
+realization) entries, and :func:`_rollout` alone writes the per-stage
+ones; :func:`backward_pass` and :func:`lower_bound` only read those.
+:func:`train` keeps one dict, which the capacity solve that sets the
+new :class:`Policy`'s capacities enters first, and passes it to
+:func:`forward_pass`, :func:`backward_pass` and :func:`lower_bound`.
+Each :func:`simulate` call starts a fresh one, so a simulation solves
+one problem per dispatch stage cold, on its first path. The states die
+with their dict; none is stored on the policy or in its JSON. Calls of
+:func:`lower_bound`, :func:`forward_pass` and :func:`backward_pass`
+without a dict solve each problem cold in a state of its own.
 
 The same dict serves repeated solves. A solve whose incoming state has
 the same bytes, and whose pool the same length, as the last solve of its
-(stage, realization) is that instance again, and gets the stored
-(problem, solution) pair back, exactly what restarting from its own
-basis would give. Within training this hands the lower bound's
-capacity-stage solve to the next forward pass and to the capacity
-decision (at gap checks and at the end of :func:`train`), and the
-forward pass's last-stage solve to the backward pass; in simulation,
-paths that share a prefix share its solves. The dict holds one pair
-per lattice node and one basis per dispatch stage.
+(stage, realization) is that problem again, and gets the stored
+(problem, solution) pair back, exactly what restarting the state from
+its own factor would give. Within training this hands the
+constructor's and the lower bound's capacity-stage solves to the next
+forward pass and the latter to the capacity decision (at gap checks
+and at the end of :func:`train`), and the forward pass's last-stage
+solve to the backward pass; in simulation, paths that share a prefix
+share its solves. The dict holds one state per lattice node and one
+basis per dispatch stage.
 
 Determinism: with a fixed seed, training twice yields bit-identical
 logs and policies. Threaded backward passes keep determinism because
 realization results are reduced in realization order, each
-(stage, realization) entry is written only by the thread solving that
-problem, and the per-stage entries a first visit starts from are
-written only by the serial rollout, never during a backward pass. So
+(stage, realization) entry, its state included, is written and moved
+only by the thread solving that problem, and the per-stage entries a
+first visit starts from are written only by the serial rollout, never
+during a backward pass. So
 each solve starts from the same basis on any thread count. The
 training log kept on the policy stores no wall-clock times; the
 optional CSV log file adds a seconds column and is therefore not
@@ -71,7 +79,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import lp, model
-from .errors import DataError, DimensionMismatch
+from .errors import DataError, DimensionMismatch, SolverFailure
 from .weather import SamplingLattice, WeatherPath, sample_path
 
 POLICY_FORMAT_VERSION = 1
@@ -127,9 +135,11 @@ def average_cut(stage: int, values, slopes, trial_state,
                slope=mean_slope, iteration=iteration, trial_state=trial)
 
 
-def cut_block(problem: model.StageProblem, pool) -> tuple:
-    """The cut rows of ``pool`` on ``problem`` as the arguments that
-    follow the instance in :func:`stockpile.lp.extend_rows`.
+def cut_block(problem: model.StageProblem, cuts, first: int = 0) -> tuple:
+    """The rows of ``cuts``, cuts ``first``, ``first + 1``, ... of a
+    pool, on ``problem`` as the arguments that follow the instance in
+    :func:`stockpile.lp.extend_rows` (and that
+    :meth:`stockpile.lp.LpState.append_rows` takes).
 
     Cut ``c`` is the row ``cut:<c>``: theta + (-slope) @ x >= intercept,
     its terms as given, theta first. A column named twice (the capacity
@@ -138,12 +148,12 @@ def cut_block(problem: model.StageProblem, pool) -> tuple:
     :meth:`stockpile.lp.LpBuilder.add_row` stores for the same terms.
     """
     cols = (problem.theta_column,) + problem.state_columns
-    values = np.hstack([np.ones((len(pool), 1)),
-                        -np.array([cut.slope for cut in pool])])
-    return (np.arange(len(pool) + 1) * len(cols), np.tile(cols, len(pool)),
-            values.ravel(), (lp.GREATER_EQUAL,) * len(pool),
-            [cut.intercept for cut in pool],
-            [f"cut:{c}" for c in range(len(pool))])
+    values = np.hstack([np.ones((len(cuts), 1)),
+                        -np.array([cut.slope for cut in cuts])])
+    return (np.arange(len(cuts) + 1) * len(cols), np.tile(cols, len(cuts)),
+            values.ravel(), (lp.GREATER_EQUAL,) * len(cuts),
+            [cut.intercept for cut in cuts],
+            [f"cut:{first + c}" for c in range(len(cuts))])
 
 
 @dataclass(frozen=True)
@@ -215,12 +225,14 @@ class Policy:
     the cut pools, and the capacity decision. Training appends to the
     pools and updates the decision in place. ``capacities``, when
     given (a loaded policy's), is the decision; otherwise the
-    constructor solves the capacity stage under the empty pools.
+    constructor solves the capacity stage under the empty pools, in
+    :func:`train` through the run's dict of last solves ``_solves``, so
+    that the first forward pass is served that solve.
     """
 
     def __init__(self, catalog: model.TechnologyCatalog,
                  scenario: model.MarketScenario, lattice: SamplingLattice,
-                 capacities=None):
+                 capacities=None, *, _solves=None):
         self.catalog = catalog
         self.scenario = scenario
         self.lattice = lattice
@@ -231,7 +243,8 @@ class Policy:
         self.training_log: list[tuple[int, float, float]] = []
         self.stopped_reason: str | None = None
         self._templates: dict = {}
-        self.capacities = (model.extract_state(*self._solve(0, 0))
+        self.capacities = (model.extract_state(*self._solve(0, 0,
+                                                            bases=_solves))
                            if capacities is None
                            else np.asarray(capacities, dtype=float))
 
@@ -255,16 +268,22 @@ class Policy:
         The problem carries the current cut pool on its cost-to-go
         variable and, when ``x_in`` is given, that incoming state.
         ``bases``, when given, is a run's dict of last solves (see the
-        module docstring). The solve restarts from the basis stored
-        under (stage, realization) or, when that key holds no solve
-        yet, from the stage's basis stored by :func:`_rollout`, and
-        stores itself under its key; it never writes the stage's entry.
-        When the incoming state's bytes and the pool length both equal
-        those of the stored solve, the instance is the same, so the
-        stored (problem, solution) pair is returned without solving; a
-        restart from a solve's own basis would reproduce it bit for
-        bit. A (stage, realization) key is only written by the thread
-        solving that problem. Returns the problem and its solution.
+        module docstring), whose entry under (stage, realization) holds
+        the problem's :class:`stockpile.lp.LpState`. The solve rewrites
+        that state's fishing right-hand sides, appends the cuts added to
+        the pool since its last solve and restarts from the factor the
+        state kept. A key with no entry yet gets a state built from the
+        stage template, which restarts from the stage's basis stored by
+        :func:`_rollout`, if any, and else solves cold; so does every
+        solve without a dict, whose state dies with it. The solve then
+        stores its state and solution under its key; it never writes the
+        stage's entry. When the incoming state's bytes and the pool
+        length both equal those of the stored solve, the problem is the
+        same, so the stored (problem, solution) pair is returned without
+        solving; the state's restart from its own factor would
+        reproduce it bit for bit. A (stage, realization) key is only
+        written by the thread solving that problem. Returns the stage
+        template and the solution.
         """
         key = (t, node)
         pool = self.pools.get(t + 1, ())
@@ -275,19 +294,25 @@ class Policy:
         if last is not None and last[0] == stamp:
             return last[1], last[2]
         problem = self._template(t, node)
-        if x_in is not None:
-            problem = model.apply_incoming_state(problem, x_in)
-        inst = problem.instance
-        if pool and problem.theta_column is not None:
-            inst = lp.extend_rows(inst, *cut_block(problem, pool))
-        where = f"stage {t}" if t == 0 else f"stage {t} realization {node}"
-        if last is not None:
-            basis = last[2].basis
-        else:
+        if last is None:
+            state = lp.LpState(problem.instance)
             basis = None if bases is None else bases.get(t)
-        sol = lp.solve_optimal(inst, where, basis)
-        if bases is not None and sol.basis is not None:
-            bases[key] = (stamp, problem, sol)
+        else:
+            state, basis = last[3], None
+        if x_in is not None:
+            state.set_rhs(problem.fishing_rows,
+                          model.incoming_rhs(problem, x_in))
+        done = state.n_rows - problem.instance.n_rows
+        if len(pool) > done and problem.theta_column is not None:
+            state.append_rows(*cut_block(problem, pool[done:], done))
+        where = f"stage {t}" if t == 0 else f"stage {t} realization {node}"
+        try:
+            sol = lp.solve_optimal(state, where, basis)
+        except SolverFailure as exc:
+            exc.stage, exc.node = t, None if t == 0 else node
+            raise
+        if bases is not None:
+            bases[key] = (stamp, problem, sol, state)
         return problem, sol
 
     # -- serialization ---------------------------------------------------
@@ -521,12 +546,12 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
     the last bound solve already found.
     """
     opt = options or TrainOptions()
-    policy = Policy(catalog, scenario, lattice)
+    bases = {}
+    policy = Policy(catalog, scenario, lattice, _solves=bases)
     rng = np.random.default_rng(opt.seed)
     start = time.monotonic()
     log_rows = []
     policy.stopped_reason = "iteration_limit"
-    bases = {}
     for k in range(1, opt.max_iterations + 1):
         trajectory = forward_pass(policy, sample_path(lattice, rng), bases)
         backward_pass(policy, trajectory, iteration=k, threads=opt.threads,

@@ -97,6 +97,31 @@ def test_train_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
+def test_train_solver_failure_writes_the_failing_stage_lp(tmp_path,
+                                                          monkeypatch, capsys):
+    """A stage solve that fails once its stage carries a cut (the
+    backward pass's solve of stage 1, realization 0) exits 4 after
+    writing that stage's LP, its cut row included, to the output
+    directory."""
+    raw = lp.solve
+
+    def failing(problem, **kw):
+        if "cut:0" in problem.row_index:
+            return lp.LpSolution(lp.INFEASIBLE, None, None, None, None, 0,
+                                 problem)
+        return raw(problem, **kw)
+
+    monkeypatch.setattr(lp, "solve", failing)
+    cfg, out = setup_run(tmp_path)
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 4
+    assert ("solver failure: stage 1 realization 0: solve ended infeasible"
+            in capsys.readouterr().err)
+    dumped = (tmp_path / "out" / "failure_stage1_node0.lp").read_text()
+    rows = [line.split()[1] for line in dumped.splitlines()
+            if line.startswith("r ")]
+    assert rows[0] == "fish:gen:wind" and rows[-1] == "cut:0"
+
+
 @pytest.mark.parametrize("command", ["train", "oracle"])
 def test_training_flags_reach_train_options(tmp_path, monkeypatch,
                                             command):

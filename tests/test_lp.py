@@ -530,8 +530,8 @@ def test_unusable_basis_falls_back_to_cold(monkeypatch, basis):
     inst = _unused_column_instance()
     cold = lp.solve(inst)
     restarts = []
-    raw = lp._warm
-    monkeypatch.setattr(lp, "_warm",
+    raw = lp.LpState._warm
+    monkeypatch.setattr(lp.LpState, "_warm",
                         lambda *args: restarts.append(raw(*args)) or restarts[-1])
     sol = lp.solve(inst, basis=basis)
     assert restarts == [None]
@@ -784,7 +784,7 @@ def test_block_refactor_matches_dense_inverse(seed):
     inst = build(rng.integers(-3, 4, n).astype(float), a.astype(float),
                  list(rng.choice(["<=", ">=", "="], m)),
                  rng.integers(-5, 6, m).astype(float), [0.0] * n, [5.0] * n)
-    p = lp._prepare(inst)
+    p = lp.LpState(inst)
     assert p.m == m
     sx = lp._Simplex(p)
     art_rows = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False)
@@ -828,7 +828,7 @@ def _mixed_basis_simplex(seed):
     inst = build(rng.integers(-3, 4, n).astype(float), a.astype(float),
                  list(rng.choice(["<=", ">=", "="], m)),
                  rng.integers(-5, 6, m).astype(float), [0.0] * n, [5.0] * n)
-    sx = lp._Simplex(lp._prepare(inst))
+    sx = lp._Simplex(lp.LpState(inst))
     sx.add_units(np.arange(m), rng.choice([-1.0, 1.0], m))
     sx.set_costs(rng.normal(size=sx.n))     # unit columns cost too
     dense = np.zeros((m, sx.n))
@@ -945,7 +945,7 @@ def _dependent_columns_instance():
 
 
 def test_refactor_rejects_shared_row_and_singular_block(monkeypatch):
-    p = lp._prepare(_dependent_columns_instance())
+    p = lp.LpState(_dependent_columns_instance())
     sx = lp._Simplex(p)
     sx.add_units(np.array([0]), np.array([1.0]))
     with pytest.raises(NumericalFailure, match="share a row"):
@@ -956,8 +956,8 @@ def test_refactor_rejects_shared_row_and_singular_block(monkeypatch):
     inst = _dependent_columns_instance()
     cold = lp.solve(inst)
     restarts = []
-    raw = lp._warm
-    monkeypatch.setattr(lp, "_warm",
+    raw = lp.LpState._warm
+    monkeypatch.setattr(lp.LpState, "_warm",
                         lambda *args: restarts.append(raw(*args)) or restarts[-1])
     sol = lp.solve(inst, basis=([lp._BASIC, lp._BASIC],
                                 [lp._AT_UPPER, lp._AT_LOWER]))
@@ -1025,7 +1025,7 @@ def test_explicit_zero_coefficients_are_no_entries(monkeypatch):
     assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
     violated = lp.replace_rhs(inst, [1], [-1.0])
     assert _scipy_csr_reference(violated).status == 2
-    monkeypatch.setattr(lp, "_cold", None)
+    monkeypatch.setattr(lp.LpState, "_cold", None)
     assert lp.solve(violated).status == lp.INFEASIBLE
     assert lp.solve(_dense_twin(violated)).status == lp.INFEASIBLE
 
@@ -1135,12 +1135,197 @@ def test_restart_proves_infeasibility_without_cold_solve(case):
                            senses, new_rhs,
                            [f"new{i}" for i in range(len(senses))])
     colds = []
-    raw = lp._cold
+    raw = lp.LpState._cold
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_cold", lambda p: colds.append(p) or raw(p))
+        mp.setattr(lp.LpState, "_cold", lambda p: colds.append(p) or raw(p))
         warm = lp.solve(grown, basis=first.basis)
     cold = lp.solve(grown)
     assert warm.status == cold.status
     if cold.status == lp.INFEASIBLE:
         assert colds == []
         assert warm.primal is None and warm.basis is None
+
+
+def test_solve_counters_add_up_over_cold_own_factor_and_new_rows():
+    """A state's cold solve, its 0-pivot restart from its own factor
+    (which refactors nothing and reproduces the cold solution bit for
+    bit), and its restart after a row cuts the optimum off: in each,
+    dual and primal pivots add up to the iterations."""
+    inst = _sparse_feasible_lp(5)
+    state = lp.LpState(inst)
+    cold = lp.solve(state)
+    assert cold.start == "cold" and cold.iterations > 0
+    assert cold.dual_pivots == 0 and cold.refactors >= 2
+    again = lp.solve(state)
+    assert again.start == "warm"
+    assert again.iterations == again.refactors == 0
+    for mine, theirs in ((again.primal, cold.primal),
+                         (again.duals, cold.duals),
+                         (again.reduced_costs, cold.reduced_costs),
+                         *zip(again.basis, cold.basis)):
+        assert mine.tobytes() == theirs.tobytes()
+    n = inst.n_vars
+    state.append_rows([0, n], np.arange(n), np.ones(n), ["<="],
+                      [cold.primal.sum() - 1.0], ["cut"])
+    grown = lp.solve(state)
+    assert grown.start == "warm" and grown.dual_pivots >= 1
+    assert grown.refactors >= 1
+    assert grown.objective == pytest.approx(
+        lp.solve(state.instance()).objective, rel=1e-9)
+    for sol in (cold, again, grown):
+        assert sol.dual_pivots + sol.primal_pivots == sol.iterations
+
+
+def test_solution_instance_stays_what_was_solved():
+    """A state solution's instance is built on first read from what the
+    solve saw, even after the state moved its right-hand sides and
+    appended rows; value and dual read it without building it."""
+    inst = _unused_column_instance()
+    state = lp.LpState(inst)
+    state.set_rhs([0], [3.0])
+    first = lp.solve(state)
+    state.append_rows([0, 1], [0], [1.0], ["<="], [1.0], ["cap"])
+    state.set_rhs([0, 1], [4.0, 0.5])
+    second = lp.solve(state)
+    assert second.instance.n_rows == 3
+    assert first.instance.n_rows == 2
+    assert first.instance.rhs.tolist() == [3.0, 1.0]
+    assert first.instance.row_labels == inst.row_labels
+    for a, b in ((first.instance.indptr, inst.indptr),
+                 (first.instance.indices, inst.indices),
+                 (first.instance.values, inst.values)):
+        assert a.tobytes() == b.tobytes()
+    assert second.instance.rhs.tolist() == [4.0, 0.5, 1.0]
+    assert first.dual("r0") == pytest.approx(1.0)
+    with pytest.raises(KeyError):
+        first.dual("cap")
+    assert second.value("x0") == pytest.approx(1.0)
+    assert lp.solve(first.instance).objective == first.objective
+
+
+@pytest.mark.parametrize("block, message", [
+    (([0, 1], [0], [np.nan], ["<="], [1.0], ["a"]),
+     "row coefficients must be finite"),
+    (([0, 1], [3], [1.0], ["<="], [1.0], ["a"]),
+     "row references an unknown variable index"),
+    (([0, 1], [0], [1.0], ["<"], [1.0], ["a"]), "unknown row sense '<'"),
+    (([0, 1], [0], [1.0], ["<="], [np.inf], ["a"]), "rhs must be finite"),
+    (([0, 2], [0], [1.0], ["<="], [1.0], ["a"]),
+     "indptr must start at 0, never decrease and end at the nonzero count"),
+    (([0, 1], [0], [1.0], ["<="], [1.0], ["r1"]), "duplicate row label 'r1'"),
+    (([0, 1, 2], [0, 1], [1.0, 1.0], ["<="] * 2, [1.0] * 2, ["a", "a"]),
+     "duplicate row label 'a'"),
+], ids=["coefficient", "column", "sense", "rhs", "indptr", "label",
+        "label_in_block"])
+def test_state_checks_appended_rows_as_the_constructor_does(block, message):
+    """Appended rows are checked on arrival with the instance
+    constructor's messages, and a rejected block leaves the state as it
+    was."""
+    inst = _unused_column_instance()
+    indptr, indices, values, senses, rhs, labels = block
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(
+            inst,
+            indptr=np.concatenate([inst.indptr,
+                                   inst.indptr[-1] + np.asarray(indptr[1:])]),
+            indices=np.concatenate([inst.indices, indices]),
+            values=np.concatenate([inst.values, values]),
+            senses=inst.senses + tuple(senses),
+            rhs=np.concatenate([inst.rhs, rhs]),
+            row_labels=inst.row_labels + tuple(labels))
+    state = lp.LpState(inst)
+    with pytest.raises(ValueError, match=message):
+        state.append_rows(*block)
+    assert state.n_rows == inst.n_rows and list(state.row_index) == ["r0", "r1"]
+    assert lp.solve(state).objective == pytest.approx(2.0)
+
+
+def test_state_checks_rewritten_rhs():
+    state = lp.LpState(_unused_column_instance())
+    with pytest.raises(ValueError, match="rhs must be finite"):
+        state.set_rhs([0], [np.nan])
+    with pytest.raises(ValueError, match="unknown row"):
+        state.set_rhs([2], [1.0])
+    assert state.rhs.tolist() == [2.0, 1.0]
+
+
+def test_rows_appended_one_at_a_time_solve_as_rows_appended_at_once():
+    """Rows naming a column twice, appended to a state one block at a
+    time, are stored, scaled and solved bit for bit as the same rows
+    appended at once; and the state agrees with a cold solve of the
+    instance it stands for."""
+    rng = np.random.default_rng(3)
+    inst = _sparse_feasible_lp(11)
+    n = inst.n_vars
+    rows = []
+    for i in range(6):
+        cols = rng.choice(n, 4)
+        cols[1] = cols[0]                       # a repeated column
+        rows.append((cols, rng.integers(-3, 4, 4).astype(float),
+                     float(rng.integers(5, 30)), f"extra{i}"))
+    one = lp.LpState(inst)
+    for cols, vals, b, label in rows:
+        one.append_rows([0, 4], cols, vals, ["<="], [b], [label])
+    whole = lp.LpState(inst)
+    whole.append_rows(np.arange(7) * 4, np.concatenate([r[0] for r in rows]),
+                      np.concatenate([r[1] for r in rows]), ["<="] * 6,
+                      [r[2] for r in rows], [r[3] for r in rows])
+    for name in ("colptr", "entry_col", "entry_row", "entry_val", "rowptr",
+                 "row_col", "row_val", "b_s", "c", "lower", "upper",
+                 "rscale"):
+        assert getattr(one, name).tobytes() == getattr(whole, name).tobytes()
+    a, b = lp.solve(one), lp.solve(whole)
+    _same_solution(a, b)
+    assert a.objective == pytest.approx(lp.solve(one.instance()).objective,
+                                        rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_moved_and_grown())
+def test_state_restart_after_moved_rhs_and_new_rows_matches_cold_property(
+        case):
+    """A state that moves its right-hand sides and appends rows after an
+    optimal solve, and restarts from its own factor, ends with the
+    status and objective of a cold solve of the instance it stands
+    for; and so does the solve after that."""
+    inst, rhs, (block, senses, new_rhs) = case
+    state = lp.LpState(inst)
+    first = lp.solve(state)
+    assume(first.basis is not None)
+    state.set_rhs(range(inst.n_rows), rhs)
+    state.append_rows(block.indptr, block.indices, block.data, senses,
+                      new_rhs, [f"new{i}" for i in range(len(senses))])
+    for _ in range(2):
+        warm = lp.solve(state)
+        cold = lp.solve(state.instance())
+        assert warm.status == cold.status
+        if cold.status == lp.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                                   abs=1e-9)
+        state.set_rhs(range(inst.n_rows), inst.rhs)
+
+
+def test_state_checks_empty_rows_at_each_solve():
+    """A row with no nonzero entry, in the template or appended, is
+    dropped from a state's system and its right-hand side is checked at
+    each solve: violated, the solve ends infeasible without the simplex;
+    restored, the state solves to the instance's optimum again. A kept
+    factor takes a block that holds such a row."""
+    inst = _csr_instance(indptr=np.array([0, 2, 3]),
+                         indices=np.array([0, 1, 0]),
+                         values=np.array([0.0, 1.0, 0.0]),
+                         senses=(">=", "<="), rhs=np.array([1.0, 2.0]))
+    state = lp.LpState(inst)
+    optimum = lp.solve(state).objective
+    state.append_rows([0, 1, 1], [0], [1.0], ["<=", "="], [5.0, 0.0],
+                      ["x_cap", "empty"])
+    warm = lp.solve(state)
+    assert warm.start == "warm" and warm.objective == optimum
+    for row, bad, good in ((3, 0.5, 0.0), (1, -1.0, 2.0)):
+        state.set_rhs([row], [bad])
+        assert lp.solve(state).status == lp.INFEASIBLE
+        assert lp.solve(state.instance()).status == lp.INFEASIBLE
+        state.set_rhs([row], [good])
+    sol = lp.solve(state)
+    assert sol.status == lp.OPTIMAL and sol.objective == optimum
+    assert sol.objective == lp.solve(state.instance()).objective

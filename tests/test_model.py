@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -559,3 +561,86 @@ def test_capacity_state_columns_and_to_state_follow_the_layout():
     for p, (kind, name) in enumerate(layout.entries):
         expected = decision.ltc_volume if kind == "ltc" else field[kind][name]
         assert x[p] == expected
+
+
+def _weather_checks_one_series_at_a_time(factors, demand, heat, cop, hours):
+    """The checks of WeatherVector one series at a time, as they were
+    written before they shared array passes: the reference its messages
+    and their order are held to."""
+    def series(values):
+        arr = np.ascontiguousarray(values, dtype=float)
+        if arr.ndim != 1:
+            raise LengthMismatch("weather series must be one-dimensional")
+        if not np.all(np.isfinite(arr)):
+            raise OutOfRange("weather series must be finite")
+        return arr
+
+    cf = {k: series(v) for k, v in factors.items()}
+    demand, heat, cop = series(demand), series(heat), series(cop)
+    n = len(demand)
+    for name, arr in list(cf.items()) + [("heat_demand", heat),
+                                         ("heat_pump_cop", cop)]:
+        if len(arr) != n:
+            raise LengthMismatch(
+                f"series {name!r} has length {len(arr)}, expected {n}")
+    for name, arr in cf.items():
+        if np.any(arr < 0) or np.any(arr > 1):
+            raise OutOfRange(f"capacity factors for {name!r} not in [0, 1]")
+    if np.any(demand < 0) or np.any(heat < 0):
+        raise OutOfRange("demand series must be >= 0")
+    if np.any(cop <= 0):
+        raise OutOfRange("heat pump efficiency must be > 0")
+    if not hours > 0:
+        raise OutOfRange("period length must be > 0")
+
+
+def test_weather_vector_checks_match_one_series_at_a_time():
+    """On valid series and on series broken in one or two ways at once,
+    WeatherVector raises what the one-series-at-a-time checks raise, or
+    stores the series unchanged and read-only."""
+    good = {"wind": [0.2, 0.9, 1.0], "solar": [0.0, 0.5, 0.1]}
+    breaks = {
+        "nan": lambda a: a[:1] + [np.nan] + a[2:],
+        "inf": lambda a: a[:2] + [np.inf],
+        "short": lambda a: a[:2],
+        "square": lambda a: [a, a],
+        "scalar": lambda a: 0.5,
+        "negative": lambda a: a[:1] + [-0.1] + a[2:],
+        "above_one": lambda a: a[:2] + [1.5],
+        "zero": lambda a: a[:1] + [0.0] + a[2:],
+    }
+    fields = ["wind", "solar", "demand", "heat", "cop"]
+    base = {**good, "demand": [4.0, 5.0, 6.0], "heat": [1.0, 0.0, 2.0],
+            "cop": [3.0, 2.5, 3.5]}
+    cases = [dict(base)]
+    for (f1, b1), (f2, b2) in itertools.product(
+            itertools.product(fields, breaks), repeat=2):
+        case = dict(base)
+        case[f1] = breaks[b1](case[f1])
+        if f2 != f1:
+            case[f2] = breaks[b2](case[f2])
+        cases.append(case)
+    cases.append({**base, "hours": 0.0})
+    cases.append({**base, "wind": [], "solar": [], "demand": [],
+                  "heat": [], "cop": []})
+    for case in cases:
+        args = ({"wind": case["wind"], "solar": case["solar"]},
+                case["demand"], case["heat"], case["cop"],
+                case.get("hours", 1.0))
+        try:
+            _weather_checks_one_series_at_a_time(*args)
+            expected = None
+        except (LengthMismatch, OutOfRange) as exc:
+            expected = (type(exc), str(exc))
+        try:
+            vec = model.WeatherVector(*args)
+            got = None
+        except (LengthMismatch, OutOfRange) as exc:
+            got = (type(exc), str(exc))
+        assert got == expected, case
+        if got is None:
+            for mine, given in ((vec.capacity_factors["wind"], case["wind"]),
+                                (vec.demand, case["demand"]),
+                                (vec.heat_pump_cop, case["cop"])):
+                assert mine.tolist() == np.ravel(given).tolist()
+                assert not mine.flags.writeable

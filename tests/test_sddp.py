@@ -494,14 +494,18 @@ def test_no_restart_falls_back_on_canonical_instance(canonical, monkeypatch):
     """Every warm-started stage solve of training and simulation on the
     canonical instance finishes from its basis, without the cold path."""
     finished = []
-    raw = lp._warm
 
-    def spy(*args):
-        sol = raw(*args)
-        finished.append(sol is not None)
-        return sol
+    def spy(raw):
+        def restart(*args):
+            sol = raw(*args)
+            finished.append(sol is not None)
+            return sol
+        return restart
 
-    monkeypatch.setattr(lp, "_warm", spy)
+    # a state restarts from its own factor by _restart alone, and from a
+    # sibling's basis by _warm, which ends in _restart
+    for name in ("_warm", "_restart"):
+        monkeypatch.setattr(lp.LpState, name, spy(getattr(lp.LpState, name)))
     # repeated solves are served without a restart, so it takes 60
     # iterations to restart more than 400 times
     policy = _train_canonical(canonical, 60)
@@ -597,11 +601,27 @@ def test_cut_block_solves_as_presummed_rows(canonical):
         assert a.tobytes() == b.tobytes()
 
 
+def _fresh_state(problem, inst):
+    """A new LpState of the stage template ``problem`` moved to the
+    instance ``inst`` of that template: its right-hand sides rewritten
+    and its further rows appended."""
+    state = lp.LpState(problem.instance)
+    n = problem.instance.n_rows
+    state.set_rhs(range(n), inst.rhs[:n])
+    start = inst.indptr[n]
+    state.append_rows(inst.indptr[n:] - start, inst.indices[start:],
+                      inst.values[start:], inst.senses[n:], inst.rhs[n:],
+                      inst.row_labels[n:])
+    return state
+
+
 def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
                                                          monkeypatch):
     """Every solve served from the last-solve memo in 40 canonical
     iterations is, bit for bit, what solving the served instance from
-    the stored basis gives, and that restart takes no pivot."""
+    the stored basis gives, and that restart takes no pivot. The served
+    solutions come from persistent stage states, so the restart is a
+    fresh state of the same template moved to the served instance."""
     solves = []
     raw_solve = lp.solve_optimal
     raw_stage = sddp.Policy._solve
@@ -617,20 +637,21 @@ def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
         problem, sol = raw_stage(self, t, node, x_in, bases)
         if len(solves) == before:
             assert bases is not None
-            hits.append((t, sol))
+            hits.append((t, problem, sol))
         return problem, sol
 
     monkeypatch.setattr(lp, "solve_optimal", count)
     monkeypatch.setattr(sddp.Policy, "_solve", stage)
     _train_canonical(canonical, 40)
     last = canonical["lattice"].n_stages
-    # the lower bound's capacity solve opens each later forward pass and
-    # fixes the final capacities, and each backward pass repeats the
-    # forward pass's last-stage solve
-    assert sum(t == 0 for t, _ in hits) == 40
-    assert sum(t == last for t, _ in hits) >= 40
-    for _, served in hits:
-        again = lp.solve(served.instance, basis=served.basis)
+    # the constructor's capacity solve opens the first forward pass, the
+    # lower bound's opens each later one and fixes the final capacities,
+    # and each backward pass repeats the forward pass's last-stage solve
+    assert sum(t == 0 for t, _, _ in hits) == 41
+    assert sum(t == last for t, _, _ in hits) >= 40
+    for _, problem, served in hits:
+        again = lp.solve(_fresh_state(problem, served.instance),
+                         basis=served.basis)
         assert again.iterations == 0
         assert again.objective == served.objective
         for mine, theirs in ((again.primal, served.primal),
@@ -757,3 +778,86 @@ def test_threaded_training_policy_matches_serial_on_three_realizations(
         sddp.TrainOptions(max_iterations=6, seed=1, threads=threads),
     ).to_payload(), sort_keys=True) for threads in (1, 2)]
     assert payloads[0] == payloads[1]
+
+
+def _state_solves(monkeypatch):
+    """Record every solution of an lp.LpState that lp.solve returns."""
+    seen = []
+    raw = lp.solve
+
+    def spy(problem, **kwargs):
+        sol = raw(problem, **kwargs)
+        if isinstance(problem, lp.LpState):
+            seen.append(sol)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", spy)
+    return seen
+
+
+def _feasibility_error(inst, x):
+    """The largest violation of a row or a bound of ``inst`` at ``x``."""
+    ax = inst.dense_matrix() @ x
+    senses = np.array(inst.senses)
+    rows = np.where(senses == lp.LESS_EQUAL, ax - inst.rhs, np.where(
+        senses == lp.GREATER_EQUAL, inst.rhs - ax, np.abs(ax - inst.rhs)))
+    bounds = np.maximum(inst.lower - x, x - inst.upper)
+    return max(rows.max(initial=0.0), bounds.max(initial=0.0), 0.0)
+
+
+def _cut_at_trial(inst, sol):
+    """The one-realization cut of ``sol`` evaluated at its trial state,
+    the right-hand sides of the fishing rows."""
+    fish = [i for label, i in inst.row_index.items()
+            if label.startswith("fish:")]
+    trial = inst.rhs[fish]
+    return sddp.average_cut(1, [sol.objective], [sol.duals[fish]], trial,
+                            0).value_at(trial)
+
+
+def test_persistent_states_solve_what_their_instances_would(canonical,
+                                                           sector,
+                                                           monkeypatch):
+    """Every stage solve of 40 canonical and 2 sector training iterations
+    goes through a persistent stage state and matches a cold solve of
+    the instance it solved: objectives within 1e-9 relative, the cut of
+    its duals at the trial state within 1e-7 (duals may be degenerate),
+    and its primal feasible for that instance."""
+    seen = _state_solves(monkeypatch)
+    _train_canonical(canonical, 40)
+    n_canonical = len(seen)
+    sddp.train(sector["catalog"], sector["scenario"], sector["lattice"],
+               sddp.TrainOptions(max_iterations=2, seed=1))
+    assert n_canonical > 200 and len(seen) > n_canonical
+    assert any(sol.start == "warm" and sol.instance.row_index.get("cut:0")
+               for sol in seen)
+    monkeypatch.undo()
+    for sol in seen:
+        inst = sol.instance
+        cold = lp.solve(inst)
+        assert cold.status == sol.status == lp.OPTIMAL
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9,
+                                              abs=1e-9)
+        if inst.n_rows and inst.row_labels[0].startswith("fish:"):
+            assert _cut_at_trial(inst, sol) == pytest.approx(
+                _cut_at_trial(inst, cold), rel=1e-7, abs=1e-7)
+        assert _feasibility_error(inst, sol.primal) <= lp.FEASIBILITY_TOL
+
+
+def test_train_solves_the_capacity_stage_cold_once(canonical, monkeypatch):
+    """The constructor's capacity solve enters the run's dict of last
+    solves, so a 1-iteration train solves the capacity stage cold once:
+    the first forward pass is served that solve, and the bound solve
+    restarts from its factor."""
+    starts = []
+    raw = lp.solve
+
+    def spy(problem, **kwargs):
+        sol = raw(problem, **kwargs)
+        if not any(label.startswith("fish:") for label in problem.row_index):
+            starts.append(sol.start)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", spy)
+    _train_canonical(canonical, 1)
+    assert starts == ["cold", "warm"]

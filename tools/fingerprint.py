@@ -5,16 +5,17 @@
 ROOT (default: the checkout that holds this script) is a tree with the
 package in ``src/stockpile`` and the benchmark inputs in
 ``perfbench/instances.py``; both are imported from ROOT and only read.
-The script runs a fixed set of seeded computations and prints two
-SHA-256 digests:
+The script runs a fixed set of seeded computations in three groups and
+prints SHA-256 digests:
 
 ``results``
-    over the canonical instance trained 40 iterations with each of
-    four training seeds (the whole policy payload), the sector system
-    trained 8 iterations and simulated over 24 sampled paths (policy
-    payload and every trajectory record), and the extensive-form and
-    perfect-foresight programs of three seeded sector lattices
-    (objective and output tables);
+    over all three groups, and then over each group alone:
+    ``canonical``, the canonical instance trained 40 iterations with
+    each of four training seeds (the whole policy payload); ``sector``,
+    the sector system trained 8 iterations and simulated over 24
+    sampled paths (policy payload and every trajectory record); and
+    ``references``, the extensive-form and perfect-foresight programs of
+    three seeded sector lattices (objective and output tables);
 ``solves``
     over every ``lp.solve`` result along the way: status, objective,
     primal, duals and reduced costs.
@@ -22,14 +23,16 @@ SHA-256 digests:
 It also prints the number of those solves, split by the path that
 produced each (``LpSolution.start``: cold, warm, or fallback, a cold
 solve after a restart that could not finish; "unlabelled" on a tree
-whose solutions do not say). The split is not part of either digest.
+whose solutions do not say), and the totals of the solve counters
+(dual and primal pivots and refactors; "n/a" on a tree without them).
+Neither is part of a digest.
 
 Two trees that print the same digests solved every LP of these runs to
-the same bits. To check that a refactor changes no number, run the
-script on a checkout of the parent commit and on the change, on the
-same machine, and compare the two outputs. BLAS is pinned to one
-thread before numpy loads, because the simplex's pivot sequence can
-depend on it.
+the same bits; a group's digest alone tells which groups a change
+moved. To check that a refactor changes no number, run the script on a
+checkout of the parent commit and on the change, on the same machine,
+and compare the two outputs. BLAS is pinned to one thread before numpy
+loads, because the simplex's pivot sequence can depend on it.
 """
 from __future__ import annotations
 
@@ -82,9 +85,13 @@ def _feed(h, obj) -> None:
     h.update(b";")
 
 
-def run(root: Path) -> tuple[str, str, dict]:
-    """The results digest, the solves digest and the solve count by
-    ``start`` of the tree at ``root``."""
+COUNTERS = ("dual_pivots", "primal_pivots", "refactors")
+
+
+def run(root: Path) -> tuple[dict, str, dict, dict]:
+    """The results digest of each group and over all of them, the
+    solves digest, the solve count by ``start`` and the totals of the
+    solve counters of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import instances
     from stockpile import benchmarks, lp, sddp
@@ -94,18 +101,29 @@ def run(root: Path) -> tuple[str, str, dict]:
     if not source.is_relative_to((root / "src").resolve()):
         raise SystemExit(f"imported {source}, not the package under {root}")
 
-    results, solves = hashlib.sha256(), hashlib.sha256()
+    results = {"all": hashlib.sha256()}
+    solves = hashlib.sha256()
     count = dict.fromkeys(("cold", "warm", "fallback"), 0)
+    totals = dict.fromkeys(COUNTERS, 0)
     raw = lp.solve
 
-    def solve(instance, **kwargs):
-        sol = raw(instance, **kwargs)
-        # a tree older than LpSolution.start has its solves unlabelled
+    def solve(problem, **kwargs):
+        sol = raw(problem, **kwargs)
+        # a tree older than LpSolution.start or the counters has its
+        # solves unlabelled and uncounted
         start = getattr(sol, "start", "unlabelled")
         count[start] = count.get(start, 0) + 1
+        for name in COUNTERS:
+            value = getattr(sol, name, None)
+            totals[name] = None if value is None or totals[name] is None \
+                else totals[name] + value
         _feed(solves, (sol.status, sol.objective, sol.primal, sol.duals,
                        sol.reduced_costs))
         return sol
+
+    def feed(group, obj):
+        for key in ("all", group):
+            _feed(results.setdefault(key, hashlib.sha256()), obj)
 
     lp.solve = solve
     try:
@@ -113,7 +131,7 @@ def run(root: Path) -> tuple[str, str, dict]:
         for seed in CANONICAL_SEEDS:
             policy = sddp.train(catalog, scenario, lattice, sddp.TrainOptions(
                 max_iterations=CANONICAL_ITERATIONS, seed=seed, threads=1))
-            _feed(results, policy.to_payload())
+            feed("canonical", policy.to_payload())
 
         catalog = instances.sector_catalog()
         scenario = instances.sector_scenario()
@@ -122,10 +140,10 @@ def run(root: Path) -> tuple[str, str, dict]:
         policy = sddp.train(catalog, scenario, lattice, sddp.TrainOptions(
             max_iterations=SECTOR_ITERATIONS, seed=SECTOR_TRAIN_SEED,
             threads=1))
-        _feed(results, policy.to_payload())
+        feed("sector", policy.to_payload())
         rng = np.random.default_rng(SECTOR_PATH_SEED)
         paths = [sample_path(lattice, rng) for _ in range(SECTOR_PATHS)]
-        _feed(results, sddp.simulate(policy, paths))
+        feed("sector", sddp.simulate(policy, paths))
 
         for seed in REFERENCE_SEEDS:
             lattice = instances.sector_lattice(np.random.default_rng(seed),
@@ -134,10 +152,11 @@ def run(root: Path) -> tuple[str, str, dict]:
             pf = benchmarks.perfect_foresight(
                 catalog, scenario, benchmarks.enumerate_paths(lattice))
             for result in (ef, pf):
-                _feed(results, (result.objective, result.to_tables()))
+                feed("references", (result.objective, result.to_tables()))
     finally:
         lp.solve = raw
-    return results.hexdigest(), solves.hexdigest(), count
+    digests = {key: h.hexdigest() for key, h in results.items()}
+    return digests, solves.hexdigest(), count, totals
 
 
 def main(argv=None) -> int:
@@ -146,10 +165,15 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    results, solves, count = run(root.resolve())
-    print(f"results {results}")
+    results, solves, count, totals = run(root.resolve())
+    print(f"results {results.pop('all')}")
+    for group, digest in results.items():
+        print(f"  {group:<10} {digest}")
     split = ", ".join(f"{n} {start}" for start, n in count.items())
-    print(f"solves  {solves} ({sum(count.values())} solves: {split})")
+    work = ", ".join(f"{'n/a' if n is None else n} {name.replace('_', ' ')}"
+                     for name, n in totals.items())
+    print(f"solves  {solves} ({sum(count.values())} solves: {split}; "
+          f"{work})")
     return 0
 
 

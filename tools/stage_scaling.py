@@ -17,7 +17,13 @@ capacity decision. The script solves it
   peak of traced allocations over that cold solve);
 * warm from the cold solve's own basis, which takes 0 pivots;
 * warm from the same basis after the incoming storage level moves
-  from 30 to 20 GWh (``moved_pivots`` counts its pivots).
+  from 30 to 20 GWh (``moved_pivots`` counts its pivots);
+* and, as training re-solves a stage, once more after the same move
+  through the persistent ``lp.LpState`` that made the cold solve: its
+  right-hand sides rewritten in place and the solve restarted from the
+  factor it kept (``persistent_pivots`` and ``persistent_refactors``
+  count its pivots and factorizations; on a tree without
+  ``lp.LpState`` these three figures are null).
 
 It prints one line per H and, last, a JSON list with one object per H.
 Each figure is one run, so expect machine noise of tens of percent.
@@ -65,7 +71,9 @@ def measure(h: int) -> dict:
             problem, decision.to_state(problem.layout)).instance
 
     inst, moved = stage(LEVEL), stage(MOVED_LEVEL)
-    cold, cold_s = _timed(lambda: lp.solve(inst))
+    # a state built from one instance solves it as lp.solve does
+    state = lp.LpState(inst) if hasattr(lp, "LpState") else inst
+    cold, cold_s = _timed(lambda: lp.solve(state))
     if cold.status != lp.OPTIMAL or cold.basis is None:
         raise RuntimeError(f"H={h}: cold solve ended {cold.status}")
     tracemalloc.start()
@@ -76,11 +84,22 @@ def measure(h: int) -> dict:
     shifted, moved_s = _timed(lambda: lp.solve(moved, basis=cold.basis))
     if shifted.status != lp.OPTIMAL:
         raise RuntimeError(f"H={h}: moved solve ended {shifted.status}")
-    return {"H": h, "rows": inst.n_rows, "cols": inst.n_vars,
-            "pivots": cold.iterations, "cold_s": cold_s,
-            "warm_s": warm_s, "warm_pivots": warm.iterations,
-            "moved_s": moved_s, "moved_pivots": shifted.iterations,
-            "peak_mb": peak / 2**20}
+    row = {"H": h, "rows": inst.n_rows, "cols": inst.n_vars,
+           "pivots": cold.iterations, "cold_s": cold_s,
+           "warm_s": warm_s, "warm_pivots": warm.iterations,
+           "moved_s": moved_s, "moved_pivots": shifted.iterations,
+           "persistent_s": None, "persistent_pivots": None,
+           "persistent_refactors": None, "peak_mb": peak / 2**20}
+    if state is not inst:
+        rows = list(problem.fishing_rows)
+        state.set_rhs(rows, moved.rhs[rows])
+        again, again_s = _timed(lambda: lp.solve(state))
+        if again.status != lp.OPTIMAL or again.start != "warm":
+            raise RuntimeError(f"H={h}: persistent solve ended "
+                               f"{again.status} ({again.start})")
+        row.update(persistent_s=again_s, persistent_pivots=again.iterations,
+                   persistent_refactors=again.refactors)
+    return row
 
 
 def main(argv=None) -> int:
@@ -103,8 +122,12 @@ def main(argv=None) -> int:
               f"{row['pivots']} pivots, cold {row['cold_s']:.3f} s, "
               f"warm {row['warm_s'] * 1e3:.1f} ms ({row['warm_pivots']} "
               f"pivots), moved {row['moved_s'] * 1e3:.1f} ms "
-              f"({row['moved_pivots']} pivots), peak {row['peak_mb']:.1f} MB",
-              flush=True)
+              f"({row['moved_pivots']} pivots), "
+              + ("" if row["persistent_s"] is None else
+                 f"persistent {row['persistent_s'] * 1e3:.1f} ms "
+                 f"({row['persistent_pivots']} pivots, "
+                 f"{row['persistent_refactors']} refactors), ")
+              + f"peak {row['peak_mb']:.1f} MB", flush=True)
     print(json.dumps(rows))
     return 0
 
