@@ -21,7 +21,10 @@ including those :func:`extend_rows` and :func:`replace_rhs` derive, is
 checked by its constructor. An :class:`LpState` is built from a checked
 instance, and checks the rows it appends and the right-hand sides it
 rewrites when they arrive, with the constructor's messages; there is no
-unchecked path.
+unchecked path. The instance a state stands for is derived the same
+way: its template at the current right-hand sides, with each appended
+block applied by :func:`extend_rows`, the one code that concatenates
+CSR rows.
 
 The simplex kernel is sparse and never forms a dense copy of the
 constraint matrix. Presolve, alone, sums a column repeated within a row
@@ -368,9 +371,12 @@ class LpSolution:
     basis, or presolve settled the problem before any basis was
     installed).
 
-    ``source`` is the solved :class:`LpInstance`, or for an
-    :class:`LpState` a snapshot of its rows and right-hand sides at the
-    solve; :attr:`instance` builds the instance from it on first read.
+    ``source`` is what was solved: the :class:`LpInstance` given to
+    :func:`solve`, or the :class:`LpState`. :meth:`value` and
+    :meth:`dual` read their labels off it. A state moves on after its
+    solve, and :meth:`dual` raises KeyError for a row appended since;
+    to keep the instance a state solve saw, take
+    :meth:`LpState.instance` before the state moves.
     """
 
     status: str
@@ -385,14 +391,6 @@ class LpSolution:
     dual_pivots: int = field(default=0, compare=False)
     primal_pivots: int = field(default=0, compare=False)
     refactors: int = field(default=0, compare=False)
-
-    @property
-    def instance(self) -> LpInstance:
-        """The instance this solution solved, whatever its state did
-        since."""
-        if isinstance(self.source, LpInstance):
-            return self.source
-        return self.source.instance()
 
     def _need_optimal(self):
         if self.status != OPTIMAL:
@@ -1065,7 +1063,7 @@ class LpState:
     factor of its basis in ``sx``, and the next solve restarts from it
     (see the module docstring). Like an instance, a state answers
     ``n_rows``, ``var_index`` and ``row_index``, the last kept current
-    row by row, and :meth:`instance` gives the instance it stands for.
+    row by row, and :meth:`instance` builds the instance it stands for.
     """
 
     def __init__(self, instance: LpInstance):
@@ -1076,7 +1074,6 @@ class LpState:
         self.senses = list(instance.senses)
         self.rhs = np.array(instance.rhs)       # of every row, unscaled
         self._blocks = []                       # appended rows, as given
-        self._instance = instance               # None once the state moves
         self.sx = None                          # factor of the last optimum
         row, col, val, order = _entries(instance.indptr, instance.indices,
                                         instance.values)
@@ -1139,7 +1136,6 @@ class LpState:
         slot = self.row_slot[rows]
         kept = slot >= 0
         self.b_s[slot[kept]] = values[kept] / self.rscale[slot[kept]]
-        self._instance = None
 
     def append_rows(self, indptr, indices, values, senses, rhs,
                     labels) -> None:
@@ -1213,41 +1209,22 @@ class LpState:
         self.row_labels += labels
         self.row_index.update(zip(labels, range(first, first + k)))
         self._blocks.append((indptr, indices, values, senses, labels))
-        self._instance = None
         if self.sx is not None:
             self.sx.take_rows(self)
 
-    # -- instances -------------------------------------------------------
-
     def instance(self) -> LpInstance:
-        """The instance the state stands for now: the template's rows and
-        every appended row, at the current right-hand sides."""
-        if self._instance is None:
-            self._instance = self._materialize(len(self._blocks), self.rhs)
-        return self._instance
-
-    def _materialize(self, blocks: int, rhs) -> LpInstance:
-        """The template with its first ``blocks`` appended blocks and the
-        right-hand sides ``rhs`` of all those rows."""
+        """The instance the state stands for now, built afresh: the
+        template at the current right-hand sides with each appended
+        block applied by :func:`extend_rows`."""
         t = self.template
-        parts = self._blocks[:blocks]
-        if not parts:
-            return replace(t, rhs=rhs)
-        start = np.cumsum([len(t.indices)] + [len(p[1]) for p in parts])
-        return replace(
-            t,
-            indptr=np.concatenate([t.indptr] + [s + p[0][1:] for s, p
-                                                in zip(start, parts)]),
-            indices=np.concatenate([t.indices] + [p[1] for p in parts]),
-            values=np.concatenate([t.values] + [p[2] for p in parts]),
-            senses=t.senses + tuple(s for p in parts for s in p[3]),
-            rhs=rhs,
-            row_labels=t.row_labels + tuple(lab for p in parts
-                                            for lab in p[4]))
-
-    def _source(self):
-        """What a solution of the state as it is now refers to."""
-        return self._instance if self._instance is not None else _Snapshot(self)
+        inst = replace(t, rhs=self.rhs[:t.n_rows])
+        first = t.n_rows
+        for indptr, indices, values, senses, labels in self._blocks:
+            last = first + len(labels)
+            inst = extend_rows(inst, indptr, indices, values, senses,
+                               self.rhs[first:last], labels)
+            first = last
+        return inst
 
     # -- solving ---------------------------------------------------------
 
@@ -1264,7 +1241,7 @@ class LpState:
                     np.abs(rhs) > FEASIBILITY_TOL))
             if violated.any():
                 return LpSolution(INFEASIBLE, None, None, None, None, 0,
-                                  self._source(), start="cold")
+                                  self, start="cold")
         if sx is not None:
             sx.resume()
             sol = self._restart(sx)
@@ -1304,8 +1281,7 @@ class LpState:
             art_sum = float(np.abs(sx.x[n + m:]).sum())
             if art_sum > FEASIBILITY_TOL * (1.0 + float(np.abs(self.b_s).max())):
                 return LpSolution(INFEASIBLE, None, None, None, None,
-                                  sx.pivots, self._source(), start="cold",
-                                  **sx.counts())
+                                  sx.pivots, self, start="cold", **sx.counts())
             # freeze artificials at zero, restore the real objective
             sx.set_costs(real_cost)
             sx.lower[n + m:] = 0.0
@@ -1318,7 +1294,7 @@ class LpState:
 
         if sx.run() == UNBOUNDED:
             return LpSolution(UNBOUNDED, None, None, None, None, sx.pivots,
-                              self._source(), start="cold", **sx.counts())
+                              self, start="cold", **sx.counts())
         return self._finish(sx, "cold")
 
     def _warm(self, basis) -> LpSolution | None:
@@ -1352,8 +1328,7 @@ class LpState:
         try:
             if not sx.dual_run():
                 return LpSolution(INFEASIBLE, None, None, None, None,
-                                  sx.pivots, self._source(), start="warm",
-                                  **sx.counts())
+                                  sx.pivots, self, start="warm", **sx.counts())
             sx.degenerate_run = 0
             sx.bland = False
             if sx.run() != OPTIMAL:
@@ -1423,34 +1398,8 @@ class LpState:
             sx.drop_units()
             self.sx = sx
         return LpSolution(OPTIMAL, obj, _frozen(primal), _frozen(duals),
-                          _frozen(red), sx.pivots, self._source(), basis,
+                          _frozen(red), sx.pivots, self, basis,
                           start, **sx.counts())
-
-
-class _Snapshot:
-    """The rows and right-hand sides of an :class:`LpState` at one
-    solve, from which that solve's instance is built on first read."""
-
-    __slots__ = ("state", "blocks", "rhs", "built")
-
-    def __init__(self, state: LpState):
-        self.state = state
-        self.blocks = len(state._blocks)
-        self.rhs = state.rhs.copy()
-        self.built = None
-
-    @property
-    def var_index(self) -> dict:
-        return self.state.var_index
-
-    @property
-    def row_index(self) -> dict:
-        return self.state.row_index
-
-    def instance(self) -> LpInstance:
-        if self.built is None:
-            self.built = self.state._materialize(self.blocks, self.rhs)
-        return self.built
 
 
 def solve(problem, *, basis=None) -> LpSolution:
@@ -1461,7 +1410,8 @@ def solve(problem, *, basis=None) -> LpSolution:
     problems are reported by status alone. Raises
     :class:`NumericalFailure` if tolerances cannot be maintained.
 
-    An instance is solved once, in a state built for the purpose. A
+    An instance is solved once, in a state built for the purpose, and
+    is the solution's ``source``; the state dies with the call. A
     state restarts from the factor its last optimal solve left, if any.
     Otherwise, ``basis`` is the :attr:`LpSolution.basis` of an earlier
     solve of a problem with the same variables whose rows are a prefix
@@ -1472,8 +1422,9 @@ def solve(problem, *, basis=None) -> LpSolution:
     the restart cannot finish otherwise, so a basis never changes
     whether a solve succeeds.
     """
-    state = LpState(problem) if isinstance(problem, LpInstance) else problem
-    return state._solve(basis)
+    if isinstance(problem, LpInstance):
+        return replace(LpState(problem)._solve(basis), source=problem)
+    return problem._solve(basis)
 
 
 def solve_optimal(problem, where: str, basis=None) -> LpSolution:

@@ -40,9 +40,7 @@ new :class:`Policy`'s capacities enters first, and passes it to
 :func:`forward_pass`, :func:`backward_pass` and :func:`lower_bound`.
 Each :func:`simulate` call starts a fresh one, so a simulation solves
 one problem per dispatch stage cold, on its first path. The states die
-with their dict; none is stored on the policy or in its JSON. Calls of
-:func:`lower_bound`, :func:`forward_pass` and :func:`backward_pass`
-without a dict solve each problem cold in a state of its own.
+with their dict; none is stored on the policy or in its JSON.
 
 The same dict serves repeated solves. A solve whose incoming state has
 the same bytes, and whose pool the same length, as the last solve of its
@@ -137,9 +135,11 @@ def average_cut(stage: int, values, slopes, trial_state,
 
 def cut_block(problem: model.StageProblem, cuts, first: int = 0) -> tuple:
     """The rows of ``cuts``, cuts ``first``, ``first + 1``, ... of a
-    pool, on ``problem`` as the arguments that follow the instance in
-    :func:`stockpile.lp.extend_rows` (and that
-    :meth:`stockpile.lp.LpState.append_rows` takes).
+    pool, on ``problem`` as the arguments that
+    :meth:`stockpile.lp.LpState.append_rows` takes and that follow the
+    instance in :func:`stockpile.lp.extend_rows`. A stage's state keeps
+    each block it is given, and :meth:`stockpile.lp.LpState.instance`
+    applies them to the template with :func:`stockpile.lp.extend_rows`.
 
     Cut ``c`` is the row ``cut:<c>``: theta + (-slope) @ x >= intercept,
     its terms as given, theta first. A column named twice (the capacity
@@ -267,15 +267,15 @@ class Policy:
 
         The problem carries the current cut pool on its cost-to-go
         variable and, when ``x_in`` is given, that incoming state.
-        ``bases``, when given, is a run's dict of last solves (see the
-        module docstring), whose entry under (stage, realization) holds
-        the problem's :class:`stockpile.lp.LpState`. The solve rewrites
-        that state's fishing right-hand sides, appends the cuts added to
-        the pool since its last solve and restarts from the factor the
-        state kept. A key with no entry yet gets a state built from the
-        stage template, which restarts from the stage's basis stored by
-        :func:`_rollout`, if any, and else solves cold; so does every
-        solve without a dict, whose state dies with it. The solve then
+        ``bases`` is a run's dict of last solves (see the module
+        docstring), a fresh one when not given, whose entry under
+        (stage, realization) holds the problem's
+        :class:`stockpile.lp.LpState`. The solve rewrites that state's
+        fishing right-hand sides, appends the cuts added to the pool
+        since its last solve and restarts from the factor the state
+        kept. A key with no entry yet gets a state built from the stage
+        template, which restarts from the stage's basis stored by
+        :func:`_rollout`, if any, and else solves cold. The solve then
         stores its state and solution under its key; it never writes the
         stage's entry. When the incoming state's bytes and the pool
         length both equal those of the stored solve, the problem is the
@@ -285,18 +285,19 @@ class Policy:
         written by the thread solving that problem. Returns the stage
         template and the solution.
         """
+        bases = {} if bases is None else bases
         key = (t, node)
         pool = self.pools.get(t + 1, ())
         stamp = (None if x_in is None
                  else np.ascontiguousarray(x_in, dtype=float).tobytes(),
                  len(pool))
-        last = None if bases is None else bases.get(key)
+        last = bases.get(key)
         if last is not None and last[0] == stamp:
             return last[1], last[2]
         problem = self._template(t, node)
         if last is None:
             state = lp.LpState(problem.instance)
-            basis = None if bases is None else bases.get(t)
+            basis = bases.get(t)
         else:
             state, basis = last[3], None
         if x_in is not None:
@@ -311,8 +312,7 @@ class Policy:
         except SolverFailure as exc:
             exc.stage, exc.node = t, None if t == 0 else node
             raise
-        if bases is not None:
-            bases[key] = (stamp, problem, sol, state)
+        bases[key] = (stamp, problem, sol, state)
         return problem, sol
 
     # -- serialization ---------------------------------------------------
@@ -389,6 +389,13 @@ def load_policy(path, catalog: model.TechnologyCatalog,
                     iteration=c["iteration"],
                     trial_state=np.asarray(c["trial_state"], dtype=float))
                 for c in cuts]
+            # a cut's constructor has checked that its slope and trial
+            # state have one shape
+            size = policy.layout.size
+            if any(cut.slope.shape != (size,) for cut in policy.pools[t]):
+                raise DataError(f"policy has a cut in pool {t_str!r} whose "
+                                f"slope and trial state are not of the "
+                                f"state size {size}")
         policy.training_log = [tuple(row) for row in payload["training_log"]]
         policy.stopped_reason = payload["stopped_reason"]
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
@@ -404,20 +411,22 @@ def _rollout(policy: Policy, path: WeatherPath, first: StageRecord,
 
     Stage 1 receives the outgoing state of the capacity-stage record
     ``first``; each later stage receives the previous stage's. Solves
-    restart from and update ``bases`` as in :meth:`Policy._solve`, and
-    each sets its stage's entry in ``bases`` to its basis, from which
-    a realization of that stage not solved yet restarts. This is the
-    only code that writes those entries.
+    restart from and update ``bases``, a fresh dict when not given, as
+    in :meth:`Policy._solve`, and each sets its stage's entry in
+    ``bases`` to its basis, from which a realization of that stage not
+    solved yet restarts. This is the only code that writes those
+    entries.
     """
     if path.n_stages != policy.n_stages:
         raise DimensionMismatch(
             f"path has {path.n_stages} stages, lattice {policy.n_stages}")
+    bases = {} if bases is None else bases
     records = [first]
     x = first.outgoing
     for t in range(1, policy.n_stages + 1):
         node = path.node_indices[t - 1]
         problem, sol = policy._solve(t, node, x, bases)
-        if bases is not None and sol.basis is not None:
+        if sol.basis is not None:
             bases[t] = sol.basis
         x_out = model.extract_state(problem, sol)
         dispatch = model.extract_dispatch(problem, sol, policy.catalog)

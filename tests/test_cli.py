@@ -480,6 +480,24 @@ def test_policy_pool_outside_stages_exits_3(tmp_path, capsys):
     assert "stage '99', outside 1..2" in capsys.readouterr().err
 
 
+def test_policy_cut_of_the_wrong_size_exits_3(tmp_path, capsys):
+    """A policy file whose cut has one slope entry and one trial-state
+    entry too many is a data error (exit 3), not a traceback from the
+    simulation."""
+    cfg, out = _readme_run(tmp_path)
+    path = tmp_path / "out" / "policy.json"
+    payload = json.loads(path.read_text())
+    cut = payload["pools"]["2"][0]
+    cut["slope"].append(0.0)
+    cut["trial_state"].append(0.0)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", cfg, "--out", out,
+                     "--policy", str(edited)]) == 3
+    assert "state size" in capsys.readouterr().err
+
+
 def test_simulate_solves_no_capacity_stage(tmp_path, monkeypatch):
     """Simulating one path of the README config solves its two dispatch
     stages and nothing else: the loaded policy brings its capacities."""

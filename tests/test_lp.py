@@ -35,6 +35,7 @@ def test_upper_bound_row_binding():
     """min -x s.t. x <= 2, x >= 0: optimum x = 2, objective -2, dual -1."""
     inst = build([-1.0], [[1.0]], ["<="], [2.0], [0.0], [np.inf])
     sol = lp.solve(inst)
+    assert sol.source is inst
     assert sol.status == lp.OPTIMAL
     assert sol.value("x0") == pytest.approx(2.0, abs=1e-9)
     assert sol.objective == pytest.approx(-2.0, abs=1e-9)
@@ -1150,7 +1151,10 @@ def test_solve_counters_add_up_over_cold_own_factor_and_new_rows():
     """A state's cold solve, its 0-pivot restart from its own factor
     (which refactors nothing and reproduces the cold solution bit for
     bit), and its restart after a row cuts the optimum off: in each,
-    dual and primal pivots add up to the iterations."""
+    dual and primal pivots add up to the iterations. A solution reads
+    its labels off the state, which moves on: a value stays readable
+    after a later append, and a row appended after the solve has no
+    dual in it."""
     inst = _sparse_feasible_lp(5)
     state = lp.LpState(inst)
     cold = lp.solve(state)
@@ -1167,40 +1171,19 @@ def test_solve_counters_add_up_over_cold_own_factor_and_new_rows():
     n = inst.n_vars
     state.append_rows([0, n], np.arange(n), np.ones(n), ["<="],
                       [cold.primal.sum() - 1.0], ["cut"])
+    assert cold.source is state
+    assert cold.value("x1") == cold.primal[1]
+    assert cold.dual("r2") == cold.duals[2]
+    with pytest.raises(KeyError):
+        cold.dual("cut")
     grown = lp.solve(state)
     assert grown.start == "warm" and grown.dual_pivots >= 1
+    assert grown.dual("cut") == grown.duals[inst.n_rows]
     assert grown.refactors >= 1
     assert grown.objective == pytest.approx(
         lp.solve(state.instance()).objective, rel=1e-9)
     for sol in (cold, again, grown):
         assert sol.dual_pivots + sol.primal_pivots == sol.iterations
-
-
-def test_solution_instance_stays_what_was_solved():
-    """A state solution's instance is built on first read from what the
-    solve saw, even after the state moved its right-hand sides and
-    appended rows; value and dual read it without building it."""
-    inst = _unused_column_instance()
-    state = lp.LpState(inst)
-    state.set_rhs([0], [3.0])
-    first = lp.solve(state)
-    state.append_rows([0, 1], [0], [1.0], ["<="], [1.0], ["cap"])
-    state.set_rhs([0, 1], [4.0, 0.5])
-    second = lp.solve(state)
-    assert second.instance.n_rows == 3
-    assert first.instance.n_rows == 2
-    assert first.instance.rhs.tolist() == [3.0, 1.0]
-    assert first.instance.row_labels == inst.row_labels
-    for a, b in ((first.instance.indptr, inst.indptr),
-                 (first.instance.indices, inst.indices),
-                 (first.instance.values, inst.values)):
-        assert a.tobytes() == b.tobytes()
-    assert second.instance.rhs.tolist() == [4.0, 0.5, 1.0]
-    assert first.dual("r0") == pytest.approx(1.0)
-    with pytest.raises(KeyError):
-        first.dual("cap")
-    assert second.value("x0") == pytest.approx(1.0)
-    assert lp.solve(first.instance).objective == first.objective
 
 
 @pytest.mark.parametrize("block, message", [
@@ -1252,7 +1235,8 @@ def test_state_checks_rewritten_rhs():
 def test_rows_appended_one_at_a_time_solve_as_rows_appended_at_once():
     """Rows naming a column twice, appended to a state one block at a
     time, are stored, scaled and solved bit for bit as the same rows
-    appended at once; and the state agrees with a cold solve of the
+    appended at once, and stand for the same instance at moved
+    right-hand sides; and the state agrees with a cold solve of the
     instance it stands for."""
     rng = np.random.default_rng(3)
     inst = _sparse_feasible_lp(11)
@@ -1278,6 +1262,15 @@ def test_rows_appended_one_at_a_time_solve_as_rows_appended_at_once():
     _same_solution(a, b)
     assert a.objective == pytest.approx(lp.solve(one.instance()).objective,
                                         rel=1e-9)
+    moved = [0, inst.n_rows, inst.n_rows + 5]
+    for state in (one, whole):
+        state.set_rhs(moved, [1.0, 2.0, 3.0])
+    mine, theirs = one.instance(), whole.instance()
+    for name in ("indptr", "indices", "values", "rhs"):
+        assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes()
+    assert mine.senses == theirs.senses
+    assert mine.row_labels == theirs.row_labels
+    assert mine.rhs[moved].tolist() == [1.0, 2.0, 3.0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

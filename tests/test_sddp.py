@@ -462,6 +462,24 @@ def _train_canonical(canonical, iterations, threads=1):
                                         threads=threads))
 
 
+def test_load_policy_rejects_a_cut_of_the_wrong_size(canonical, tmp_path):
+    """A saved cut whose slope and trial state agree with each other but
+    not with the state layout is a data error at load, not a failure of
+    the first simulation."""
+    policy = _train_canonical(canonical, 3)
+    path = tmp_path / "policy.json"
+    sddp.save_policy(policy, path)
+    payload = json.loads(path.read_text())
+    cut = payload["pools"]["2"][0]
+    assert len(cut["slope"]) == policy.layout.size
+    cut["slope"].append(0.0)
+    cut["trial_state"].append(0.0)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="pool '2'.* state size"):
+        sddp.load_policy(path, canonical["catalog"], canonical["scenario"],
+                         canonical["lattice"])
+
+
 def test_threaded_training_log_matches_serial(canonical):
     """Warm starts are kept per (stage, realization), so solving the
     realizations of a backward pass on two threads changes nothing."""
@@ -621,7 +639,9 @@ def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
     iterations is, bit for bit, what solving the served instance from
     the stored basis gives, and that restart takes no pivot. The served
     solutions come from persistent stage states, so the restart is a
-    fresh state of the same template moved to the served instance."""
+    fresh state of the same template moved to the served instance,
+    which is taken off the served state when it is served: the state
+    has not moved since that solve."""
     solves = []
     raw_solve = lp.solve_optimal
     raw_stage = sddp.Policy._solve
@@ -636,8 +656,8 @@ def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
         before = len(solves)
         problem, sol = raw_stage(self, t, node, x_in, bases)
         if len(solves) == before:
-            assert bases is not None
-            hits.append((t, problem, sol))
+            assert sol.source is bases[(t, node)][3]
+            hits.append((t, problem, sol, sol.source.instance()))
         return problem, sol
 
     monkeypatch.setattr(lp, "solve_optimal", count)
@@ -647,11 +667,10 @@ def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
     # the constructor's capacity solve opens the first forward pass, the
     # lower bound's opens each later one and fixes the final capacities,
     # and each backward pass repeats the forward pass's last-stage solve
-    assert sum(t == 0 for t, _, _ in hits) == 41
-    assert sum(t == last for t, _, _ in hits) >= 40
-    for _, problem, served in hits:
-        again = lp.solve(_fresh_state(problem, served.instance),
-                         basis=served.basis)
+    assert sum(t == 0 for t, _, _, _ in hits) == 41
+    assert sum(t == last for t, _, _, _ in hits) >= 40
+    for _, problem, served, inst in hits:
+        again = lp.solve(_fresh_state(problem, inst), basis=served.basis)
         assert again.iterations == 0
         assert again.objective == served.objective
         for mine, theirs in ((again.primal, served.primal),
@@ -676,7 +695,9 @@ def _distinct_incoming_states(policy, paths):
 def test_sibling_basis_restarts_every_stage_warm(sector):
     """For every dispatch stage and every ordered pair of realizations
     (i, j), realization j at one incoming state restarts warm from i's
-    optimal basis at another state, and ends at the cold optimum."""
+    optimal basis at another state, and ends at the cold optimum. The
+    cold solve's state is its own, so its instance, taken after the
+    solve, is the one solved."""
     policy = sector["policy"]
     x_i, x_j = _distinct_incoming_states(policy, sector["paths"])[:2]
     assert x_i.tobytes() != x_j.tobytes()
@@ -689,7 +710,7 @@ def test_sibling_basis_restarts_every_stage_warm(sector):
             for j in range(n_real):
                 _, cold = policy._solve(t, j, x_j)
                 assert cold.start == "cold"
-                warm = lp.solve(cold.instance, basis=from_i.basis)
+                warm = lp.solve(cold.source.instance(), basis=from_i.basis)
                 assert warm.start == "warm", (t, i, j)
                 assert warm.status == lp.OPTIMAL
                 assert warm.objective == pytest.approx(cold.objective,
@@ -781,14 +802,15 @@ def test_threaded_training_policy_matches_serial_on_three_realizations(
 
 
 def _state_solves(monkeypatch):
-    """Record every solution of an lp.LpState that lp.solve returns."""
+    """Record every solve of an lp.LpState that lp.solve makes, as the
+    instance the state stood for at the solve and the solution."""
     seen = []
     raw = lp.solve
 
     def spy(problem, **kwargs):
         sol = raw(problem, **kwargs)
         if isinstance(problem, lp.LpState):
-            seen.append(sol)
+            seen.append((problem.instance(), sol))
         return sol
 
     monkeypatch.setattr(lp, "solve", spy)
@@ -829,11 +851,10 @@ def test_persistent_states_solve_what_their_instances_would(canonical,
     sddp.train(sector["catalog"], sector["scenario"], sector["lattice"],
                sddp.TrainOptions(max_iterations=2, seed=1))
     assert n_canonical > 200 and len(seen) > n_canonical
-    assert any(sol.start == "warm" and sol.instance.row_index.get("cut:0")
-               for sol in seen)
+    assert any(sol.start == "warm" and "cut:0" in inst.row_index
+               for inst, sol in seen)
     monkeypatch.undo()
-    for sol in seen:
-        inst = sol.instance
+    for inst, sol in seen:
         cold = lp.solve(inst)
         assert cold.status == sol.status == lp.OPTIMAL
         assert sol.objective == pytest.approx(cold.objective, rel=1e-9,
