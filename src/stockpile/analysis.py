@@ -282,32 +282,30 @@ def kkt_audit(trajectory, catalog: model.TechnologyCatalog,
             continue
         d = rec.dispatch
         hours = d.period_hours
+        prices = d.prices.tolist()
         for s in catalog.storages:
-            pout = rec.incoming[layout.position(f"pout:{s.name}")]
-            pin = rec.incoming[layout.position(f"pin:{s.name}")]
-            f = d.discharge[s.name]
-            ch = d.charge[s.name]
             msv = d.storage_values[s.name]
-            for h in range(f.size):
-                lam = d.prices[h]
-                eps_f = 1e-6 * (1.0 + pout * hours)
-                eps_c = 1e-6 * (1.0 + pin * hours)
-                if eps_f < f[h] < pout * hours - eps_f:
-                    implied = msv[h] / s.efficiency_out
+            # per mode: the flow, the bounds of its interior and the
+            # price the storage value implies, as lists for the loop
+            modes = []
+            for mode, flow, power, implied in (
+                    ("discharge", d.discharge[s.name],
+                     rec.incoming[layout.position(f"pout:{s.name}")],
+                     msv / s.efficiency_out),
+                    ("charge", d.charge[s.name],
+                     rec.incoming[layout.position(f"pin:{s.name}")],
+                     s.efficiency_in * msv)):
+                eps = 1e-6 * (1.0 + power * hours)
+                modes.append((mode, flow.tolist(), eps, power * hours - eps,
+                              implied.tolist()))
+            for h, lam in enumerate(prices):
+                for mode, flow, low, high, implied in modes:
+                    if not low < flow[h] < high:
+                        continue
                     checked += 1
-                    if abs(lam - implied) > tol * max(
-                            1.0, abs(lam), abs(implied)):
+                    if abs(lam - implied[h]) > tol * max(
+                            1.0, abs(lam), abs(implied[h])):
                         violations.append(KktViolation(
                             stage=rec.stage, storage=s.name, period=h,
-                            mode="discharge", price=float(lam),
-                            implied=float(implied)))
-                if eps_c < ch[h] < pin * hours - eps_c:
-                    implied = s.efficiency_in * msv[h]
-                    checked += 1
-                    if abs(lam - implied) > tol * max(
-                            1.0, abs(lam), abs(implied)):
-                        violations.append(KktViolation(
-                            stage=rec.stage, storage=s.name, period=h,
-                            mode="charge", price=float(lam),
-                            implied=float(implied)))
+                            mode=mode, price=lam, implied=implied[h]))
     return KktReport(checked=checked, violations=tuple(violations))

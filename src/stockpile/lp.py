@@ -67,8 +67,9 @@ so a one-shot solve depends on the instance alone. A caller that
 solves one problem many times keeps its state: :meth:`LpState.set_rhs`
 rewrites right-hand sides in place and :meth:`LpState.append_rows`
 appends rows, so the next solve needs no new instance, no presolve and
-no new scaling. Only the rows appended get scales, each its own over
-the column scales the state fixed at the start.
+no new scaling. A state scales its template as one block, which fixes
+the column scales; an appended row gets only its own scale over them.
+Template rows and appended rows then go in by the same routine.
 
 Restarts: after an optimal solve, a state keeps the factor of its
 basis, the one the last refactor in sorted basis order made. An
@@ -237,7 +238,7 @@ class LpInstance:
 
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))
-        row, col, val, _ = _entries(self.indptr, self.indices, self.values)
+        row, col, val = _entries(self.indptr, self.indices, self.values)
         a[row, col] = val
         return a
 
@@ -508,8 +509,7 @@ class _Simplex:
         self.m = p.m
         self.ns = p.n
         self.n = p.n + p.m
-        self.colptr = np.concatenate([p.colptr,
-                                      p.colptr[-1] + np.arange(1, p.m + 1)])
+        self.colptr = p.colptr
         self.entry_col = p.entry_col
         self.entry_row = p.entry_row
         self.entry_val = p.entry_val
@@ -966,12 +966,20 @@ class _Simplex:
                 return UNBOUNDED
 
 
-def _scale(row, col, val, row_count, col_order, n):
+def _factors(val, group, size):
+    """Scale factors of ``size`` groups from the largest |val| of each,
+    ``group`` naming the group of each value: 1 for a group with no
+    nonzero value, the rest clamped to [1e-8, 1e8]."""
+    norm = np.zeros(size)
+    np.maximum.at(norm, group, np.abs(val))
+    norm[norm == 0.0] = 1.0
+    return np.minimum(np.maximum(norm, 1e-8), 1e8)
+
+
+def _scale(row, col, val, m, n):
     """Two rounds of max-norm row/column equilibration of the nonzero
-    entries ``val`` at (``row``, ``col``) of an m x n matrix, in row
-    order with ``row_count[i] > 0`` entries in row i; ``col_order``
-    sorts them by column. Returns the scaled values, the column counts
-    and the row and column factors r and d.
+    entries ``val`` at (``row``, ``col``) of an m x n matrix. Returns
+    the scaled values and the row and column factors r and d.
 
     a_scaled[i, j] = a[i, j] / (r[i] * d[j]), which substitutes
     x_scaled = d * x. Hence b_scaled = b / r, bounds scale by d, costs
@@ -980,44 +988,32 @@ def _scale(row, col, val, row_count, col_order, n):
     nonzeros equals the one over the dense row or column, so the factors
     and scaled values are those of the dense matrix.
     """
-    m = len(row_count)
-    col_count = np.bincount(col, minlength=n)
-    used = col_count > 0
-    row_first = row_count.cumsum() - row_count
-    col_first = (col_count.cumsum() - col_count)[used]
     a = val
     r = np.ones(m)
     d = np.ones(n)
     for _ in range(2):
-        cmax = np.zeros(n)
-        if m:
-            rmax = np.maximum.reduceat(np.abs(a), row_first)
-            rmax[rmax == 0.0] = 1.0
-            rmax = np.minimum(np.maximum(rmax, 1e-8), 1e8)
-            r *= rmax
-            a = a / rmax[row]
-            cmax[used] = np.maximum.reduceat(np.abs(a[col_order]), col_first)
-        cmax[cmax == 0.0] = 1.0
-        cmax = np.minimum(np.maximum(cmax, 1e-8), 1e8)
+        rmax = _factors(a, row, m)
+        r *= rmax
+        a = a / rmax[row]
+        cmax = _factors(a, col, n)
         d *= cmax
         a = a / cmax[col]
-    return a, col_count, r, d
+    return a, r, d
 
 
 def _entries(indptr, indices, values):
     """The nonzero entries of rows in CSR form as (row, col, val) in row
-    order, plus the permutation that sorts them by column with rows
-    ascending within a column. The only code that merges entries: a
-    column repeated within a row (a capacity-stage cut names the
-    opening-level column twice) is one entry holding the sum, and an
-    explicit zero (a cut's zero slope, say) is no entry."""
+    order. The only code that merges entries: a column repeated within
+    a row (a capacity-stage cut names the opening-level column twice)
+    is one entry holding the sum, and an explicit zero (a cut's zero
+    slope, say) is no entry."""
     row = np.arange(len(indptr) - 1).repeat(indptr[1:] - indptr[:-1])
     col, val = indices, values
     nonzero = val != 0.0
     if not nonzero.all():
         row, col, val = row[nonzero], col[nonzero], val[nonzero]
-    # stable, so rows stay ascending within a column and repeats of one
-    # (row, column) end up next to each other in the order given
+    # stable, so that repeats of one (row, column) end up next to each
+    # other in the order given
     order = col.argsort(kind="stable")
     ccol, crow = col[order], row[order]
     repeat = (ccol[1:] == ccol[:-1]) & (crow[1:] == crow[:-1])
@@ -1028,32 +1024,30 @@ def _entries(indptr, indices, values):
         row, col, val = crow[first][back], ccol[first][back], summed[back]
         nonzero = val != 0.0
         row, col, val = row[nonzero], col[nonzero], val[nonzero]
-        order = col.argsort(kind="stable")
-    return row, col, val, order
+    return row, col, val
 
 
-def _slack_bounds(senses):
-    """The bounds of the slacks of rows with ``senses``: a <= row's
-    slack is nonnegative, a >= row's nonpositive, an equality row's
-    zero."""
-    return (np.array([-np.inf if s == GREATER_EQUAL else 0.0 for s in senses]),
-            np.array([np.inf if s == LESS_EQUAL else 0.0 for s in senses]))
+# the bounds of a row's slack by the row's sense, in _SENSES order: a <=
+# row's slack is nonnegative, a >= row's nonpositive, an equality row's 0
+_SLACK_BOUNDS = np.array([[0.0, np.inf], [-np.inf, 0.0], [0.0, 0.0]])
 
 
 class LpState:
     """An LP prepared once and kept across solves.
 
     The constructor presolves and scales a checked :class:`LpInstance`,
-    its template: rows with no nonzero entry are dropped (their
-    right-hand sides are checked at each solve), and the rest are
-    max-norm equilibrated as one block by :func:`_scale`, which fixes
-    the column scales and the cost scale for the life of the state. The
-    system is then held in equality form over the kept rows, with one
-    slack column per kept row after the structural columns. The entries
-    of all columns are one coordinate list: the scaled structural
-    entries column by column, column j's at ``colptr[j]:colptr[j + 1]``,
-    then the slacks' unit entries. The scaled structural entries are
-    also kept row by row, row i's in the columns
+    its template: :func:`_scale` equilibrates its rows as one block,
+    which fixes the column scales and the cost scale for the life of the
+    state, and the rows go in by the routine :meth:`append_rows` ends
+    in, the one that grows the state. A row with no nonzero entry is
+    dropped, and its right-hand side is checked at each solve against
+    ``slack_bounds``, the bounds each row's sense sets on its slack. The
+    system is held in equality form over the kept rows, with one slack
+    column per kept row after the structural columns. The entries of all
+    columns are one coordinate list: the scaled structural entries
+    column by column, column j's at ``colptr[j]:colptr[j + 1]``, then
+    the slacks' unit entries, which ``colptr`` spans too. The scaled
+    structural entries are also kept row by row, row i's in the columns
     ``row_col[rowptr[i]:rowptr[i + 1]]``.
 
     Between solves, :meth:`set_rhs` rewrites right-hand sides in place
@@ -1069,42 +1063,28 @@ class LpState:
     def __init__(self, instance: LpInstance):
         self.template = instance
         self.var_index = instance.var_index
-        self.row_labels = list(instance.row_labels)
-        self.row_index = dict(instance.row_index)
-        self.senses = list(instance.senses)
-        self.rhs = np.array(instance.rhs)       # of every row, unscaled
         self._blocks = []                       # appended rows, as given
         self.sx = None                          # factor of the last optimum
-        row, col, val, order = _entries(instance.indptr, instance.indices,
-                                        instance.values)
-        row_count = np.bincount(row, minlength=instance.n_rows)
-        nonempty = row_count > 0
-        self.keep = nonempty.nonzero()[0]       # instance row of each kept row
-        self.dropped = (~nonempty).nonzero()[0]
-        if self.dropped.size:
-            row = (nonempty.cumsum() - 1)[row]
-            row_count = row_count[self.keep]
-        self.row_slot = np.full(instance.n_rows, -1, dtype=np.intp)
-        self.row_slot[self.keep] = np.arange(len(self.keep))
-        m, n = len(self.keep), instance.n_vars
-        a, col_count, self.rscale, self.dscale = _scale(row, col, val,
-                                                        row_count, order, n)
+        row, col, val = _entries(instance.indptr, instance.indices,
+                                 instance.values)
+        a, r, self.dscale = _scale(row, col, val, instance.n_rows,
+                                   instance.n_vars)
         c_s = instance.objective / self.dscale
         self.cost_scale = max(1.0, float(np.abs(c_s).max(initial=0.0)))
-        # slack columns are exactly unit columns after scaling (their own
-        # column scale cancels the row scale); bounds encode the row sense
-        self.colptr = np.concatenate([[0], col_count.cumsum()])
-        self.entry_col = np.concatenate([col[order], np.arange(n, n + m)])
-        self.entry_row = np.concatenate([row[order], np.arange(m)])
-        self.entry_val = np.concatenate([a[order], np.ones(m)])
-        self.rowptr = np.concatenate([[0], row_count.cumsum()])
-        self.row_col, self.row_val = col, a
-        self.b_s = self.rhs[self.keep] / self.rscale
-        self.c = np.concatenate([c_s / self.cost_scale, np.zeros(m)])
-        slack_lo, slack_hi = _slack_bounds(
-            [instance.senses[i] for i in self.keep])
-        self.lower = np.concatenate([instance.lower * self.dscale, slack_lo])
-        self.upper = np.concatenate([instance.upper * self.dscale, slack_hi])
+        self.c = c_s / self.cost_scale
+        self.lower = instance.lower * self.dscale
+        self.upper = instance.upper * self.dscale
+        # no rows yet; _add_rows replaces these arrays and writes none
+        self.colptr = np.zeros(self.n + 1, dtype=np.intp)
+        self.rowptr = np.zeros(1, dtype=np.intp)
+        self.entry_col = self.entry_row = self.row_col = self.keep = \
+            self.dropped = self.row_slot = np.zeros(0, dtype=np.intp)
+        self.entry_val = self.row_val = self.rscale = self.b_s = \
+            self.rhs = np.zeros(0)
+        self.slack_bounds = np.zeros((0, 2))
+        self.row_index = {}
+        self._add_rows(row, col, a, r, instance.rhs, instance.senses,
+                       instance.row_labels)
 
     @property
     def n(self) -> int:
@@ -1116,7 +1096,7 @@ class LpState:
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_labels)
+        return len(self.row_index)
 
     # -- moving the problem --------------------------------------------
 
@@ -1143,8 +1123,10 @@ class LpState:
 
         Each new row with a nonzero entry is scaled by the largest of
         its entries over their column scales, clamped as :func:`_scale`
-        clamps; a row with none is dropped, as presolve drops it. A held
-        factor takes the new rows with their slacks basic.
+        clamps, and holds its entries in column order, so that rows
+        appended one block at a time are stored as the same rows
+        appended at once; a row with none is dropped, as presolve drops
+        it. A held factor takes the new rows with their slacks basic.
         """
         indptr = _as_readonly(indptr, np.intp)
         indices = _as_readonly(indices, np.intp)
@@ -1159,32 +1141,38 @@ class LpState:
             raise ValueError(f"duplicate row label {clash!r}")
         if not k:
             return
-        row, col, val, _ = _entries(indptr, indices, values)
-        # entries of an appended row in column order, so that rows
-        # appended one block at a time are stored as the same rows
-        # appended at once
+        row, col, val = _entries(indptr, indices, values)
         by_row = np.lexsort((col, row))
         row, col, val = row[by_row], col[by_row], val[by_row]
+        v = val / self.dscale[col]
+        r = _factors(v, row, k)
+        self._blocks.append((indptr, indices, values, senses, labels))
+        self._add_rows(row, col, v / r[row], r, rhs, senses, labels)
+
+    def _add_rows(self, row, col, a, r, rhs, senses, labels) -> None:
+        """Add checked rows with new labels, the one code that grows the
+        state: entry t, in row order, is the scaled value ``a[t]`` in
+        row ``row[t]`` (counted from 0) and column ``col[t]``, and
+        ``r`` scales each row. A row with no entry is dropped. A held
+        factor takes the new rows with their slacks basic."""
+        n, m_old, first, k = self.n, self.m, self.n_rows, len(labels)
         count = np.bincount(row, minlength=k)
         nonempty = count > 0
         new = nonempty.nonzero()[0]
-        at = (nonempty.cumsum() - 1)[row]       # each entry's new kept row
-        v = val / self.dscale[col]
-        r = np.ones(len(new))
-        if v.size:
-            r = np.maximum.reduceat(np.abs(v), (count.cumsum() - count)[new])
-            r[r == 0.0] = 1.0
-            r = np.minimum(np.maximum(r, 1e-8), 1e8)
-        a = v / r[at]
-        n, m_old, first = self.n, self.m, self.n_rows
         m = m_old + len(new)
-        nz = self.colptr[-1]
+        r = r[new]
+        nz = self.colptr[n]
         ecol = np.concatenate([self.entry_col[:nz], col])
-        erow = np.concatenate([self.entry_row[:nz], m_old + at])
+        # each entry's kept row in the state
+        erow = np.concatenate([self.entry_row[:nz],
+                               (nonempty.cumsum() + (m_old - 1))[row]])
         eval_ = np.concatenate([self.entry_val[:nz], a])
         by_col = ecol.argsort(kind="stable")
+        # slack columns are exactly unit columns after scaling (their own
+        # column scale cancels the row scale) and follow the structurals
         self.colptr = np.concatenate(
-            [[0], np.bincount(ecol, minlength=n).cumsum()])
+            [[0], np.bincount(ecol, minlength=n).cumsum(),
+             len(ecol) + np.arange(1, m + 1)])
         self.entry_col = np.concatenate([ecol[by_col], np.arange(n, n + m)])
         self.entry_row = np.concatenate([erow[by_col], np.arange(m)])
         self.entry_val = np.concatenate([eval_[by_col], np.ones(m)])
@@ -1201,14 +1189,13 @@ class LpState:
         self.rscale = np.concatenate([self.rscale, r])
         self.b_s = np.concatenate([self.b_s, rhs[new] / r])
         self.c = np.concatenate([self.c, np.zeros(len(new))])
-        slack_lo, slack_hi = _slack_bounds([senses[i] for i in new])
-        self.lower = np.concatenate([self.lower, slack_lo])
-        self.upper = np.concatenate([self.upper, slack_hi])
+        bounds = _SLACK_BOUNDS.take([_SENSES.index(s) for s in senses], 0)
+        self.slack_bounds = np.concatenate([self.slack_bounds, bounds])
+        kept = bounds[new]
+        self.lower = np.concatenate([self.lower, kept[:, 0]])
+        self.upper = np.concatenate([self.upper, kept[:, 1]])
         self.rhs = np.concatenate([self.rhs, rhs])
-        self.senses += senses
-        self.row_labels += labels
         self.row_index.update(zip(labels, range(first, first + k)))
-        self._blocks.append((indptr, indices, values, senses, labels))
         if self.sx is not None:
             self.sx.take_rows(self)
 
@@ -1233,13 +1220,12 @@ class LpState:
         see :func:`solve`."""
         sx, self.sx = self.sx, None
         if self.dropped.size:
-            senses = np.asarray(self.senses, dtype=str)[self.dropped]
+            # a row with no entry holds when its right-hand side, the
+            # value of its slack, is within the slack's bounds
             rhs = self.rhs[self.dropped]
-            violated = np.where(
-                senses == LESS_EQUAL, rhs < -FEASIBILITY_TOL, np.where(
-                    senses == GREATER_EQUAL, rhs > FEASIBILITY_TOL,
-                    np.abs(rhs) > FEASIBILITY_TOL))
-            if violated.any():
+            lo, hi = self.slack_bounds[self.dropped].T
+            if ((rhs < lo - FEASIBILITY_TOL)
+                    | (rhs > hi + FEASIBILITY_TOL)).any():
                 return LpSolution(INFEASIBLE, None, None, None, None, 0,
                                   self, start="cold")
         if sx is not None:

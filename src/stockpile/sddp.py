@@ -361,8 +361,9 @@ def load_policy(path, catalog: model.TechnologyCatalog,
 
     The stored catalog hash must match the supplied catalog and
     scenario; mismatches raise :class:`~stockpile.errors.DataError`,
-    as does a file that cannot be read or parsed, or whose structure is
-    not that of a saved policy.
+    as does a file that cannot be read or parsed, whose structure is
+    not that of a saved policy, or whose capacities are not one finite
+    number per state entry.
     """
     try:
         with open(path) as fh:
@@ -376,6 +377,10 @@ def load_policy(path, catalog: model.TechnologyCatalog,
         policy = Policy(catalog, scenario, lattice, payload["capacities"])
         if list(policy.layout.labels) != payload["state_labels"]:
             raise DataError("policy state layout does not match the catalog")
+        if (policy.capacities.shape != (policy.layout.size,)
+                or not np.isfinite(policy.capacities).all()):
+            raise DataError(f"policy capacities are not {policy.layout.size} "
+                            f"finite numbers, one per state entry")
         if payload["n_stages"] != policy.n_stages:
             raise DataError("policy stage count does not match the lattice")
         for t_str, cuts in payload["pools"].items():

@@ -498,6 +498,28 @@ def test_policy_cut_of_the_wrong_size_exits_3(tmp_path, capsys):
     assert "state size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("defect", ["short", "nan"])
+def test_policy_capacities_of_the_wrong_shape_or_not_finite_exit_3(
+        tmp_path, capsys, defect):
+    """A policy file whose capacities lack an entry, or hold a NaN, is a
+    data error (exit 3) under both commands that load a policy, not a
+    traceback or a misleading message from the run."""
+    cfg, out = _readme_run(tmp_path)
+    path = tmp_path / "out" / "policy.json"
+    payload = json.loads(path.read_text())
+    if defect == "short":
+        payload["capacities"].pop()
+    else:
+        payload["capacities"][0] = float("nan")
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    for command in ("simulate", "curves"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", cfg, "--out", out,
+                         "--policy", str(edited)]) == 3
+        assert "policy capacities" in capsys.readouterr().err
+
+
 def test_simulate_solves_no_capacity_stage(tmp_path, monkeypatch):
     """Simulating one path of the README config solves its two dispatch
     stages and nothing else: the loaded policy brings its capacities."""

@@ -1322,3 +1322,63 @@ def test_state_checks_empty_rows_at_each_solve():
     sol = lp.solve(state)
     assert sol.status == lp.OPTIMAL and sol.objective == optimum
     assert sol.objective == lp.solve(state.instance()).objective
+
+
+def test_template_and_appended_rows_take_one_row_path():
+    """The template's rows and appended ones go into a state by one
+    path. A template with an empty row, an explicit zero and a column
+    repeated within a row, grown by two blocks that hold a row whose
+    entries cancel and an empty row, ends with one consistent store: the
+    column-ordered entries are the row-ordered ones, rows ascend within
+    each column, the slacks' unit entries come last and ``colptr`` spans
+    them, the row maps agree, and each row's slack bounds are those its
+    sense sets."""
+    inst = lp.LpInstance(
+        objective=np.ones(3), indptr=np.array([0, 3, 3, 5]),
+        indices=np.array([0, 1, 1, 0, 2]),
+        values=np.array([1.0, 1.5, 0.5, 0.0, 3.0]),
+        senses=("<=", ">=", "="), rhs=np.array([4.0, -1.0, 3.0]),
+        lower=np.zeros(3), upper=np.full(3, np.inf),
+        var_labels=("x", "y", "z"), row_labels=("r0", "r1", "r2"))
+    state = lp.LpState(inst)
+    state.append_rows([0, 2, 4], [1, 0, 2, 2], [2.0, 1.0, 1.0, -1.0],
+                      ["<=", ">="], [6.0, 0.0], ["a0", "a1"])
+    state.append_rows([0, 0, 2], [0, 2], [-1.0, 2.0], ["=", ">="],
+                      [0.0, -5.0], ["b0", "b1"])
+    senses = ["<=", ">=", "=", "<=", ">=", "=", ">="]
+    n, m = state.n, state.m
+    assert state.n_rows == len(senses) and list(state.row_index) == [
+        "r0", "r1", "r2", "a0", "a1", "b0", "b1"]
+
+    nz = state.colptr[n]
+    by_col = set(zip(state.entry_row[:nz].tolist(),
+                     state.entry_col[:nz].tolist(),
+                     state.entry_val[:nz].tolist()))
+    row = np.arange(m).repeat(np.diff(state.rowptr))
+    by_row = set(zip(row.tolist(), state.row_col.tolist(),
+                     state.row_val.tolist()))
+    assert by_col == by_row and len(by_col) == nz == state.rowptr[-1] == 7
+    for j in range(n):
+        col = slice(state.colptr[j], state.colptr[j + 1])
+        assert (state.entry_col[col] == j).all()
+        assert (np.diff(state.entry_row[col]) > 0).all()
+
+    assert len(state.colptr) == n + m + 1
+    assert state.colptr[-1] == len(state.entry_col) == nz + m
+    assert state.colptr[n:].tolist() == list(range(nz, nz + m + 1))
+    assert state.entry_col[nz:].tolist() == list(range(n, n + m))
+    assert state.entry_row[nz:].tolist() == list(range(m))
+    assert state.entry_val[nz:].tolist() == [1.0] * m
+
+    assert state.keep.tolist() == [0, 2, 3, 6]
+    assert state.dropped.tolist() == [1, 4, 5]
+    assert state.row_slot[state.keep].tolist() == list(range(m))
+    assert (state.row_slot[state.dropped] == -1).all()
+
+    bounds = {"<=": (0.0, np.inf), ">=": (-np.inf, 0.0), "=": (0.0, 0.0)}
+    assert [tuple(b) for b in state.slack_bounds.tolist()] == [
+        bounds[s] for s in senses]
+    assert state.lower[n:].tolist() == state.slack_bounds[state.keep, 0].tolist()
+    assert state.upper[n:].tolist() == state.slack_bounds[state.keep, 1].tolist()
+    assert lp.solve(state).objective == pytest.approx(1.0)
+    assert lp.solve(state.instance()).objective == pytest.approx(1.0)

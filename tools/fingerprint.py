@@ -18,7 +18,12 @@ prints SHA-256 digests:
     three seeded sector lattices (objective and output tables);
 ``solves``
     over every ``lp.solve`` result along the way: status, objective,
-    primal, duals and reduced costs.
+    primal, duals and reduced costs;
+``kkt``
+    over the KKT audit (``analysis.kkt_audit``) of every simulated
+    sector trajectory: the periods checked and each violation. It is
+    printed apart and is in no other digest, so the results digests
+    read as they did before it was added.
 
 It also prints the number of those solves, split by the path that
 produced each (``LpSolution.start``: cold, warm, or fallback, a cold
@@ -88,13 +93,14 @@ def _feed(h, obj) -> None:
 COUNTERS = ("dual_pivots", "primal_pivots", "refactors")
 
 
-def run(root: Path) -> tuple[dict, str, dict, dict]:
+def run(root: Path) -> tuple[dict, str, tuple, dict, dict]:
     """The results digest of each group and over all of them, the
-    solves digest, the solve count by ``start`` and the totals of the
+    solves digest, the KKT digest with the periods checked and the
+    violations, the solve count by ``start`` and the totals of the
     solve counters of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import instances
-    from stockpile import benchmarks, lp, sddp
+    from stockpile import analysis, benchmarks, lp, sddp
     from stockpile.weather import sample_path
 
     source = Path(lp.__file__).resolve()
@@ -143,7 +149,13 @@ def run(root: Path) -> tuple[dict, str, dict, dict]:
         feed("sector", policy.to_payload())
         rng = np.random.default_rng(SECTOR_PATH_SEED)
         paths = [sample_path(lattice, rng) for _ in range(SECTOR_PATHS)]
-        feed("sector", sddp.simulate(policy, paths))
+        trajectories = sddp.simulate(policy, paths)
+        feed("sector", trajectories)
+        audits = [analysis.kkt_audit(t, catalog) for t in trajectories]
+        kkt = hashlib.sha256()
+        _feed(kkt, audits)
+        kkt = (kkt.hexdigest(), sum(a.checked for a in audits),
+               sum(len(a.violations) for a in audits))
 
         for seed in REFERENCE_SEEDS:
             lattice = instances.sector_lattice(np.random.default_rng(seed),
@@ -156,7 +168,7 @@ def run(root: Path) -> tuple[dict, str, dict, dict]:
     finally:
         lp.solve = raw
     digests = {key: h.hexdigest() for key, h in results.items()}
-    return digests, solves.hexdigest(), count, totals
+    return digests, solves.hexdigest(), kkt, count, totals
 
 
 def main(argv=None) -> int:
@@ -165,7 +177,7 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    results, solves, count, totals = run(root.resolve())
+    results, solves, kkt, count, totals = run(root.resolve())
     print(f"results {results.pop('all')}")
     for group, digest in results.items():
         print(f"  {group:<10} {digest}")
@@ -174,6 +186,8 @@ def main(argv=None) -> int:
                      for name, n in totals.items())
     print(f"solves  {solves} ({sum(count.values())} solves: {split}; "
           f"{work})")
+    print(f"kkt     {kkt[0]} ({kkt[1]} periods checked, "
+          f"{kkt[2]} violations)")
     return 0
 
 
