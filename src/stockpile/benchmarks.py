@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp, model
-from .errors import TreeTooLarge
+from .errors import DimensionMismatch, TreeTooLarge, UnknownStage
 from .weather import SamplingLattice, WeatherPath
 
 _TREE_LIMIT = 10_000
@@ -427,9 +427,17 @@ def expected_cost_to_go(catalog: model.TechnologyCatalog,
     with the incoming state pinned to ``state``, and averages. This is
     the exact function the trained cut pool for ``stage``
     under-approximates, so any valid cut evaluates at or below it.
+    Raises :class:`UnknownStage` for a stage outside
+    1..``lattice.n_stages`` and :class:`DimensionMismatch` for a state
+    that is not one value per entry of the catalog's state layout.
     """
+    if not 1 <= stage <= lattice.n_stages:
+        raise UnknownStage(f"stage {stage} outside 1..{lattice.n_stages}")
     layout = model.StateLayout(catalog)
     x = np.asarray(state, dtype=float)
+    if x.shape != (layout.size,):
+        raise DimensionMismatch(
+            f"state has shape {x.shape}, expected ({layout.size},)")
     subtree = math.prod(lattice.branch_count(t)
                         for t in range(stage, lattice.n_stages + 1))
     if subtree > _TREE_LIMIT:

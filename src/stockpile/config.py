@@ -44,8 +44,9 @@ default is required, and the constructor's own range checks are
 reported at the section path. Each lower bound is declared once, in
 :data:`MINIMUM`; the CLI's override flags read the same entries.
 Hand-written rules: mandatory seeds, one lattice source,
-``grid_step > 0``, ``stage_length``, ``first_month <= 12``, the inline
-realizations, the preset fill and the lattice echo.
+``period_hours > 0``, ``grid_step > 0``, ``stage_length``,
+``first_month <= 12``, the inline realizations, the preset fill and the
+lattice echo.
 
 Validation reports every violation found, not just the first, each
 prefixed with the field path. ``echo_text`` renders the fully resolved
@@ -373,6 +374,9 @@ def _vector_from_node(node, path, period_hours, errors) -> WeatherVector | None:
 def _parse_inline_lattice(node, errors) -> SamplingLattice | None:
     period_hours = _value(node.get("period_hours", 4.0),
                           float, "lattice.period_hours", errors)
+    if period_hours is not None and not period_hours > 0:
+        errors.append("lattice.period_hours: must be > 0")
+        period_hours = None         # 4.0 below, to check the realizations
     raw_stages = node.get("stages")
     if not isinstance(raw_stages, list) or not raw_stages:
         errors.append("lattice.stages: expected a non-empty list")

@@ -29,10 +29,12 @@ CSR rows.
 The simplex kernel is sparse and never forms a dense copy of the
 constraint matrix. Presolve, alone, sums a column repeated within a row
 and drops zeros as it turns the CSR rows into compressed sparse columns,
-then equilibrates them on their nonzeros. Slack and phase-1
-artificial columns are unit columns, stored as a row and a sign. Every
-product with the matrix (pricing ``y @ A``, the leaving row of the
-tableau, ``A @ x``) is one ``np.bincount`` over the nonzeros.
+then equilibrates them on their nonzeros. It drops no row: row i of an
+instance is row i of the simplex, and a row with no entry holds its
+slack alone. Slack and phase-1 artificial columns are unit columns,
+stored as a row and a sign. Every product with the matrix (pricing
+``y @ A``, the leaving row of the tableau, ``A @ x``) is one
+``np.bincount`` over the nonzeros.
 
 Nor does it form an m x m basis inverse. Each basic unit column covers
 its own row; with K the structural basics, R the rows no basic unit
@@ -368,9 +370,7 @@ class LpSolution:
     variable is still basic. ``start`` names the path that produced the
     result: ``"warm"`` for a restart from a basis (a given one or the
     factor an :class:`LpState` kept), ``"fallback"`` for the cold solve
-    after a restart that could not finish, and ``"cold"`` otherwise (no
-    basis, or presolve settled the problem before any basis was
-    installed).
+    after a restart that could not finish, and ``"cold"`` otherwise.
 
     ``source`` is what was solved: the :class:`LpInstance` given to
     :func:`solve`, or the :class:`LpState`. :meth:`value` and
@@ -506,9 +506,9 @@ class _Simplex:
     def _bind(self, p):
         """Take the columns, rows, costs and bounds of the
         :class:`LpState` ``p``."""
-        self.m = p.m
+        self.m = p.n_rows
         self.ns = p.n
-        self.n = p.n + p.m
+        self.n = p.n + self.m
         self.colptr = p.colptr
         self.entry_col = p.entry_col
         self.entry_row = p.entry_row
@@ -518,7 +518,7 @@ class _Simplex:
         self.c = p.c
         self.lower = p.lower.copy()
         self.upper = p.upper.copy()
-        self.pivot_limit = _PIVOT_LIMIT + _PIVOT_LIMIT_PER_DIM * (p.m + p.n)
+        self.pivot_limit = _PIVOT_LIMIT + _PIVOT_LIMIT_PER_DIM * (self.m + p.n)
 
     def take_rows(self, p):
         """Take the rows appended to ``p`` since :meth:`_bind`, each with
@@ -1039,15 +1039,17 @@ class LpState:
     its template: :func:`_scale` equilibrates its rows as one block,
     which fixes the column scales and the cost scale for the life of the
     state, and the rows go in by the routine :meth:`append_rows` ends
-    in, the one that grows the state. A row with no nonzero entry is
-    dropped, and its right-hand side is checked at each solve against
-    ``slack_bounds``, the bounds each row's sense sets on its slack. The
-    system is held in equality form over the kept rows, with one slack
-    column per kept row after the structural columns. The entries of all
-    columns are one coordinate list: the scaled structural entries
-    column by column, column j's at ``colptr[j]:colptr[j + 1]``, then
-    the slacks' unit entries, which ``colptr`` spans too. The scaled
-    structural entries are also kept row by row, row i's in the columns
+    in, the one that grows the state. The system is held in equality
+    form with one slack column per row after the structural columns, so
+    row i of the instance is row i of the simplex, of ``b_s``, of
+    ``rscale`` and of the duals. A row with no nonzero entry holds its
+    slack alone; phase 1, or a restart's dual simplex, proves it
+    infeasible when its right-hand side lies outside the bounds its
+    sense sets on the slack. The entries of all columns are one
+    coordinate list: the scaled structural entries column by column,
+    column j's at ``colptr[j]:colptr[j + 1]``, then the slacks' unit
+    entries, which ``colptr`` spans too. The scaled structural entries
+    are also kept row by row, row i's in the columns
     ``row_col[rowptr[i]:rowptr[i + 1]]``.
 
     Between solves, :meth:`set_rhs` rewrites right-hand sides in place
@@ -1077,11 +1079,10 @@ class LpState:
         # no rows yet; _add_rows replaces these arrays and writes none
         self.colptr = np.zeros(self.n + 1, dtype=np.intp)
         self.rowptr = np.zeros(1, dtype=np.intp)
-        self.entry_col = self.entry_row = self.row_col = self.keep = \
-            self.dropped = self.row_slot = np.zeros(0, dtype=np.intp)
+        self.entry_col = self.entry_row = self.row_col = np.zeros(
+            0, dtype=np.intp)
         self.entry_val = self.row_val = self.rscale = self.b_s = \
             self.rhs = np.zeros(0)
-        self.slack_bounds = np.zeros((0, 2))
         self.row_index = {}
         self._add_rows(row, col, a, r, instance.rhs, instance.senses,
                        instance.row_labels)
@@ -1089,10 +1090,6 @@ class LpState:
     @property
     def n(self) -> int:
         return self.template.n_vars
-
-    @property
-    def m(self) -> int:
-        return len(self.keep)
 
     @property
     def n_rows(self) -> int:
@@ -1113,20 +1110,18 @@ class LpState:
         if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
             raise ValueError("rhs names an unknown row")
         self.rhs[rows] = values
-        slot = self.row_slot[rows]
-        kept = slot >= 0
-        self.b_s[slot[kept]] = values[kept] / self.rscale[slot[kept]]
+        self.b_s[rows] = values / self.rscale[rows]
 
     def append_rows(self, indptr, indices, values, senses, rhs,
                     labels) -> None:
         """Append a block of rows given as :func:`extend_rows` takes it.
 
-        Each new row with a nonzero entry is scaled by the largest of
-        its entries over their column scales, clamped as :func:`_scale`
-        clamps, and holds its entries in column order, so that rows
-        appended one block at a time are stored as the same rows
-        appended at once; a row with none is dropped, as presolve drops
-        it. A held factor takes the new rows with their slacks basic.
+        Each new row is scaled by the largest of its entries over their
+        column scales, clamped as :func:`_scale` clamps (1 for a row
+        with no entry), and holds its entries in column order, so that
+        rows appended one block at a time are stored as the same rows
+        appended at once. A held factor takes the new rows with their
+        slacks basic.
         """
         indptr = _as_readonly(indptr, np.intp)
         indices = _as_readonly(indices, np.intp)
@@ -1153,19 +1148,14 @@ class LpState:
         """Add checked rows with new labels, the one code that grows the
         state: entry t, in row order, is the scaled value ``a[t]`` in
         row ``row[t]`` (counted from 0) and column ``col[t]``, and
-        ``r`` scales each row. A row with no entry is dropped. A held
-        factor takes the new rows with their slacks basic."""
-        n, m_old, first, k = self.n, self.m, self.n_rows, len(labels)
-        count = np.bincount(row, minlength=k)
-        nonempty = count > 0
-        new = nonempty.nonzero()[0]
-        m = m_old + len(new)
-        r = r[new]
+        ``r`` scales each row. Each row gets a slack column, a row with
+        no entry too. A held factor takes the new rows with their slacks
+        basic."""
+        n, first, k = self.n, self.n_rows, len(labels)
+        m = first + k
         nz = self.colptr[n]
         ecol = np.concatenate([self.entry_col[:nz], col])
-        # each entry's kept row in the state
-        erow = np.concatenate([self.entry_row[:nz],
-                               (nonempty.cumsum() + (m_old - 1))[row]])
+        erow = np.concatenate([self.entry_row[:nz], first + row])
         eval_ = np.concatenate([self.entry_val[:nz], a])
         by_col = ecol.argsort(kind="stable")
         # slack columns are exactly unit columns after scaling (their own
@@ -1176,26 +1166,19 @@ class LpState:
         self.entry_col = np.concatenate([ecol[by_col], np.arange(n, n + m)])
         self.entry_row = np.concatenate([erow[by_col], np.arange(m)])
         self.entry_val = np.concatenate([eval_[by_col], np.ones(m)])
+        count = np.bincount(row, minlength=k)
         self.rowptr = np.concatenate([self.rowptr,
-                                      self.rowptr[-1] + count[new].cumsum()])
+                                      self.rowptr[-1] + count.cumsum()])
         self.row_col = np.concatenate([self.row_col, col])
         self.row_val = np.concatenate([self.row_val, a])
-        self.keep = np.concatenate([self.keep, first + new])
-        self.dropped = np.concatenate([self.dropped,
-                                       first + (~nonempty).nonzero()[0]])
-        slot = np.full(k, -1, dtype=np.intp)
-        slot[new] = np.arange(m_old, m)
-        self.row_slot = np.concatenate([self.row_slot, slot])
         self.rscale = np.concatenate([self.rscale, r])
-        self.b_s = np.concatenate([self.b_s, rhs[new] / r])
-        self.c = np.concatenate([self.c, np.zeros(len(new))])
+        self.b_s = np.concatenate([self.b_s, rhs / r])
+        self.c = np.concatenate([self.c, np.zeros(k)])
         bounds = _SLACK_BOUNDS.take([_SENSES.index(s) for s in senses], 0)
-        self.slack_bounds = np.concatenate([self.slack_bounds, bounds])
-        kept = bounds[new]
-        self.lower = np.concatenate([self.lower, kept[:, 0]])
-        self.upper = np.concatenate([self.upper, kept[:, 1]])
+        self.lower = np.concatenate([self.lower, bounds[:, 0]])
+        self.upper = np.concatenate([self.upper, bounds[:, 1]])
         self.rhs = np.concatenate([self.rhs, rhs])
-        self.row_index.update(zip(labels, range(first, first + k)))
+        self.row_index.update(zip(labels, range(first, m)))
         if self.sx is not None:
             self.sx.take_rows(self)
 
@@ -1219,15 +1202,6 @@ class LpState:
         """Solve from the held factor, else from ``basis``, else cold;
         see :func:`solve`."""
         sx, self.sx = self.sx, None
-        if self.dropped.size:
-            # a row with no entry holds when its right-hand side, the
-            # value of its slack, is within the slack's bounds
-            rhs = self.rhs[self.dropped]
-            lo, hi = self.slack_bounds[self.dropped].T
-            if ((rhs < lo - FEASIBILITY_TOL)
-                    | (rhs > hi + FEASIBILITY_TOL)).any():
-                return LpSolution(INFEASIBLE, None, None, None, None, 0,
-                                  self, start="cold")
         if sx is not None:
             sx.resume()
             sol = self._restart(sx)
@@ -1239,7 +1213,7 @@ class LpState:
 
     def _cold(self) -> LpSolution:
         """Two-phase solve from the slack basis."""
-        n, m = self.n, self.m
+        n, m = self.n, self.n_rows
         sx = _Simplex(self)
 
         # initial point: nonbasics at bounds; rows whose residual fits
@@ -1288,15 +1262,15 @@ class LpState:
         Returns None, sending the caller to the cold path, when the
         basis does not fit the problem or is singular."""
         cols, rows = basis
-        m_all = self.n_rows
-        if len(cols) != self.n or len(rows) > m_all:
+        m = self.n_rows
+        if len(cols) != self.n or len(rows) > m:
             return None
-        slacks = np.full(m_all, _BASIC, dtype=np.int8)
+        slacks = np.full(m, _BASIC, dtype=np.int8)
         slacks[:len(rows)] = rows
-        status = np.concatenate([cols, slacks[self.keep]]).astype(np.int8)
+        status = np.concatenate([cols, slacks]).astype(np.int8)
         basic = (status == _BASIC).nonzero()[0]
-        if len(basic) != self.m or not _status_fits(status, self.lower,
-                                                    self.upper):
+        if len(basic) != m or not _status_fits(status, self.lower,
+                                               self.upper):
             return None
         sx = _Simplex(self, status)
         try:
@@ -1327,7 +1301,7 @@ class LpState:
         """Verify an optimal basis on the scaled system, then unscale it;
         ``start`` labels the result. A basis with no basic artificial
         stays on the state, factored, for the next solve."""
-        n, m = self.n, self.m
+        n, m = self.n, self.n_rows
         t = self.template
         # refactor in column order, so that the output depends on the
         # final basis alone and not on the pivots that reached it; a
@@ -1357,14 +1331,12 @@ class LpState:
 
         # unscale
         primal = sx.x[:n] / self.dscale
-        duals_kept = y_s * self.cost_scale / self.rscale
-        duals = np.zeros(self.n_rows)
-        duals[self.keep] = duals_kept
+        duals = y_s * self.cost_scale / self.rscale
         red = z_s[:n] * self.cost_scale * self.dscale
         obj = float(t.objective @ primal)
 
         # strong duality on the original data
-        dual_obj = float(duals_kept @ self.rhs[self.keep])
+        dual_obj = float(duals @ self.rhs)
         stat_n = sx.status[:n].copy()
         at_lo = (stat_n == _AT_LOWER) | (stat_n == _FIXED)
         at_hi = stat_n == _AT_UPPER
@@ -1378,9 +1350,7 @@ class LpState:
 
         basis = None
         if not (sx.status[n + m:] == _BASIC).any():      # no basic artificial
-            rows = np.full(self.n_rows, _BASIC, dtype=np.int8)
-            rows[self.keep] = sx.status[n:n + m]
-            basis = (_frozen(stat_n), _frozen(rows))
+            basis = (_frozen(stat_n), _frozen(sx.status[n:n + m].copy()))
             sx.drop_units()
             self.sx = sx
         return LpSolution(OPTIMAL, obj, _frozen(primal), _frozen(duals),

@@ -87,6 +87,8 @@ def test_summary_counts_pairs_and_compares_medians_with_iqr_and_bound():
     assert op["median_ratio"] == pytest.approx(1.15 / 1.2)
     assert not op["gap_exceeds_parent_iqr"]
     assert not op["worse_beyond_bound"]
+    # IQR 0.2 is within 0.25 of the median 1.2; rss does not spread
+    assert not op["unresolved"] and not rss["unresolved"]
     assert (rss["change_won"], rss["change_lost"]) == (0, 0)
     assert rss["median_ratio"] == 1.0
 
@@ -99,6 +101,28 @@ def test_a_worse_change_beyond_iqr_and_bound_is_flagged():
     op = bench_pairs.summarize(runs, END_TO_END)[0]
     assert (op["change_won"], op["change_lost"]) == (0, 3)
     assert op["gap_exceeds_parent_iqr"] and op["worse_beyond_bound"]
+
+
+@pytest.mark.parametrize("better, change, unresolved", [
+    ("lower", [0.85, 1.2, 0.95, 1.3, 1.0], True),
+    ("lower", [1.6] * 5, True),
+    ("lower", [0.7, 0.75, 0.6, 0.79, 0.7], False),
+    ("higher", [1.6, 1.7, 1.55, 1.8, 1.6], False),
+    ("higher", [0.85, 1.2, 0.95, 1.3, 1.0], True),
+])
+def test_a_parent_spread_wider_than_the_bound_leaves_a_metric_unresolved(
+        better, change, unresolved):
+    """The parent's IQR, 0.5, exceeds the bound times its median, 0.25;
+    the metric is unresolved unless every run of the change beats every
+    run of the parent (0.8..1.5)."""
+    parent = [0.8, 0.9, 1.0, 1.4, 1.5]
+    runner = CannedRunner({"parent": parent, "change": change})
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    runs = bench_pairs.run_pairs(trees, "w", 1, 5, 1.0, runner)
+    spec = [{"name": "op_s", "unit": "s", "better": better, "bound": 0.25}]
+    (op,) = bench_pairs.summarize(runs, spec)
+    assert op["parent_q1_median_q3"] == pytest.approx([0.9, 1.0, 1.4])
+    assert op["unresolved"] is unresolved
 
 
 def test_main_prints_the_table_and_writes_raw_runs(tmp_path, capsys):
@@ -118,6 +142,7 @@ def test_main_prints_the_table_and_writes_raw_runs(tmp_path, capsys):
                              "--out", str(out)], runner) == 0
     text = capsys.readouterr().out
     assert "w, seed 1: 3 pairs of 1 s runs" in text
+    assert text.splitlines()[1].split()[-1] == "unresolved"
     assert "parent: 0 of 10 operations failed; 1 runs without a result; " \
            "exit codes [0, 1]" in text
     saved = json.loads(out.read_text())

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import make_vector
 from stockpile import benchmarks, lp, model, presets, sddp
-from stockpile.errors import SolverFailure, TreeTooLarge
+from stockpile.errors import (DimensionMismatch, SolverFailure, TreeTooLarge,
+                              UnknownStage)
 from stockpile.weather import SamplingLattice, WeatherPath
 
 
@@ -259,6 +260,27 @@ def test_cuts_stay_below_brute_force_cost_to_go(canonical,
                 stage, x)
             for cut in pool:
                 assert cut.value_at(x) <= exact + 1e-6
+
+
+def test_cost_to_go_rejects_unknown_stages_and_wrong_state_lengths(
+        canonical):
+    """Only stages 1..n_stages have a cost-to-go, and the state holds
+    one value per layout entry: stage 0 or -1 would unroll a longer,
+    made-up tree, and a short or long state would index past it or be
+    cut."""
+    catalog, scenario, lattice = (canonical["catalog"], canonical["scenario"],
+                                  canonical["lattice"])
+    size = model.StateLayout(catalog).size
+    assert benchmarks.expected_cost_to_go(
+        catalog, scenario, lattice, lattice.n_stages, np.zeros(size)) > 0
+    for stage in (-1, 0, lattice.n_stages + 1):
+        with pytest.raises(UnknownStage, match=f"stage {stage} outside 1..3"):
+            benchmarks.expected_cost_to_go(catalog, scenario, lattice, stage,
+                                           np.zeros(size))
+    for length in (size - 1, size + 1):
+        with pytest.raises(DimensionMismatch):
+            benchmarks.expected_cost_to_go(catalog, scenario, lattice, 1,
+                                           np.zeros(length))
 
 
 def test_training_reaches_tree_with_imports_contract_and_battery():

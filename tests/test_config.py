@@ -228,6 +228,23 @@ def test_lattice_requires_exactly_one_source(tmp_path):
         config.validate_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("hours", ["0", "0.0", "-1.0"])
+def test_period_hours_must_be_positive(tmp_path, hours):
+    """A zero or negative period length is one violation at its key,
+    not a 4-hour default or a violation per realization; the
+    realizations are still checked after it."""
+    text = MINIMAL.replace("period_hours: 1.0", f"period_hours: {hours}")
+    with pytest.raises(ConfigError) as err:
+        config.validate_config(write(tmp_path, text))
+    assert err.value.violations == ["lattice.period_hours: must be > 0"]
+    text = text.replace("demand: [4.0, 4.0]", "demand: [-4.0, 4.0]")
+    with pytest.raises(ConfigError) as err:
+        config.validate_config(write(tmp_path, text))
+    assert err.value.violations == [
+        "lattice.period_hours: must be > 0",
+        "lattice.stages[1].realizations[1]: demand series must be >= 0"]
+
+
 FULL = """\
 schema_version: 1
 scenario:

@@ -137,7 +137,7 @@ def test_unbounded_reported():
     assert sol.primal is None
 
 
-def test_empty_row_dropped_and_infeasible_constant():
+def test_empty_row_has_zero_dual_and_infeasible_constant():
     inst = build([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], [">=", "<="],
                  [1.0, 5.0], [0.0, 0.0], [np.inf, np.inf])
     sol = lp.solve(inst)
@@ -543,10 +543,10 @@ def test_unusable_basis_falls_back_to_cold(monkeypatch, basis):
 
 
 def test_solution_start_names_the_path_that_produced_it():
-    """``start`` is "cold" without a basis and when presolve settles the
-    instance, "warm" when the restart finishes (an optimum or a proved
-    infeasibility), and "fallback" for the cold solve after a restart
-    that could not finish."""
+    """``start`` is "cold" without a basis, "warm" when the restart
+    finishes (an optimum or a proved infeasibility, an empty row's
+    included), and "fallback" for the cold solve after a restart that
+    could not finish."""
     inst = _unused_column_instance()
     cold = lp.solve(inst)
     assert cold.start == "cold"
@@ -565,7 +565,7 @@ def test_solution_start_names_the_path_that_produced_it():
     assert (proved.status, proved.start) == (lp.INFEASIBLE, "warm")
     empty = build([1.0], [[0.0]], [">="], [1.0], [0.0], [np.inf])
     settled = lp.solve(empty, basis=([lp._AT_LOWER], [lp._BASIC]))
-    assert (settled.status, settled.start) == (lp.INFEASIBLE, "cold")
+    assert (settled.status, settled.start) == (lp.INFEASIBLE, "warm")
 
 
 def test_basis_is_none_unless_optimal():
@@ -786,7 +786,7 @@ def test_block_refactor_matches_dense_inverse(seed):
                  list(rng.choice(["<=", ">=", "="], m)),
                  rng.integers(-5, 6, m).astype(float), [0.0] * n, [5.0] * n)
     p = lp.LpState(inst)
-    assert p.m == m
+    assert p.n_rows == m
     sx = lp._Simplex(p)
     art_rows = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False)
     sx.add_units(art_rows, rng.choice([-1.0, 1.0], len(art_rows)))
@@ -1011,10 +1011,9 @@ def test_repeated_column_in_a_row_solves_like_dense_matrix():
     assert sol.dual("c") == 0.0
 
 
-def test_explicit_zero_coefficients_are_no_entries(monkeypatch):
+def test_explicit_zero_coefficients_are_no_entries():
     """0 x + y >= 1 has the one entry y; 0 x <= 2 has none, so it is an
-    empty row, and with a right-hand side of -1 presolve finds it
-    infeasible without running the simplex."""
+    empty row, and with a right-hand side of -1 it is infeasible."""
     inst = _csr_instance(indptr=np.array([0, 2, 3]),
                          indices=np.array([0, 1, 0]),
                          values=np.array([0.0, 1.0, 0.0]),
@@ -1026,7 +1025,6 @@ def test_explicit_zero_coefficients_are_no_entries(monkeypatch):
     assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
     violated = lp.replace_rhs(inst, [1], [-1.0])
     assert _scipy_csr_reference(violated).status == 2
-    monkeypatch.setattr(lp.LpState, "_cold", None)
     assert lp.solve(violated).status == lp.INFEASIBLE
     assert lp.solve(_dense_twin(violated)).status == lp.INFEASIBLE
 
@@ -1298,10 +1296,11 @@ def test_state_restart_after_moved_rhs_and_new_rows_matches_cold_property(
         state.set_rhs(range(inst.n_rows), inst.rhs)
 
 
-def test_state_checks_empty_rows_at_each_solve():
-    """A row with no nonzero entry, in the template or appended, is
-    dropped from a state's system and its right-hand side is checked at
-    each solve: violated, the solve ends infeasible without the simplex;
+def test_state_checks_empty_rows_at_each_solve(monkeypatch):
+    """A row with no nonzero entry, in the template or appended, holds
+    its slack alone and its right-hand side is checked at each solve:
+    violated, the solve ends infeasible, proved by a restart's dual
+    simplex from the held factor or by a cold solve's phase 1;
     restored, the state solves to the instance's optimum again. A kept
     factor takes a block that holds such a row."""
     inst = _csr_instance(indptr=np.array([0, 2, 3]),
@@ -1314,6 +1313,12 @@ def test_state_checks_empty_rows_at_each_solve():
                       ["x_cap", "empty"])
     warm = lp.solve(state)
     assert warm.start == "warm" and warm.objective == optimum
+    state.set_rhs([3], [0.5])
+    with monkeypatch.context() as patch:
+        patch.setattr(lp.LpState, "_cold", None)
+        proved = lp.solve(state)
+    assert (proved.status, proved.start) == (lp.INFEASIBLE, "warm")
+    state.set_rhs([3], [0.0])
     for row, bad, good in ((3, 0.5, 0.0), (1, -1.0, 2.0)):
         state.set_rhs([row], [bad])
         assert lp.solve(state).status == lp.INFEASIBLE
@@ -1331,8 +1336,8 @@ def test_template_and_appended_rows_take_one_row_path():
     entries cancel and an empty row, ends with one consistent store: the
     column-ordered entries are the row-ordered ones, rows ascend within
     each column, the slacks' unit entries come last and ``colptr`` spans
-    them, the row maps agree, and each row's slack bounds are those its
-    sense sets."""
+    them, every row is a simplex row, an empty one holding only its
+    slack, and each row's slack bounds are those its sense sets."""
     inst = lp.LpInstance(
         objective=np.ones(3), indptr=np.array([0, 3, 3, 5]),
         indices=np.array([0, 1, 1, 0, 2]),
@@ -1346,9 +1351,10 @@ def test_template_and_appended_rows_take_one_row_path():
     state.append_rows([0, 0, 2], [0, 2], [-1.0, 2.0], ["=", ">="],
                       [0.0, -5.0], ["b0", "b1"])
     senses = ["<=", ">=", "=", "<=", ">=", "=", ">="]
-    n, m = state.n, state.m
-    assert state.n_rows == len(senses) and list(state.row_index) == [
+    n, m = state.n, len(senses)
+    assert state.n_rows == m and list(state.row_index) == [
         "r0", "r1", "r2", "a0", "a1", "b0", "b1"]
+    assert lp._Simplex(state).m == len(state.b_s) == len(state.rscale) == m
 
     nz = state.colptr[n]
     by_col = set(zip(state.entry_row[:nz].tolist(),
@@ -1370,15 +1376,12 @@ def test_template_and_appended_rows_take_one_row_path():
     assert state.entry_row[nz:].tolist() == list(range(m))
     assert state.entry_val[nz:].tolist() == [1.0] * m
 
-    assert state.keep.tolist() == [0, 2, 3, 6]
-    assert state.dropped.tolist() == [1, 4, 5]
-    assert state.row_slot[state.keep].tolist() == list(range(m))
-    assert (state.row_slot[state.dropped] == -1).all()
+    for i in (1, 4, 5):                         # the empty rows
+        (at,) = (state.entry_row == i).nonzero()[0]
+        assert (state.entry_col[at], state.entry_val[at]) == (n + i, 1.0)
 
     bounds = {"<=": (0.0, np.inf), ">=": (-np.inf, 0.0), "=": (0.0, 0.0)}
-    assert [tuple(b) for b in state.slack_bounds.tolist()] == [
-        bounds[s] for s in senses]
-    assert state.lower[n:].tolist() == state.slack_bounds[state.keep, 0].tolist()
-    assert state.upper[n:].tolist() == state.slack_bounds[state.keep, 1].tolist()
+    assert list(zip(state.lower[n:].tolist(), state.upper[n:].tolist())) \
+        == [bounds[s] for s in senses]
     assert lp.solve(state).objective == pytest.approx(1.0)
     assert lp.solve(state.instance()).objective == pytest.approx(1.0)

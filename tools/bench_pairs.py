@@ -13,10 +13,14 @@ For each end-to-end metric of the parent's ``BENCHMARK.json`` the script
 prints the quartiles (q1, median, q3) of each side, the pairs the
 change won and lost, the ratio of the change's median to the parent's,
 whether the gap between the medians exceeds the parent's interquartile
-range (IQR), and whether the change is worse than the parent by more
-than the metric's bound. It also prints each side's failed and
-attempted operations and the exit codes. The raw runs go to FILE as
-JSON (default ``bench-pairs-W-S.json`` in the current directory).
+range (IQR), whether the change is worse than the parent by more than
+the metric's bound, and whether the metric is unresolved: the parent's
+runs spread wider than the bound (their IQR exceeds the bound times
+their median) and not every run of the change beats every run of the
+parent, so the bound cannot tell a regression from noise. It also
+prints each side's failed and attempted operations and the exit codes.
+The raw runs go to FILE as JSON (default ``bench-pairs-W-S.json`` in
+the current directory).
 Every figure comes from a run's last output line, the JSON object that
 ``perfbench/run.py`` prints.
 """
@@ -109,6 +113,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[dict]:
         gap = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
         ratio = cq[1] / pq[1] if pq[1] else float("inf")
         worse = (ratio - 1.0) if lower else (1.0 - ratio)
+        beats_all = (max(change) < min(parent) if lower
+                     else min(change) > max(parent))
         out.append({
             "metric": name, "unit": spec["unit"], "better": spec["better"],
             "pairs": len(both), "parent_q1_median_q3": pq,
@@ -118,7 +124,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[dict]:
             "median_ratio": ratio,
             "gap_exceeds_parent_iqr": abs(gap) > pq[2] - pq[0],
             "bound": spec["bound"],
-            "worse_beyond_bound": worse > spec["bound"]})
+            "worse_beyond_bound": worse > spec["bound"],
+            "unresolved": (pq[2] - pq[0] > spec["bound"] * pq[1]
+                           and not beats_all)})
     return out
 
 
@@ -138,7 +146,8 @@ def operations(runs: list[dict]) -> dict:
 def report(summary: list[dict], ops: dict) -> str:
     lines = [f"{'metric':12s} {'parent q1 / median / q3':>32s} "
              f"{'change q1 / median / q3':>32s} {'won':>4s} {'lost':>4s} "
-             f"{'ratio':>7s} {'gap>IQR':>8s} {'>bound':>7s}"]
+             f"{'ratio':>7s} {'gap>IQR':>8s} {'>bound':>7s} "
+             f"{'unresolved':>10s}"]
     for s in summary:
         if not s["pairs"]:
             lines.append(f"{s['metric']:12s} no pair with both results")
@@ -150,7 +159,8 @@ def report(summary: list[dict], ops: dict) -> str:
             f"{s['change_won']:4d} {s['change_lost']:4d} "
             f"{s['median_ratio']:7.3f} "
             f"{'yes' if s['gap_exceeds_parent_iqr'] else 'no':>8s} "
-            f"{'yes' if s['worse_beyond_bound'] else 'no':>7s}")
+            f"{'yes' if s['worse_beyond_bound'] else 'no':>7s} "
+            f"{'yes' if s['unresolved'] else 'no':>10s}")
     for side in SIDES:
         o = ops[side]
         lines.append(f"{side}: {o['failed']} of {o['attempted']} operations "
