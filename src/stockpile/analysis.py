@@ -19,6 +19,11 @@ import numpy as np
 
 from . import model
 from .errors import EmptyPool, UnknownStage
+from .tables import csv_text
+
+BID_HEADER = ("stage", "level", "msv", "charge_bid", "discharge_bid")
+LEVEL_TOL = 1e-6
+KKT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -55,13 +60,14 @@ class BidCurve:
     discharge_bids: np.ndarray
     charge_bids: np.ndarray
 
+    def rows(self) -> list:
+        """One table row per grid level, under :data:`BID_HEADER`."""
+        return [(self.stage, e, m, c, d) for e, m, c, d in zip(
+            self.levels.tolist(), self.msv.tolist(),
+            self.charge_bids.tolist(), self.discharge_bids.tolist())]
+
     def to_table(self) -> str:
-        lines = ["stage,level,msv,charge_bid,discharge_bid"]
-        for e, m, c, d in zip(self.levels, self.msv, self.charge_bids,
-                              self.discharge_bids):
-            lines.append(f"{self.stage},{float(e)!r},{float(m)!r},"
-                         f"{float(c)!r},{float(d)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(BID_HEADER, self.rows())
 
 
 def msv_curve(policy, stage: int, grid_step: float = 10.0,
@@ -79,12 +85,18 @@ def msv_curve(policy, stage: int, grid_step: float = 10.0,
     Raises:
         EmptyPool: the stage's pool has no cuts yet.
         UnknownStage: stage outside [0, T].
+        ValueError: no long-duration store, a ``storage`` not in the
+            catalog, not long-duration or not built, or a step <= 0.
     """
     catalog = policy.catalog
     stores = catalog.long_duration_storages
     if not stores:
         raise ValueError("no long-duration storage to evaluate")
-    store = stores[0] if storage is None else catalog.storage(storage)
+    named = {s.name: s for s in catalog.storages}
+    store = stores[0] if storage is None else named.get(storage)
+    if store is None or not store.long_duration:
+        why = "not in the catalog" if store is None else "not long-duration"
+        raise ValueError(f"storage {storage!r} is {why}")
     if not 0 <= stage <= policy.n_stages:
         raise UnknownStage(f"stage {stage} outside [0, {policy.n_stages}]")
     if grid_step <= 0:
@@ -130,10 +142,9 @@ class DurationCurve:
     shares: np.ndarray
 
     def to_table(self) -> str:
-        lines = ["rank,share,price"]
-        for k, (s, p) in enumerate(zip(self.shares, self.prices)):
-            lines.append(f"{k},{float(s)!r},{float(p)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("rank", "share", "price"),
+                        zip(range(self.prices.size), self.shares.tolist(),
+                            self.prices.tolist()))
 
 
 def price_duration_curve(trajectories) -> DurationCurve:
@@ -143,19 +154,14 @@ def price_duration_curve(trajectories) -> DurationCurve:
     share attached to each entry is the cumulative fraction of
     simulated hours with at least that price.
     """
-    prices = []
-    hours = []
-    for trajectory in trajectories:
-        for rec in trajectory.records:
-            if rec.dispatch is None:
-                continue
-            prices.append(np.asarray(rec.dispatch.prices, dtype=float))
-            hours.append(np.full(rec.dispatch.prices.shape,
-                                 rec.dispatch.period_hours))
-    if not prices:
+    dispatches = [rec.dispatch for trajectory in trajectories
+                  for rec in trajectory.records if rec.dispatch is not None]
+    if not dispatches:
         return DurationCurve(prices=np.array([]), shares=np.array([]))
-    prices = np.concatenate(prices)
-    hours = np.concatenate(hours)
+    prices = np.concatenate([np.asarray(d.prices, dtype=float)
+                             for d in dispatches])
+    hours = np.concatenate([np.full(d.prices.shape, d.period_hours)
+                            for d in dispatches])
     order = np.argsort(-prices, kind="stable")
     prices = prices[order]
     hours = hours[order]
@@ -164,18 +170,17 @@ def price_duration_curve(trajectories) -> DurationCurve:
 
 
 def distinct_price_levels(prices, lower: float = 0.0,
-                          upper: float | None = None,
-                          tol: float = 1e-6):
+                          upper: float | None = None):
     """Cluster prices into distinct levels inside an open interval.
 
-    Prices within ``tol`` (scaled by the interval size) of each other
-    count as one level; prices at or beyond the interval ends are
-    dropped. Returns the sorted level representatives.
+    Prices within :data:`LEVEL_TOL` (scaled by the interval size) of
+    each other count as one level; prices at or beyond the interval
+    ends are dropped. Returns the sorted level representatives.
     """
     arr = np.sort(np.asarray(prices, dtype=float).ravel())
     scale = upper if upper is not None else (
         float(arr.max()) if arr.size else 1.0)
-    margin = tol * max(1.0, abs(scale))
+    margin = LEVEL_TOL * max(1.0, abs(scale))
     arr = arr[arr > lower + margin]
     if upper is not None:
         arr = arr[arr < upper - margin]
@@ -202,13 +207,10 @@ class TrajectoryBands:
     levels: np.ndarray
 
     def to_table(self) -> str:
-        lines = ["stage,stat,value"]
-        for i, t in enumerate(self.stages):
-            for stat, arr in (("mean", self.mean), ("p5", self.p5),
-                              ("p25", self.p25), ("p75", self.p75),
-                              ("p95", self.p95)):
-                lines.append(f"{t},{stat},{float(arr[i])!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("stage", "stat", "value"), (
+            (t, stat, getattr(self, stat)[i])
+            for i, t in enumerate(self.stages)
+            for stat in ("mean", "p5", "p25", "p75", "p95")))
 
 
 def trajectory_stats(trajectories, e_ini: float,
@@ -224,21 +226,17 @@ def trajectory_stats(trajectories, e_ini: float,
         raise ValueError("need at least one trajectory")
     first = trajectories[0].records[1].dispatch
     name = storage if storage is not None else next(iter(first.level))
-    n_stages = len(trajectories[0].records) - 1
-    closing = np.empty((len(trajectories), n_stages))
-    for i, trajectory in enumerate(trajectories):
-        for t in range(1, n_stages + 1):
-            closing[i, t - 1] = trajectory.records[t].dispatch.level[name][-1]
+    if name not in first.level:
+        raise ValueError(f"storage {name!r} has no level in the dispatch "
+                         "records")
+    closing = np.array([[rec.dispatch.level[name][-1]
+                         for rec in tr.records[1:]] for tr in trajectories])
     dev = closing - e_ini
+    p5, p25, p75, p95 = np.percentile(dev, (5, 25, 75, 95), axis=0)
     return TrajectoryBands(
         storage=name, target=float(e_ini),
-        stages=np.arange(1, n_stages + 1),
-        mean=dev.mean(axis=0),
-        p5=np.percentile(dev, 5, axis=0),
-        p25=np.percentile(dev, 25, axis=0),
-        p75=np.percentile(dev, 75, axis=0),
-        p95=np.percentile(dev, 95, axis=0),
-        levels=closing)
+        stages=np.arange(1, closing.shape[1] + 1), mean=dev.mean(axis=0),
+        p5=p5, p25=p25, p75=p75, p95=p95, levels=closing)
 
 
 @dataclass(frozen=True)
@@ -263,16 +261,16 @@ class KktReport:
         return not self.violations
 
 
-def kkt_audit(trajectory, catalog: model.TechnologyCatalog,
-              tol: float = 1e-5) -> KktReport:
+def kkt_audit(trajectory, catalog: model.TechnologyCatalog) -> KktReport:
     """Verify the bidding identities on every interior dispatch period.
 
     Wherever a store discharges strictly inside (0, capacity), the
     electricity price must equal its storage value divided by the
     discharge efficiency; wherever it charges strictly inside, price
-    must equal storage value times the charge efficiency. Periods at a
-    bound are exempt (the bound's dual may be active). Returns a
-    report; it never raises on violations.
+    must equal storage value times the charge efficiency, both to
+    within :data:`KKT_TOL` relative. Periods at a bound are exempt (the
+    bound's dual may be active). Returns a report; it never raises on
+    violations.
     """
     layout = model.StateLayout(catalog)
     checked = 0
@@ -303,7 +301,7 @@ def kkt_audit(trajectory, catalog: model.TechnologyCatalog,
                     if not low < flow[h] < high:
                         continue
                     checked += 1
-                    if abs(lam - implied[h]) > tol * max(
+                    if abs(lam - implied[h]) > KKT_TOL * max(
                             1.0, abs(lam), abs(implied[h])):
                         violations.append(KktViolation(
                             stage=rec.stage, storage=s.name, period=h,

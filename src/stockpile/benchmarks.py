@@ -10,7 +10,7 @@ so the two formulations cross-check each other):
   from below. Desk scale only; guarded at 10,000 paths.
 * :func:`perfect_foresight` shares one capacity decision across a set
   of weather years, each dispatched with full knowledge of its own
-  year, averaged with equal (or given) weights.
+  year, averaged with equal weights.
 * :func:`single_year_deterministic` co-optimizes capacity and dispatch
   against one year alone.
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import lp, model
 from .errors import DimensionMismatch, TreeTooLarge, UnknownStage
+from .tables import csv_text
 from .weather import SamplingLattice, WeatherPath
 
 _TREE_LIMIT = 10_000
@@ -64,30 +65,24 @@ class BenchmarkResult:
     def to_tables(self) -> dict:
         """Delimited-text exports: capacity table, cost table, and the
         per-scenario price series."""
-        cap = ["technology,field,value"]
-        for name, v in self.capacities.generation.items():
-            cap.append(f"{name},generation_gw,{v!r}")
-        for field, data in (
-                ("power_out_gw", self.capacities.storage_power_out),
-                ("power_in_gw", self.capacities.storage_power_in),
-                ("energy_gwh", self.capacities.storage_energy)):
-            for name, v in data.items():
-                cap.append(f"{name},{field},{v!r}")
-        for name, v in self.capacities.initial_level.items():
-            cap.append(f"{name},initial_level_gwh,{v!r}")
-        cap.append(f"contract,volume_gwh_per_period,"
-                   f"{self.capacities.ltc_volume!r}")
-        costs = ["scenario,weight,dispatch_cost_meur"]
-        for lab, w, c in zip(self.labels, self.weights,
-                             self.dispatch_costs):
-            costs.append(f"{lab},{w!r},{c!r}")
-        prices = ["scenario,period,price_eur_per_mwh"]
-        for lab, series in zip(self.labels, self.prices):
-            for h, p in enumerate(series):
-                prices.append(f"{lab},{h},{float(p)!r}")
-        return {"capacities": "\n".join(cap) + "\n",
-                "costs": "\n".join(costs) + "\n",
-                "prices": "\n".join(prices) + "\n"}
+        c = self.capacities
+        cap = [(name, field, v) for field, data in (
+            ("generation_gw", c.generation),
+            ("power_out_gw", c.storage_power_out),
+            ("power_in_gw", c.storage_power_in),
+            ("energy_gwh", c.storage_energy),
+            ("initial_level_gwh", c.initial_level))
+            for name, v in data.items()]
+        cap.append(("contract", "volume_gwh_per_period", c.ltc_volume))
+        return {
+            "capacities": csv_text(("technology", "field", "value"), cap),
+            "costs": csv_text(("scenario", "weight", "dispatch_cost_meur"),
+                              zip(self.labels, self.weights,
+                                  self.dispatch_costs)),
+            "prices": csv_text(
+                ("scenario", "period", "price_eur_per_mwh"),
+                ((lab, h, p) for lab, series in zip(self.labels, self.prices)
+                 for h, p in enumerate(map(float, series))))}
 
 
 def _add_capacity_variables(b: lp.LpBuilder, catalog):
@@ -399,8 +394,7 @@ def extensive_form(catalog: model.TechnologyCatalog,
     sol = lp.solve_optimal(b.build(), "extensive form")
     T = lattice.n_stages
     cap = _read_capacities(catalog, sol.value)
-    leaves = [nid for nid in blocks if len(nid) == T]
-    leaves.sort()
+    leaves = sorted(nid for nid in blocks if len(nid) == T)
     costs, weights, prices, labels = [], [], [], []
     for leaf in leaves:
         chain = [leaf[:k] for k in range(1, T + 1)]
@@ -452,33 +446,32 @@ def expected_cost_to_go(catalog: model.TechnologyCatalog,
 
 def perfect_foresight(catalog: model.TechnologyCatalog,
                       scenario: model.MarketScenario,
-                      paths, weights=None) -> BenchmarkResult:
+                      paths) -> BenchmarkResult:
     """Two-stage benchmark: one capacity decision, clairvoyant years.
 
     Each path is dispatched as one continuous block with full
     knowledge of its weather; years share the capacity decision and
-    their dispatch costs are averaged with the given weights (equal by
-    default). Each year starts its long-duration stores at the shared
-    opening level and faces the usual terminal shortfall penalty;
-    short-duration stores are circular over the whole year.
+    their dispatch costs are averaged with equal weights. Each year
+    starts its long-duration stores at the shared opening level and
+    faces the usual terminal shortfall penalty; short-duration stores
+    are circular over the whole year. A path is named after the year
+    label all its stages carry, else ``path-<i>-<j>...`` after its node
+    indices, as :func:`extensive_form` names its leaves.
     """
     paths = list(paths)
     if not paths:
         raise ValueError("need at least one year")
-    if weights is None:
-        weights = [1.0 / len(paths)] * len(paths)
-    if len(weights) != len(paths):
-        raise ValueError("one weight per year required")
+    weight = 1.0 / len(paths)
     b = lp.LpBuilder()
     cap_of = _capacity_state(_add_capacity_variables(b, catalog))
     blocks = []
     labels = []
-    for k, (path, w) in enumerate(zip(paths, weights)):
-        stitched = _stitch(path)
-        lab = (path.year_labels[0] if path.year_labels else f"year-{k}")
-        labels.append(str(lab))
-        blocks.append(_Block(b, catalog, scenario, stitched, f"y{k}",
-                             float(w), cap_of, terminal=True))
+    for k, path in enumerate(paths):
+        years = set(path.year_labels or ())
+        labels.append(str(years.pop()) if len(years) == 1 else
+                      "path-" + "-".join(map(str, path.node_indices)))
+        blocks.append(_Block(b, catalog, scenario, _stitch(path), f"y{k}",
+                             weight, cap_of, terminal=True))
     sol = lp.solve_optimal(b.build(), "perfect foresight")
     cap = _read_capacities(catalog, sol.value)
     levels = tuple({s.name: bl.level_series(sol.primal, s.name)
@@ -487,7 +480,7 @@ def perfect_foresight(catalog: model.TechnologyCatalog,
         capacities=cap, objective=float(sol.objective),
         capital_cost=_capital_cost(catalog, cap),
         dispatch_costs=tuple(bl.raw_cost(sol.primal) for bl in blocks),
-        weights=tuple(float(w) for w in weights),
+        weights=(weight,) * len(paths),
         prices=tuple(bl.price_series(sol) for bl in blocks),
         labels=tuple(labels), storage_levels=levels)
 

@@ -63,6 +63,7 @@ from .errors import (
     SolverFailure,
     StockpileError,
 )
+from .tables import csv_text
 
 POLICY_FILE = "policy.json"
 
@@ -130,10 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
 def _sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -184,7 +181,7 @@ def _run_train(args, cfg: ScenarioConfig, out: Path) -> int:
     policy = sddp.train(cfg.catalog, cfg.scenario, cfg.lattice, options)
     policy_path = out / POLICY_FILE
     sddp.save_policy(policy, policy_path)
-    _write(out / "resolved_config.yaml", echo_text(cfg))
+    (out / "resolved_config.yaml").write_text(echo_text(cfg))
     lb = _bound(policy)
     print(f"trained {len(policy.training_log)} iterations, "
           f"lower bound {lb!r} MEUR, stopped: {policy.stopped_reason}")
@@ -196,41 +193,35 @@ def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> int:
     policy_path, policy = _load_policy(args, cfg, out)
     trajectories = _simulate_paths(args, cfg, policy)
 
-    lines = ["label,value"]
-    for label, value in zip(policy.layout.labels, policy.capacities):
-        lines.append(f"{label},{float(value)!r}")
-    _write(out / "capacities.csv", "\n".join(lines) + "\n")
+    (out / "capacities.csv").write_text(csv_text(
+        ("label", "value"),
+        zip(policy.layout.labels, map(float, policy.capacities))))
 
     ldes = [s.name for s in cfg.catalog.long_duration_storages]
-    header = "path,stage,node,stage_cost_meur,theta_meur"
-    header += "".join(f",closing_{name}_gwh" for name in ldes)
-    rows = [header]
-    price_rows = ["path,stage,period,price_eur_per_mwh"]
-    value_rows = ["path,stage,period,storage,value_eur_per_mwh"]
+    rows, price_rows, value_rows = [], [], []
     for p, trajectory in enumerate(trajectories):
         for rec in trajectory.records:
-            node = "" if rec.node is None else rec.node
-            theta = "" if rec.theta is None else repr(rec.theta)
-            line = f"{p},{rec.stage},{node},{rec.stage_cost!r},{theta}"
-            for name in ldes:
-                if rec.dispatch is None:
-                    line += ","
-                else:
-                    line += f",{float(rec.dispatch.level[name][-1])!r}"
-            rows.append(line)
-            if rec.dispatch is None:
+            d = rec.dispatch
+            rows.append((p, rec.stage, rec.node, rec.stage_cost, rec.theta,
+                         *(None if d is None else float(d.level[name][-1])
+                           for name in ldes)))
+            if d is None:
                 continue
-            for h, price in enumerate(rec.dispatch.prices):
-                price_rows.append(f"{p},{rec.stage},{h},{float(price)!r}")
-            for name, series in rec.dispatch.storage_values.items():
-                for h, value in enumerate(series):
-                    value_rows.append(
-                        f"{p},{rec.stage},{h},{name},{float(value)!r}")
-    _write(out / "trajectories.csv", "\n".join(rows) + "\n")
-    _write(out / "prices.csv", "\n".join(price_rows) + "\n")
-    _write(out / "storage_values.csv", "\n".join(value_rows) + "\n")
-    _write(out / "resolved_config.yaml",
-           echo_text(cfg, {"policy_sha256": _sha256(policy_path)}))
+            price_rows += [(p, rec.stage, h, price)
+                           for h, price in enumerate(d.prices.tolist())]
+            value_rows += [(p, rec.stage, h, name, value)
+                           for name, series in d.storage_values.items()
+                           for h, value in enumerate(series.tolist())]
+    (out / "trajectories.csv").write_text(csv_text(
+        ("path", "stage", "node", "stage_cost_meur", "theta_meur",
+         *(f"closing_{name}_gwh" for name in ldes)), rows))
+    (out / "prices.csv").write_text(csv_text(
+        ("path", "stage", "period", "price_eur_per_mwh"), price_rows))
+    (out / "storage_values.csv").write_text(csv_text(
+        ("path", "stage", "period", "storage", "value_eur_per_mwh"),
+        value_rows))
+    (out / "resolved_config.yaml").write_text(
+        echo_text(cfg, {"policy_sha256": _sha256(policy_path)}))
     costs = np.array([t.total_cost for t in trajectories])
     se = costs.std(ddof=1) / np.sqrt(len(costs)) if len(costs) > 1 else 0.0
     print(f"simulated {len(costs)} paths: mean cost {costs.mean():.6e} MEUR "
@@ -244,8 +235,8 @@ def _run_bench(args, cfg: ScenarioConfig, out: Path) -> int:
                                       benchmarks.enumerate_paths(cfg.lattice))
     for prefix, result in (("ef", ef), ("pf", pf)):
         for name, text in result.to_tables().items():
-            _write(out / f"{prefix}_{name}.csv", text)
-    _write(out / "resolved_config.yaml", echo_text(cfg))
+            (out / f"{prefix}_{name}.csv").write_text(text)
+    (out / "resolved_config.yaml").write_text(echo_text(cfg))
     print(f"scenario tree optimum {ef.objective:.6e} MEUR over "
           f"{cfg.lattice.path_count} paths")
     print(f"perfect foresight optimum {pf.objective:.6e} MEUR")
@@ -258,9 +249,9 @@ def _run_acf(args, cfg: ScenarioConfig, out: Path) -> int:
     table = weather.ingest_series(cfg.analysis.series)
     report = weather.acf_test(table, stage_length=cfg.analysis.stage_length,
                               max_lag=cfg.analysis.max_lag)
-    _write(out / "acf.csv", report.to_table())
-    _write(out / "resolved_config.yaml",
-           echo_text(cfg, {"series_sha256": _sha256(cfg.analysis.series)}))
+    (out / "acf.csv").write_text(report.to_table())
+    (out / "resolved_config.yaml").write_text(
+        echo_text(cfg, {"series_sha256": _sha256(cfg.analysis.series)}))
     worst = max(float(np.max(np.abs(r)))
                 for r in report.correlations.values())
     print(f"acf over {report.n_samples} stage means, band "
@@ -274,7 +265,7 @@ def _run_curves(args, cfg: ScenarioConfig, out: Path) -> int:
         raise DataError("curves need a long-duration storage in the catalog")
     name = cfg.catalog.long_duration_storages[0].name
 
-    bid_lines = []
+    bid_rows = []
     for stage in range(cfg.lattice.n_stages + 1):
         try:
             curve = analysis.msv_curve(policy, stage,
@@ -284,23 +275,18 @@ def _run_curves(args, cfg: ScenarioConfig, out: Path) -> int:
             continue
         except ValueError as exc:
             raise DataError(str(exc)) from exc
-        body = curve.to_table().splitlines()
-        if not bid_lines:
-            bid_lines.append(body[0])
-        bid_lines.extend(body[1:])
-    if not bid_lines:
-        raise DataError("no cut pool has been trained; run train first")
-    _write(out / "bids.csv", "\n".join(bid_lines) + "\n")
+        bid_rows += curve.rows()
+    (out / "bids.csv").write_text(csv_text(analysis.BID_HEADER, bid_rows))
 
     trajectories = _simulate_paths(args, cfg, policy)
     duration = analysis.price_duration_curve(trajectories)
-    _write(out / "duration.csv", duration.to_table())
+    (out / "duration.csv").write_text(duration.to_table())
     e_ini = float(policy.capacities[policy.layout.position(f"ini:{name}")])
     bands = analysis.trajectory_stats(trajectories, e_ini, storage=name)
-    _write(out / "bands.csv", bands.to_table())
-    _write(out / "resolved_config.yaml",
-           echo_text(cfg, {"policy_sha256": _sha256(policy_path)}))
-    print(f"wrote bid curve ({len(bid_lines) - 1} rows), duration curve, "
+    (out / "bands.csv").write_text(bands.to_table())
+    (out / "resolved_config.yaml").write_text(
+        echo_text(cfg, {"policy_sha256": _sha256(policy_path)}))
+    print(f"wrote bid curve ({len(bid_rows)} rows), duration curve, "
           f"and trajectory bands for {name!r}")
     return 0
 
@@ -311,12 +297,13 @@ def _run_oracle(args, cfg: ScenarioConfig, out: Path) -> int:
     ef = benchmarks.extensive_form(cfg.catalog, cfg.scenario, cfg.lattice)
     lb = _bound(policy)
     gap = abs(ef.objective - lb) / max(1.0, abs(ef.objective))
-    row = "oracle_optimum_meur,sddp_lower_bound_meur,relative_gap\n" \
-          f"{ef.objective!r},{lb!r},{gap!r}\n"
-    _write(out / "oracle.csv", row)
+    table = csv_text(
+        ("oracle_optimum_meur", "sddp_lower_bound_meur", "relative_gap"),
+        [(ef.objective, lb, gap)])
+    (out / "oracle.csv").write_text(table)
     sddp.save_policy(policy, out / POLICY_FILE)
-    _write(out / "resolved_config.yaml", echo_text(cfg))
-    print(row, end="")
+    (out / "resolved_config.yaml").write_text(echo_text(cfg))
+    print(table, end="")
     return 0
 
 

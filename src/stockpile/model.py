@@ -264,6 +264,8 @@ class WeatherVector:
         if flat_end < len(arrays):
             raise LengthMismatch("weather series must be one-dimensional")
         n = len(arrays[k])
+        if not n:
+            raise LengthMismatch("weather series need at least one period")
         named = list(zip(factors, arrays)) + [("heat_demand", arrays[k + 1]),
                                               ("heat_pump_cop", arrays[k + 2])]
         for name, arr in named:

@@ -78,6 +78,7 @@ import numpy as np
 
 from . import lp, model
 from .errors import DataError, DimensionMismatch, SolverFailure
+from .tables import csv_text
 from .weather import SamplingLattice, WeatherPath, sample_path
 
 POLICY_FORMAT_VERSION = 1
@@ -589,8 +590,8 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
     policy.capacities = model.extract_state(*policy._solve(0, 0, bases=bases))
     if opt.log_path:
         with open(opt.log_path, "w") as fh:
-            fh.write("iteration,seconds,lower_bound,forward_cost\n")
-            for k, secs, lb, fc in log_rows:
-                fh.write(f"{k},{secs:.3f},{lb!r},{fc!r}\n")
+            fh.write(csv_text(
+                ("iteration", "seconds", "lower_bound", "forward_cost"),
+                ((k, f"{secs:.3f}", lb, fc) for k, secs, lb, fc in log_rows)))
     return policy
 

@@ -36,6 +36,7 @@ from .errors import (
     ZeroVariance,
 )
 from .model import WeatherVector
+from .tables import csv_text
 
 CAPACITY_FACTOR_PREFIX = "cf_"
 DEMAND_COLUMN = "demand"
@@ -380,11 +381,10 @@ class AcfReport:
 
     def to_table(self) -> str:
         """Render as delimited text: variable, lag, rho, band."""
-        lines = ["variable,lag,rho,band"]
-        for name, rho in self.correlations.items():
-            for k, r in zip(self.lags, rho):
-                lines.append(f"{name},{int(k)},{r:.6f},{self.band:.6f}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("variable", "lag", "rho", "band"),
+                        ((name, int(k), f"{r:.6f}", f"{self.band:.6f}")
+                         for name, rho in self.correlations.items()
+                         for k, r in zip(self.lags, rho)))
 
 
 def stage_means(table: SeriesTable, stage_length: str = "month",

@@ -4,7 +4,7 @@ dual-consistency audit."""
 import numpy as np
 import pytest
 
-from conftest import make_vector
+from conftest import make_vector, sector_catalog, sector_lattice
 from stockpile import analysis, benchmarks, model, sddp
 from stockpile.errors import EmptyPool, UnknownStage
 from stockpile.weather import SamplingLattice, WeatherPath
@@ -165,6 +165,30 @@ def test_msv_curve_error_cases(canonical):
         analysis.msv_curve(policy, 3, grid_step=0.0)
     terminal = analysis.msv_curve(policy, 3, grid_step=15.0)
     assert terminal.levels[-1] == 40.0
+
+
+def test_bad_storage_names_raise_value_errors_naming_the_store():
+    """msv_curve rejects a short-duration store, built or not, and a
+    name the catalog lacks; trajectory_stats rejects a name its
+    dispatch records lack. Each error names the store and says why."""
+    catalog = sector_catalog()
+    policy = sddp.Policy(catalog, model.MarketScenario("ni", voll=1000.0),
+                         sector_lattice(2025))
+    for energy in (20.0, 0.0):
+        decision = model.CapacityDecision(
+            generation={"wind": 30.0, "solar": 0.0},
+            storage_power_out={"cavern": 5.0, "battery": 5.0},
+            storage_power_in={"cavern": 5.0, "battery": 5.0},
+            storage_energy={"cavern": 100.0, "battery": energy},
+            initial_level={"cavern": 50.0})
+        policy.capacities = decision.to_state(policy.layout)
+        with pytest.raises(ValueError, match="'battery' is not long-dur"):
+            analysis.msv_curve(policy, 1, storage="battery")
+    with pytest.raises(ValueError, match="'tank' is not in the catalog"):
+        analysis.msv_curve(policy, 1, storage="tank")
+    trajectory = fake_trajectory([fake_dispatch([0.0], level=[1.0])])
+    with pytest.raises(ValueError, match="'tank' has no level"):
+        analysis.trajectory_stats([trajectory], e_ini=0.0, storage="tank")
 
 
 def test_duration_curve_sorts_descending():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_vector
-from stockpile import benchmarks, lp, model, presets, sddp
+from stockpile import benchmarks, lp, model, presets, sddp, weather
 from stockpile.errors import (DimensionMismatch, SolverFailure, TreeTooLarge,
                               UnknownStage)
 from stockpile.weather import SamplingLattice, WeatherPath
@@ -172,6 +172,24 @@ def test_one_year_perfect_foresight_is_single_year(canonical):
                                              canonical["scenario"], path)
     assert a.objective == b.objective
     assert a.capacities == b.capacities
+
+
+def test_perfect_foresight_labels_name_each_path_once(canonical):
+    """A path whose stages carry different year labels is named after
+    its node indices, as the extensive form names its leaves, so the
+    lattice's paths have one label each; a historical year, one label
+    throughout, keeps it."""
+    lattice = SamplingLattice(stages=canonical["lattice"].stages,
+                              year_labels=(("1990", "1991"),) * 3)
+    args = (canonical["catalog"], canonical["scenario"])
+    pf = benchmarks.perfect_foresight(*args,
+                                      benchmarks.enumerate_paths(lattice))
+    ef = benchmarks.extensive_form(*args, lattice)
+    assert len(set(pf.labels)) == lattice.path_count
+    assert pf.labels == ("1990",) + ef.labels[1:-1] + ("1991",)
+    historical = benchmarks.perfect_foresight(
+        *args, weather.historical_paths(lattice))
+    assert historical.labels == ("1990", "1991")
 
 
 def test_zero_demand_years_cost_nothing():

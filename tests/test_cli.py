@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end (in-process)."""
 
 import copy
+import csv
 import json
 import textwrap
 from datetime import datetime, timedelta
@@ -456,12 +457,17 @@ def test_unusable_series_or_policy_exits_3(tmp_path, capsys, case):
     assert "data error: " in capsys.readouterr().err
 
 
-def _readme_run(tmp_path):
-    """The complete config README.md shows, trained into ``out``; the
-    config path and the output directory."""
+def _readme_run(tmp_path, edit=None):
+    """The complete config README.md shows, changed in place by
+    ``edit`` when given and trained into ``out``; the config path and
+    the output directory."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = readme.split("A complete config for a toy two-stage system:\n\n"
                         "```yaml\n", 1)[1].split("```", 1)[0]
+    if edit is not None:
+        doc = yaml.safe_load(text)
+        edit(doc)
+        text = yaml.safe_dump(doc)
     cfg, out = setup_run(tmp_path, text)
     assert cli.main(["train", "--config", cfg, "--out", out]) == 0
     return cfg, out
@@ -531,3 +537,34 @@ def test_simulate_solves_no_capacity_stage(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", cfg, "--out", out,
                      "--n-paths", "1"]) == 0
     assert len(solved) == 2
+
+
+def test_tables_keep_names_with_commas_and_quotes_intact(tmp_path):
+    """A storage name and a year label holding a comma and a double
+    quote are quoted in every table simulate, bench and curves write:
+    read back as CSV, each row has its header's field count and the
+    names come back as given."""
+    name, year = 'cavern,"north"', '2010, "dry"'
+
+    def edit(doc):
+        doc["catalog"]["storages"][0]["name"] = name
+        for stage in doc["lattice"]["stages"]:
+            stage["realizations"][0]["year_label"] = year
+
+    cfg, out = _readme_run(tmp_path, edit)
+    for command in ("simulate", "bench", "curves"):
+        assert cli.main([command, "--config", cfg, "--out", out]) == 0
+    tables = {}
+    for path in sorted((tmp_path / "out").glob("*.csv")):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), path
+        tables[path.stem] = header, rows
+    assert {"capacities", "trajectories", "prices", "storage_values",
+            "ef_capacities", "pf_costs", "pf_prices", "bids", "duration",
+            "bands"} <= set(tables)
+    assert f"closing_{name}_gwh" in tables["trajectories"][0]
+    assert {row[3] for row in tables["storage_values"][1]} == {name}
+    assert name in {row[0] for row in tables["ef_capacities"][1]}
+    for table in ("pf_costs", "pf_prices"):
+        assert year in {row[0] for row in tables[table][1]}

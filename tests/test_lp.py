@@ -365,6 +365,54 @@ def _check_kkt(inst, sol):
     assert np.all(np.abs(sol.reduced_costs[interior]) <= 1e-6)
 
 
+def test_bland_rule_runs_match_highs_and_dantzig(monkeypatch):
+    """With the trigger lowered to one degenerate step, Bland's rule
+    picks every entering column after a run's first degenerate pivot on
+    seeded random LPs whose rows mostly pass through the origin. The
+    objectives match HiGHS and the solve under Dantzig's rule, and the
+    rule changes which columns enter."""
+    raw = lp._Simplex._entering
+    picks = []
+
+    def entering(sx, z):
+        q, direction = raw(sx, z)
+        if q >= 0:
+            picks.append((sx.bland, q))
+        return q, direction
+
+    monkeypatch.setattr(lp._Simplex, "_entering", entering)
+    by_bland, changed = 0, 0
+    for seed in range(30):
+        rng = np.random.default_rng(3000 + seed)
+        n, m = int(rng.integers(4, 9)), int(rng.integers(3, 7))
+        a = rng.integers(-4, 5, (m, n)).astype(float)
+        c = rng.integers(-5, 6, n).astype(float)
+        rhs = np.where(rng.random(m) < 0.6, 0.0,
+                       rng.integers(1, 9, m)).astype(float)
+        data = (a, c, ["<="] * m, rhs, np.zeros(n), np.full(n, 10.0))
+        inst = build(c, a, *data[2:])
+        picks.clear()
+        dantzig = lp.solve(inst)
+        dantzig_picks = list(picks)
+        assert not any(bland for bland, _ in dantzig_picks)
+        monkeypatch.setattr(lp, "_BLAND_TRIGGER", 1)
+        picks.clear()
+        sol = lp.solve(inst)
+        monkeypatch.setattr(lp, "_BLAND_TRIGGER", 1000)
+        flags = [bland for bland, _ in picks]
+        # once on, Bland's rule stays on to the end of the run
+        assert flags == sorted(flags)
+        by_bland += sum(flags)
+        changed += [q for _, q in picks] != [q for _, q in dantzig_picks]
+        ref = _scipy_reference(*data)
+        assert ref.status == 0 and sol.status == dantzig.status == lp.OPTIMAL
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert sol.objective == pytest.approx(dantzig.objective, rel=1e-9,
+                                              abs=1e-9)
+        _check_kkt(inst, sol)
+    assert by_bland >= 60 and changed >= 5
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_duals_are_rhs_sensitivities(seed):
     """Central finite differences of the optimum match the duals away

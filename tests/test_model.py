@@ -578,6 +578,8 @@ def _weather_checks_one_series_at_a_time(factors, demand, heat, cop, hours):
     cf = {k: series(v) for k, v in factors.items()}
     demand, heat, cop = series(demand), series(heat), series(cop)
     n = len(demand)
+    if not n:
+        raise LengthMismatch("weather series need at least one period")
     for name, arr in list(cf.items()) + [("heat_demand", heat),
                                          ("heat_pump_cop", cop)]:
         if len(arr) != n:
@@ -592,6 +594,18 @@ def _weather_checks_one_series_at_a_time(factors, demand, heat, cop, hours):
         raise OutOfRange("heat pump efficiency must be > 0")
     if not hours > 0:
         raise OutOfRange("period length must be > 0")
+
+
+def test_weather_vector_rejects_zero_periods():
+    """A weather vector without a period is rejected where it is built;
+    accepted, it made the stage builder fail with a bare KeyError on the
+    closing level of its long-duration store."""
+    with pytest.raises(LengthMismatch, match="at least one period"):
+        model.WeatherVector(capacity_factors={"wind": []}, demand=[],
+                            heat_demand=[], heat_pump_cop=[])
+    one = model.WeatherVector(capacity_factors={"wind": [0.5]}, demand=[1.0],
+                              heat_demand=[0.0], heat_pump_cop=[1.0])
+    assert one.n_periods == 1
 
 
 def test_weather_vector_checks_match_one_series_at_a_time():

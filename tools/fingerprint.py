@@ -3,10 +3,10 @@
     python3 tools/fingerprint.py [ROOT]
 
 ROOT (default: the checkout that holds this script) is a tree with the
-package in ``src/stockpile`` and the benchmark inputs in
-``perfbench/instances.py``; both are imported from ROOT and only read.
-The script runs a fixed set of seeded computations in three groups and
-prints SHA-256 digests:
+package in ``src/stockpile``, the benchmark inputs in
+``perfbench/instances.py`` and a ``README.md``; all are taken from ROOT
+and only read. The script runs a fixed set of seeded computations in
+three groups and prints SHA-256 digests:
 
 ``results``
     over all three groups, and then over each group alone:
@@ -24,6 +24,13 @@ prints SHA-256 digests:
     sector trajectory: the periods checked and each violation. It is
     printed apart and is in no other digest, so the results digests
     read as they did before it was added.
+``outputs``
+    over every file that the command line's ``train``, ``simulate``,
+    ``bench``, ``curves`` and ``oracle`` write for the config README.md
+    shows, each command into its own directory, and then over each file
+    alone. The wall-clock ``seconds`` column of ``training_log.csv`` is
+    dropped before hashing. These runs come after the ``lp.solve`` spy
+    is removed, so their solves are in no other digest.
 
 It also prints the number of those solves, split by the path that
 produced each (``LpSolution.start``: cold, warm, or fallback, a cold
@@ -41,10 +48,14 @@ loads, because the simplex's pivot sequence can depend on it.
 """
 from __future__ import annotations
 
+import contextlib
+import csv
 import dataclasses
 import hashlib
+import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -62,6 +73,8 @@ SECTOR_PATHS = 24
 SECTOR_PATH_SEED = 11
 REFERENCE_SHAPE = (3, 2, 2)
 REFERENCE_SEEDS = (1, 2, 3)
+README_CONFIG = "A complete config for a toy two-stage system:\n\n```yaml\n"
+COMMANDS = ("train", "simulate", "bench", "curves", "oracle")
 
 
 def _feed(h, obj) -> None:
@@ -93,14 +106,48 @@ def _feed(h, obj) -> None:
 COUNTERS = ("dual_pivots", "primal_pivots", "refactors")
 
 
-def run(root: Path) -> tuple[dict, str, tuple, dict, dict]:
+def _outputs(root: Path, cli) -> dict:
+    """The digest of each file the command line writes for README.md's
+    config, keyed ``<command>/<file>``, and over all of them as
+    ``all``."""
+    readme = (root / "README.md").read_text()
+    config = readme.split(README_CONFIG, 1)[1].split("```", 1)[0]
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.yaml").write_text(config)
+        policy = ["--policy", str(tmp / "train" / "policy.json")]
+        for command in COMMANDS:
+            argv = [command, "--config", str(tmp / "run.yaml"),
+                    "--out", str(tmp / command)]
+            if command in ("simulate", "curves"):
+                argv += policy
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code:
+                raise SystemExit(f"stockpile {command} exited {code}")
+        for path in sorted(tmp.glob("*/*")):
+            h = hashlib.sha256()
+            if path.name == "training_log.csv":
+                rows = list(csv.reader(path.read_text().splitlines()))
+                seconds = rows[0].index("seconds")
+                _feed(h, [row[:seconds] + row[seconds + 1:] for row in rows])
+            else:
+                h.update(path.read_bytes())
+            files[f"{path.parent.name}/{path.name}"] = h.hexdigest()
+    digest = hashlib.sha256()
+    _feed(digest, files)
+    return {"all": digest.hexdigest(), **files}
+
+
+def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict]:
     """The results digest of each group and over all of them, the
     solves digest, the KKT digest with the periods checked and the
-    violations, the solve count by ``start`` and the totals of the
-    solve counters of the tree at ``root``."""
+    violations, the solve count by ``start``, the totals of the solve
+    counters and the outputs digests of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import instances
-    from stockpile import analysis, benchmarks, lp, sddp
+    from stockpile import analysis, benchmarks, cli, lp, sddp
     from stockpile.weather import sample_path
 
     source = Path(lp.__file__).resolve()
@@ -168,7 +215,8 @@ def run(root: Path) -> tuple[dict, str, tuple, dict, dict]:
     finally:
         lp.solve = raw
     digests = {key: h.hexdigest() for key, h in results.items()}
-    return digests, solves.hexdigest(), kkt, count, totals
+    return (digests, solves.hexdigest(), kkt, count, totals,
+            _outputs(root, cli))
 
 
 def main(argv=None) -> int:
@@ -177,7 +225,7 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    results, solves, kkt, count, totals = run(root.resolve())
+    results, solves, kkt, count, totals, outputs = run(root.resolve())
     print(f"results {results.pop('all')}")
     for group, digest in results.items():
         print(f"  {group:<10} {digest}")
@@ -188,6 +236,9 @@ def main(argv=None) -> int:
           f"{work})")
     print(f"kkt     {kkt[0]} ({kkt[1]} periods checked, "
           f"{kkt[2]} violations)")
+    print(f"outputs {outputs.pop('all')} ({len(outputs)} files)")
+    for name, digest in outputs.items():
+        print(f"  {name:<32} {digest}")
     return 0
 
 
