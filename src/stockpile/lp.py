@@ -57,8 +57,8 @@ the all-slack start inverts nothing.
 The solver is deterministic: the same instance solved twice in one
 process yields bit-identical results, and the returned solution is
 computed from the final basis alone, whatever pivots reached it.
-Anti-cycling is handled by switching from Dantzig pricing to Bland's
-rule after a run of 1000 degenerate pivots. Rows and columns are
+Anti-cycling is the primal loop's: it switches from Dantzig pricing to
+Bland's rule after a run of 1000 degenerate pivots. Rows and columns are
 max-norm equilibrated internally, so the stated tolerances apply to the
 scaled system; for data of order one they coincide with the raw
 residuals.
@@ -89,10 +89,12 @@ bounds (leaving row: largest violation; entering column: smallest
 |z_j / alpha_j|, ties to the largest |alpha_j|), then the primal
 simplex, and then the same residual, bound and duality-gap checks as a
 cold solve. A leaving row that no column can enter proves the LP
-infeasible, and the restart reports INFEASIBLE. A basis that does not
-fit the problem, a singular basis, any numerical failure and any other
-non-optimal end send the solve down the cold two-phase path instead,
-so a restart changes the work done but never whether a solve succeeds.
+infeasible, and the restart reports INFEASIBLE. A restart may take
+20,000 pivots, a cold solve 20,000 plus 200 per row and column. A
+basis that does not fit the problem, a singular basis, a restart past
+its pivots, any numerical failure and any other non-optimal end send
+the solve down the cold two-phase path instead, so a restart changes
+the work done but never whether a solve succeeds.
 A solution's ``start`` says which of these paths produced it, and its
 counters how many pivots and factorizations it took.
 """
@@ -485,8 +487,6 @@ class _Simplex:
         self.pivots = 0
         self.dual_pivots = 0
         self.refactors = 0
-        self.degenerate_run = 0
-        self.bland = False
         if status is None:
             status = np.full(self.n, _FREE_NB, dtype=np.int8)
             status[np.isfinite(self.upper)] = _AT_UPPER
@@ -518,7 +518,6 @@ class _Simplex:
         self.c = p.c
         self.lower = p.lower.copy()
         self.upper = p.upper.copy()
-        self.pivot_limit = _PIVOT_LIMIT + _PIVOT_LIMIT_PER_DIM * (self.m + p.n)
 
     def take_rows(self, p):
         """Take the rows appended to ``p`` since :meth:`_bind`, each with
@@ -557,8 +556,6 @@ class _Simplex:
         """Start another solve from the factor held: zero the counters
         and set the basics for the current right-hand sides."""
         self.pivots = self.dual_pivots = self.refactors = 0
-        self.degenerate_run = 0
-        self.bland = False
         self.set_basics()
 
     def counts(self) -> dict:
@@ -844,7 +841,8 @@ class _Simplex:
     # -- pivoting -------------------------------------------------------
 
     def step(self, q, direction):
-        """One ratio test plus pivot or bound flip. False means unbounded."""
+        """One ratio test plus pivot or bound flip. Returns the step
+        length, or None when the LP is unbounded along column ``q``."""
         d = self.column(q)
         delta = -direction * d              # change of each basic per unit step
         xb = self.x[self.basis]
@@ -863,14 +861,14 @@ class _Simplex:
         else:
             t_flip = np.inf
         if not np.isfinite(min(lim_min, t_flip)):
-            return False
+            return None
         if t_flip <= lim_min:
             # bound flip: entering jumps to its other bound, basis unchanged
             self.x[self.basis] = xb + delta * t_flip
             self.x[q] = self.upper[q] if direction > 0 else self.lower[q]
             self.status[q] = _AT_UPPER if direction > 0 else _AT_LOWER
-            self._count_step(t_flip)
-            return True
+            self._count_step()
+            return t_flip
         tie = limits <= lim_min + _RATIO_TIE * (1.0 + lim_min)
         usable = tie & moving
         cand = (usable if usable.any() else tie).nonzero()[0]
@@ -883,10 +881,10 @@ class _Simplex:
         self.x[q] = self.x[q] + direction * t
         self._leave(leaving, delta[r] >= 0.0)
         self._replace(r, q, d)
-        self._count_step(t)
-        return True
+        self._count_step()
+        return t
 
-    def dual_run(self):
+    def dual_run(self, limit):
         """Bounded dual simplex pivots until the basis is primal feasible.
 
         The leaving row is the basic variable with the largest bound
@@ -898,10 +896,10 @@ class _Simplex:
         enter: no nonbasic can move the leaving variable towards its
         bound, which proves the LP infeasible. Returns True once the
         basis is primal feasible. Raises :class:`NumericalFailure` when
-        the basis is not dual feasible.
+        the basis is not dual feasible or past ``limit`` pivots.
         """
         while True:
-            self._check_pivot_limit()
+            self._check_pivot_limit(limit)
             xb = self.x[self.basis]
             below = self.lower[self.basis] - xb
             viol = np.maximum(below, xb - self.upper[self.basis])
@@ -934,36 +932,38 @@ class _Simplex:
             self._leave(leaving, not rise)
             self._replace(r, q, d, rho)
             self.dual_pivots += 1
-            self._count_step(best)
+            self._count_step()
 
-    def _count_step(self, t):
+    def _count_step(self):
         self.pivots += 1
         self.fresh = False
-        if t <= _DEGENERATE_STEP:
-            self.degenerate_run += 1
-            if self.degenerate_run >= _BLAND_TRIGGER:
-                self.bland = True
-        else:
-            self.degenerate_run = 0
         if self.pivots % _REFACTOR_EVERY == 0:
             self.refactor()
 
-    def _check_pivot_limit(self):
-        if self.pivots > self.pivot_limit:
-            raise NumericalFailure(
-                f"pivot limit {self.pivot_limit} exceeded "
-                f"(degenerate run {self.degenerate_run})")
+    def _check_pivot_limit(self, limit):
+        if self.pivots > limit:
+            raise NumericalFailure(f"pivot limit {limit} exceeded")
 
-    def run(self):
-        """Iterate to optimality. Returns OPTIMAL or UNBOUNDED."""
+    def run(self, limit):
+        """Primal simplex pivots to optimality. Returns OPTIMAL or
+        UNBOUNDED; raises :class:`NumericalFailure` once the solve has
+        taken more than ``limit`` pivots. Pricing is Dantzig's until
+        ``_BLAND_TRIGGER`` degenerate pivots in a row, then Bland's
+        (smallest eligible index) to the end of the loop; the loop owns
+        that switch and its count, and resets both when it starts."""
+        self.bland = False
+        degenerate = 0
         while True:
-            self._check_pivot_limit()
+            self._check_pivot_limit(limit)
             _, z = self.duals_and_reduced_costs()
             q, direction = self._entering(z)
             if q < 0:
                 return OPTIMAL
-            if not self.step(q, direction):
+            t = self.step(q, direction)
+            if t is None:
                 return UNBOUNDED
+            degenerate = degenerate + 1 if t <= _DEGENERATE_STEP else 0
+            self.bland = self.bland or degenerate >= _BLAND_TRIGGER
 
 
 def _factors(val, group, size):
@@ -1214,6 +1214,7 @@ class LpState:
     def _cold(self) -> LpSolution:
         """Two-phase solve from the slack basis."""
         n, m = self.n, self.n_rows
+        limit = _PIVOT_LIMIT + _PIVOT_LIMIT_PER_DIM * (n + m)
         sx = _Simplex(self)
 
         # initial point: nonbasics at bounds; rows whose residual fits
@@ -1236,7 +1237,7 @@ class LpState:
             phase1 = np.zeros(sx.n)
             phase1[n + m:] = 1.0
             sx.set_costs(phase1)
-            if sx.run() != OPTIMAL:
+            if sx.run(limit) != OPTIMAL:
                 raise NumericalFailure("phase 1 terminated unbounded")
             art_sum = float(np.abs(sx.x[n + m:]).sum())
             if art_sum > FEASIBILITY_TOL * (1.0 + float(np.abs(self.b_s).max())):
@@ -1249,10 +1250,8 @@ class LpState:
             nb_art = np.arange(n + m, sx.n)[sx.status[n + m:] != _BASIC]
             sx.status[nb_art] = _FIXED
             sx.x[nb_art] = 0.0
-            sx.degenerate_run = 0
-            sx.bland = False
 
-        if sx.run() == UNBOUNDED:
+        if sx.run(limit) == UNBOUNDED:
             return LpSolution(UNBOUNDED, None, None, None, None, sx.pivots,
                               self, start="cold", **sx.counts())
         return self._finish(sx, "cold")
@@ -1281,17 +1280,16 @@ class LpState:
 
     def _restart(self, sx: _Simplex) -> LpSolution | None:
         """Solve from the factored basis in ``sx``: dual simplex to
-        primal feasibility, then primal simplex to optimality. An
-        infeasibility the dual simplex proves is the result. Returns
-        None, sending the caller to the cold path, when the restart
-        fails or ends unbounded."""
+        primal feasibility, then primal simplex to optimality, within
+        ``_PIVOT_LIMIT`` pivots in all. An infeasibility the dual
+        simplex proves is the result. Returns None, sending the caller
+        to the cold path, when the restart fails, runs past its pivots
+        or ends unbounded."""
         try:
-            if not sx.dual_run():
+            if not sx.dual_run(_PIVOT_LIMIT):
                 return LpSolution(INFEASIBLE, None, None, None, None,
                                   sx.pivots, self, start="warm", **sx.counts())
-            sx.degenerate_run = 0
-            sx.bland = False
-            if sx.run() != OPTIMAL:
+            if sx.run(_PIVOT_LIMIT) != OPTIMAL:
                 return None
             return self._finish(sx, "warm")
         except NumericalFailure:

@@ -56,8 +56,9 @@ def _cost_ok(*costs) -> bool:
 
 
 def _check_name(name: str, what: str) -> None:
-    if not name or ":" in name:
-        raise ValueError(f"{what} name {name!r} must be non-empty and contain no ':'")
+    if not name or ":" in name or not name.isprintable():
+        raise ValueError(f"{what} name {name!r} must be non-empty and "
+                         "printable and contain no ':'")
 
 
 @dataclass(frozen=True)

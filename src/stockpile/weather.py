@@ -82,6 +82,8 @@ def ingest_series(source) -> SeriesTable:
     names = header[1:]
     if len(set(names)) != len(names) or not names:
         raise ParseError("column names must be unique and at least one")
+    if not all(map(str.isprintable, names)):
+        raise ParseError(f"column names must be printable, got {names}")
     stamps = []
     data = [[] for _ in names]
     for lineno, row in enumerate(rows[1:], start=2):
@@ -167,7 +169,9 @@ class SamplingLattice:
     ``stages[t - 1]`` holds the equiprobable realizations of stage
     ``t``. All realizations of a stage share one period count. Year
     labels, when present, identify which historical year each
-    realization came from, aligned across stages.
+    realization came from, aligned across stages; within a stage they
+    are distinct, and each is printable, so that it can name a row of a
+    table.
     """
 
     stages: tuple
@@ -193,6 +197,11 @@ class SamplingLattice:
             for t, (entries, labs) in enumerate(zip(stages, labels), start=1):
                 if len(labs) != len(entries):
                     raise DataError(f"stage {t} label count mismatch")
+                if len(set(labs)) != len(labs):
+                    raise DataError(f"stage {t} repeats a year label")
+                if not all(str(lab).isprintable() for lab in labs):
+                    raise DataError(f"stage {t} year labels must be "
+                                    f"printable, got {labs}")
 
     @classmethod
     def from_vectors(cls, stages, year_labels=None) -> "SamplingLattice":
@@ -259,16 +268,14 @@ def historical_paths(lattice: SamplingLattice) -> list:
     """All chronological year paths, one per historical year label."""
     if lattice.year_labels is None:
         raise DataError("lattice has no year labels")
-    order = list(dict.fromkeys(lattice.year_labels[0]))
     paths = []
-    for year in order:
+    for year in lattice.year_labels[0]:
         idx = []
         for t, labs in enumerate(lattice.year_labels, start=1):
-            matches = [i for i, lab in enumerate(labs) if lab == year]
-            if len(matches) != 1:
-                raise DataError(
-                    f"year {year!r} has {len(matches)} nodes in stage {t}")
-            idx.append(matches[0])
+            # a stage names each label once (see SamplingLattice)
+            if year not in labs:
+                raise DataError(f"year {year!r} has no node in stage {t}")
+            idx.append(labs.index(year))
         paths.append(lattice.path(idx))
     return paths
 

@@ -239,6 +239,24 @@ def test_train_without_training_block_exits_2(tmp_path, capsys):
     assert "training" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels,message", [
+    (("a\rb", "b"),
+     "stage 2 year labels must be printable, got ('a\\rb', 'b')"),
+    (("x", "x"), "stage 2 repeats a year label"),
+], ids=["carriage-return", "repeated"])
+def test_bad_year_label_exits_2(tmp_path, capsys, labels, message):
+    """A year label with a carriage return, which would split a row of
+    the CSV tables, or one repeated within a stage is a config error."""
+    doc = yaml.safe_load(CONFIG)
+    for node, label in zip(doc["lattice"]["stages"][1]["realizations"],
+                           labels):
+        node["year_label"] = label
+    cfg, out = setup_run(tmp_path, yaml.safe_dump(doc))
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: lattice: {message}"]
+
+
 def test_missing_config_file_exits_3(tmp_path):
     rc = cli.main(["train", "--config", str(tmp_path / "nope.yaml"),
                    "--out", str(tmp_path / "out")])

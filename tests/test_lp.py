@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, sparse
 
-from stockpile import lp
+from stockpile import lp, model
 from stockpile.errors import NotOptimal, NumericalFailure, UnknownVariable
 
 
@@ -263,6 +263,36 @@ def test_pivot_limit_raises(monkeypatch):
                  [0.0, 0.0], [np.inf, np.inf])
     with pytest.raises(NumericalFailure):
         lp.solve(inst)
+
+
+def test_restart_over_its_pivot_budget_falls_back_to_cold(canonical,
+                                                           monkeypatch):
+    """A restart may take _PIVOT_LIMIT pivots whatever the LP's size;
+    one that needs more ends on the cold path, which solves the LP.
+    Canonical dispatch stage 1 in its dark realization, solved in a
+    persistent state, restarts in 3 pivots after its incoming cavern
+    level moves from 30 to 5 GWh, so a budget of 0 sends it cold."""
+    lattice = canonical["lattice"]
+    problem = model.build_dispatch_stage(
+        1, canonical["catalog"], canonical["scenario"],
+        lattice.realizations(1)[1], total_stages=lattice.n_stages)
+
+    def stage(level):
+        decision = model.CapacityDecision(
+            generation={"wind": 12.0}, storage_power_out={"cavern": 6.0},
+            storage_power_in={"cavern": 6.0},
+            storage_energy={"cavern": 60.0}, initial_level={"cavern": level})
+        return model.apply_incoming_state(
+            problem, decision.to_state(problem.layout)).instance
+
+    state, moved = lp.LpState(stage(30.0)), stage(5.0)
+    assert lp.solve(state).start == "cold"
+    rows = list(problem.fishing_rows)
+    state.set_rhs(rows, moved.rhs[rows])
+    monkeypatch.setattr(lp, "_PIVOT_LIMIT", 0)
+    sol = lp.solve(state)
+    assert sol.status == lp.OPTIMAL and sol.start == "fallback"
+    assert sol.objective == lp.solve(moved).objective
 
 
 def test_dump_instance(tmp_path):

@@ -74,6 +74,22 @@ def test_validation_rejects_bad_technology_data():
                             heat_pump_cop=np.ones(4))
 
 
+@pytest.mark.parametrize("name", ["wi\rnd", "wi\nnd", "wi\tnd", "\x00"])
+def test_names_must_be_printable(name):
+    """A generator or storage name with a control character is rejected:
+    it would reach the CSV tables, where a carriage return splits a
+    row."""
+    with pytest.raises(ValueError, match="printable"):
+        model.Generator(name, capital_cost=1.0, marginal_cost=0.0,
+                        max_capacity=1.0)
+    with pytest.raises(ValueError, match="printable"):
+        model.Storage(name, 1.0, 1.0, 1.0, efficiency_out=1.0,
+                      efficiency_in=1.0, max_power_out=1.0,
+                      max_power_in=1.0, max_energy=1.0)
+    assert model.Generator("wind north", capital_cost=1.0, marginal_cost=0.0,
+                           max_capacity=1.0).name == "wind north"
+
+
 def test_capacity_stage_zero_cost_ties_at_lower_bounds():
     """With all capital costs zero and no cuts, the optimum is zero and
     the reported point sits at the lower bounds."""

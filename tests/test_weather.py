@@ -79,6 +79,12 @@ def test_ingest_rejects_garbage_with_row_number():
         weather.ingest_series(io.StringIO(text))
 
 
+def test_ingest_rejects_unprintable_column_names():
+    text = make_csv(hours=5).replace("cf_wind", '"cf\rwind"', 1)
+    with pytest.raises(ParseError, match="must be printable"):
+        weather.ingest_series(io.StringIO(text))
+
+
 def test_aggregate_takes_block_means():
     """Hourly values 1,2,3,4 averaged in one 4-hour block give 2.5."""
     table = weather.ingest_series(
@@ -246,6 +252,28 @@ def test_historical_paths_need_labels():
     lat = weather.SamplingLattice.from_vectors([[vec, vec]] * 2)
     with pytest.raises(DataError):
         weather.historical_paths(lat)
+    lat = weather.SamplingLattice.from_vectors(
+        [[vec, vec]] * 2, year_labels=(("a", "b"), ("a", "c")))
+    with pytest.raises(DataError, match="'b' has no node in stage 2"):
+        weather.historical_paths(lat)
+
+
+@pytest.mark.parametrize("labels,message", [
+    ((("x", "x"),) * 2, "stage 1 repeats a year label"),
+    ((("a", "b"), ("a", "a")), "stage 2 repeats a year label"),
+    ((("a\rb", "c"),) * 2, "stage 1 year labels must be printable"),
+])
+def test_lattice_rejects_repeated_or_unprintable_year_labels(labels,
+                                                             message):
+    """Two nodes of one stage under one year label would give perfect
+    foresight several paths of one name, and a control character in a
+    label would reach the CSV tables."""
+    vec = model.WeatherVector(capacity_factors={}, demand=np.ones(4),
+                              heat_demand=np.zeros(4),
+                              heat_pump_cop=np.ones(4))
+    with pytest.raises(DataError, match=message):
+        weather.SamplingLattice.from_vectors([[vec, vec]] * 2,
+                                             year_labels=labels)
 
 
 def test_autocorrelation_of_white_noise_is_inside_band():

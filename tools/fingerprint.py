@@ -36,8 +36,11 @@ It also prints the number of those solves, split by the path that
 produced each (``LpSolution.start``: cold, warm, or fallback, a cold
 solve after a restart that could not finish; "unlabelled" on a tree
 whose solutions do not say), and the totals of the solve counters
-(dual and primal pivots and refactors; "n/a" on a tree without them).
-Neither is part of a digest.
+(dual and primal pivots and refactors; "n/a" on a tree without them),
+and the longest restart, the most pivots any solve with ``start`` warm
+took, beside ``lp._PIVOT_LIMIT``, the pivots a restart may take before
+it falls back to a cold solve ("n/a" on a tree whose solutions do not
+say how they started). None of these is part of a digest.
 
 Two trees that print the same digests solved every LP of these runs to
 the same bits; a group's digest alone tells which groups a change
@@ -140,11 +143,12 @@ def _outputs(root: Path, cli) -> dict:
     return {"all": digest.hexdigest(), **files}
 
 
-def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict]:
+def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict, tuple]:
     """The results digest of each group and over all of them, the
     solves digest, the KKT digest with the periods checked and the
     violations, the solve count by ``start``, the totals of the solve
-    counters and the outputs digests of the tree at ``root``."""
+    counters, the outputs digests, and the pivots of the longest restart
+    with the restart budget, of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import instances
     from stockpile import analysis, benchmarks, cli, lp, sddp
@@ -158,6 +162,7 @@ def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict]:
     solves = hashlib.sha256()
     count = dict.fromkeys(("cold", "warm", "fallback"), 0)
     totals = dict.fromkeys(COUNTERS, 0)
+    restarts = [0]
     raw = lp.solve
 
     def solve(problem, **kwargs):
@@ -166,6 +171,8 @@ def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict]:
         # solves unlabelled and uncounted
         start = getattr(sol, "start", "unlabelled")
         count[start] = count.get(start, 0) + 1
+        if start == "warm":
+            restarts.append(sol.iterations)
         for name in COUNTERS:
             value = getattr(sol, name, None)
             totals[name] = None if value is None or totals[name] is None \
@@ -215,8 +222,10 @@ def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict]:
     finally:
         lp.solve = raw
     digests = {key: h.hexdigest() for key, h in results.items()}
+    restart = ("n/a" if "unlabelled" in count else max(restarts),
+               getattr(lp, "_PIVOT_LIMIT", "n/a"))
     return (digests, solves.hexdigest(), kkt, count, totals,
-            _outputs(root, cli))
+            _outputs(root, cli), restart)
 
 
 def main(argv=None) -> int:
@@ -225,7 +234,8 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    results, solves, kkt, count, totals, outputs = run(root.resolve())
+    results, solves, kkt, count, totals, outputs, restart = run(
+        root.resolve())
     print(f"results {results.pop('all')}")
     for group, digest in results.items():
         print(f"  {group:<10} {digest}")
@@ -234,6 +244,8 @@ def main(argv=None) -> int:
                      for name, n in totals.items())
     print(f"solves  {solves} ({sum(count.values())} solves: {split}; "
           f"{work})")
+    print(f"restart {restart[0]} pivots at the longest, of a budget of "
+          f"{restart[1]}")
     print(f"kkt     {kkt[0]} ({kkt[1]} periods checked, "
           f"{kkt[2]} violations)")
     print(f"outputs {outputs.pop('all')} ({len(outputs)} files)")

@@ -22,8 +22,14 @@ capacity decision. The script solves it
   through the persistent ``lp.LpState`` that made the cold solve: its
   right-hand sides rewritten in place and the solve restarted from the
   factor it kept (``persistent_pivots`` and ``persistent_refactors``
-  count its pivots and factorizations; on a tree without
-  ``lp.LpState`` these three figures are null).
+  count its pivots and factorizations);
+* and last, as a backward pass grows a stage, once more after one
+  fixed cut on the closing level, theta + 2 level >= 200, is appended
+  to that state (``cut_s``, ``cut_dual_pivots`` and
+  ``cut_primal_pivots``).
+
+On a tree without ``lp.LpState`` the figures of the last two solves are
+null.
 
 It prints one line per H and, last, a JSON list with one object per H.
 Each figure is one run, so expect machine noise of tens of percent.
@@ -45,6 +51,7 @@ DECISION = dict(generation={"wind": 12.0}, storage_power_out={"cavern": 6.0},
                 storage_power_in={"cavern": 6.0},
                 storage_energy={"cavern": 60.0})
 LEVEL, MOVED_LEVEL = 30.0, 20.0
+CUT = (1.0, 2.0, 200.0)     # theta + 2 level >= 200
 
 
 def _timed(fn):
@@ -89,7 +96,9 @@ def measure(h: int) -> dict:
            "warm_s": warm_s, "warm_pivots": warm.iterations,
            "moved_s": moved_s, "moved_pivots": shifted.iterations,
            "persistent_s": None, "persistent_pivots": None,
-           "persistent_refactors": None, "peak_mb": peak / 2**20}
+           "persistent_refactors": None, "cut_s": None,
+           "cut_dual_pivots": None, "cut_primal_pivots": None,
+           "peak_mb": peak / 2**20}
     if state is not inst:
         rows = list(problem.fishing_rows)
         state.set_rhs(rows, moved.rhs[rows])
@@ -99,6 +108,15 @@ def measure(h: int) -> dict:
                                f"{again.status} ({again.start})")
         row.update(persistent_s=again_s, persistent_pivots=again.iterations,
                    persistent_refactors=again.refactors)
+        level = problem.state_columns[problem.layout.position("level:cavern")]
+        state.append_rows([0, 2], [problem.theta_column, level], CUT[:2],
+                          [lp.GREATER_EQUAL], [CUT[2]], ["cut:0"])
+        cut, cut_s = _timed(lambda: lp.solve(state))
+        if cut.status != lp.OPTIMAL or cut.start != "warm":
+            raise RuntimeError(f"H={h}: solve after the cut ended "
+                               f"{cut.status} ({cut.start})")
+        row.update(cut_s=cut_s, cut_dual_pivots=cut.dual_pivots,
+                   cut_primal_pivots=cut.primal_pivots)
     return row
 
 
@@ -126,7 +144,10 @@ def main(argv=None) -> int:
               + ("" if row["persistent_s"] is None else
                  f"persistent {row['persistent_s'] * 1e3:.1f} ms "
                  f"({row['persistent_pivots']} pivots, "
-                 f"{row['persistent_refactors']} refactors), ")
+                 f"{row['persistent_refactors']} refactors), "
+                 f"cut {row['cut_s'] * 1e3:.1f} ms "
+                 f"({row['cut_dual_pivots']} dual + "
+                 f"{row['cut_primal_pivots']} primal pivots), ")
               + f"peak {row['peak_mb']:.1f} MB", flush=True)
     print(json.dumps(rows))
     return 0
