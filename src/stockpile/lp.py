@@ -45,14 +45,18 @@ covering units, so memory and work per pivot grow with k, not m:
 * an entering column is d_K = A_RK^-1 a_R, then
   d_U = sigma (a_S - A_SK d_K);
 * duals are y_S = sigma c_U, then y_R = (c_K - y_S A_SK) A_RK^-1;
-* a pivot updates A_RK^-1 by the kind of the swap: a rank-1 column
-  update (structural for structural), a border by one row and column
-  (a structural in place of a unit), a shrink by one (a unit in place
-  of a structural), a rank-1 row update (units on different rows), or
-  a sign alone (units on the same row).
+* a pivot updates A_RK^-1 in place by the kind of the swap: a rank-1
+  column update (structural for structural), a border by one row and
+  column (a structural in place of a unit), a shrink by one (a unit in
+  place of a structural), a rank-1 row update (units on different
+  rows), or a sign alone (units on the same row). A border writes into
+  spare rows and columns of the buffer that holds A_RK^-1, a shrink
+  moves the rows and columns after the dropped ones up and left, and
+  every entry is computed as a fresh dense block would compute it, up
+  to the sign of an exact zero, so results do not depend on the buffer.
 
-Every 100 pivots, and once at the end, the block is inverted afresh;
-the all-slack start inverts nothing.
+Every 100 pivots, and once at the end, the block is inverted afresh
+into an array of exactly k x k; the all-slack start inverts nothing.
 
 The solver is deterministic: the same instance solved twice in one
 process yields bit-identical results, and the returned solution is
@@ -424,13 +428,20 @@ _GAIN_SIGN = np.array([0.0, -1.0, 1.0, 0.0, 0.0])
 
 
 def _subtract_outer(a, u, v):
-    """``a -= outer(u, v)`` in place. When under a quarter of ``v`` is
-    nonzero, only those columns are touched: elsewhere the update would
-    subtract zeros, and indexing the columns costs more than the dense
-    update unless they are few."""
-    nz = v.nonzero()[0]
-    if 4 * len(nz) < len(v):
-        a[:, nz] -= u[:, None] * v[nz]
+    """``a -= outer(u, v)`` in place, touching only the nonzero columns
+    of ``v`` when under a quarter of them are nonzero, or the nonzero
+    rows of ``u``, each a contiguous stretch of ``a``, when under half
+    are; of the two, the fewer. Elsewhere the update would subtract
+    zeros, and indexing costs more than the dense update unless the
+    rows or columns are few. Each entry touched is computed as the
+    dense update computes it, so the result is the dense one up to the
+    sign of an exact zero."""
+    cols = v.nonzero()[0]
+    rows = u.nonzero()[0]
+    if 4 * len(cols) < len(v) and len(cols) < len(rows):
+        a[:, cols] -= u[:, None] * v[cols]
+    elif 2 * len(rows) < len(u):
+        a[rows] -= u[rows, None] * v
     else:
         a -= u[:, None] * v
 
@@ -475,7 +486,12 @@ class _Simplex:
     structural basic), ``rslot`` (row to its column of ``inv``, -1 when
     covered), ``urow`` and ``usign`` (basis position to the row and sign
     of its unit; 0 and 0.0 for a structural). :meth:`refactor` builds it
-    and :meth:`_replace` updates it on each pivot.
+    as an array of its own, exactly k x k, and :meth:`_replace` updates
+    it in place on each pivot: ``inv`` is the leading k x k view of
+    ``buf``, a square buffer this simplex alone holds, whose spare rows
+    and columns take a border. No update copies the block except when
+    a border finds ``buf`` full and moves it into one a quarter larger,
+    capped at min(m, ns), the largest k a basis can have.
 
     ``status`` gives each column's starting status; by default every
     column is nonbasic at a finite bound (fixed, lower, then upper) or
@@ -498,7 +514,8 @@ class _Simplex:
         self.x = np.where(status == _AT_UPPER, self.upper, np.where(
             (status == _AT_LOWER) | (status == _FIXED), self.lower, 0.0))
         self.basis = None
-        self.inv = self.kpos = self.rrow = None     # the factor, see above
+        self.inv = self.buf = None                  # the factor, see above
+        self.kpos = self.rrow = None
         self.kslot = self.rslot = self.urow = self.usign = None
         self.priced = None          # (y, z) of the current factor and costs
         self.fresh = False          # no step since the last refactor()
@@ -689,6 +706,7 @@ class _Simplex:
         self.kslot[struct] = np.arange(k)
         self.rslot = np.full(m, -1, dtype=np.intp)
         self.rslot[self.rrow] = np.arange(k)
+        self.inv = self.buf = None      # the old factor goes first
         block = np.zeros((k, k))
         if k:
             first = self.colptr[struct]
@@ -704,7 +722,7 @@ class _Simplex:
                 block = np.linalg.inv(block)
             except np.linalg.LinAlgError:
                 raise NumericalFailure("basis matrix is singular") from None
-        self.inv = block
+        self.inv = self.buf = block
         self.priced = None
         self.refactors += 1
         self.set_basics()
@@ -754,9 +772,16 @@ class _Simplex:
             delta = self.usign[r] * d[r]
             k = len(self.kpos)
             h /= -delta
-            inv = np.empty((k + 1, k + 1))
-            inv[:k, :k] = self.inv
-            _subtract_outer(inv[:k, :k], dk, h)
+            _subtract_outer(self.inv, dk, h)
+            if k == len(self.buf):
+                # full: move to a buffer with a quarter more rows and
+                # columns, but none beyond the largest block a basis
+                # has (k <= m, k <= ns); the old buffer goes with the
+                # old view, when inv is set below
+                cap = min(k + 1 + k // 4, self.m, self.ns)
+                self.buf = np.empty((cap, cap))
+                self.buf[:k, :k] = self.inv
+            inv = self.buf[:k + 1, :k + 1]
             inv[:k, k] = dk / -delta
             inv[k, :k] = h
             inv[k, k] = 1.0 / delta
@@ -773,12 +798,20 @@ class _Simplex:
         if t >= 0:
             # unit in on the open row i, structural out: A_RK loses row i
             # and column t; the inverse of what is left is the Schur
-            # complement of the pivot inv[t, slot] in A_RK^-1
-            keep_k = np.arange(len(self.kpos)) != t
-            keep_r = np.arange(len(self.rrow)) != slot
-            self.inv = (self.inv[np.ix_(keep_k, keep_r)]
-                        - self.inv[keep_k, slot, None]
-                        * (self.inv[t, keep_r] / self.inv[t, slot]))
+            # complement of the pivot inv[t, slot] in A_RK^-1. Row t and
+            # column slot of the inverse go by moving the rows after t
+            # up and the columns after slot left in the buffer, which
+            # keeps the order of K and R
+            k = len(self.kpos)
+            keep_k = np.arange(k) != t
+            keep_r = np.arange(k) != slot
+            col = self.inv[keep_k, slot]
+            pivrow = self.inv[t, keep_r] / self.inv[t, slot]
+            buf = self.buf
+            buf[t:k - 1, :k] = buf[t + 1:k, :k]
+            buf[:k - 1, slot:k - 1] = buf[:k - 1, slot + 1:k]
+            self.inv = buf[:k - 1, :k - 1]
+            _subtract_outer(self.inv, col, pivrow)
             self.kpos = self.kpos[keep_k]
             self.rrow = self.rrow[keep_r]
             self.rslot[i] = -1

@@ -971,6 +971,116 @@ def test_factor_update_matches_dense_inverse(kind, seed):
         _assert_matches_dense(sx, dense)
 
 
+def _copying_update(sx, r, q, d, rho):
+    """A_RK^-1 after column ``q`` enters basis position ``r``, by the
+    formulas of a factor that allocates a new block for every border
+    and shrink and updates every entry densely: the reference that the
+    in-place updates must match bit for bit. Called before the swap."""
+    inv = sx.inv.copy()
+    k = len(inv)
+    t = sx.kslot[sx.basis[r]]
+    if q < sx.ns:
+        dk = d[sx.kpos]
+        if t >= 0:
+            pivrow = inv[t] / dk[t]
+            inv -= dk[:, None] * pivrow
+            inv[t] = pivrow
+            return inv
+        delta = sx.usign[r] * d[r]
+        h = sx._leaving_row_block(r, rho) / -delta
+        new = np.empty((k + 1, k + 1))
+        new[:k, :k] = inv - dk[:, None] * h
+        new[:k, k] = dk / -delta
+        new[k, :k] = h
+        new[k, k] = 1.0 / delta
+        return new
+    i = sx.entry_row[sx.colptr[q]]
+    slot = sx.rslot[i]
+    if t >= 0:
+        keep_k = np.arange(k) != t
+        keep_r = np.arange(k) != slot
+        return (inv[np.ix_(keep_k, keep_r)] - inv[keep_k, slot, None]
+                * (inv[t, keep_r] / inv[t, slot]))
+    if sx.urow[r] != i:
+        h = sx._leaving_row_block(r, rho)
+        col = inv[:, slot] / h[slot]
+        h[slot] -= 1.0
+        inv -= col[:, None] * h
+    return inv
+
+
+def _shrink_at(sx, r, q, where):
+    """Whether the swap takes the leaving structural's row of A_RK^-1
+    and the entering unit's column at ``where`` (first, middle or last
+    of the k of each)."""
+    k = len(sx.kpos)
+    at = {"first": 0, "middle": k // 2, "last": k - 1}[where]
+    return (sx.kslot[sx.basis[r]] == at
+            and sx.rslot[sx.entry_row[sx.colptr[q]]] == at)
+
+
+def test_in_place_factor_updates_match_copying_formulas():
+    """A long run of swaps of every kind, with enough borders to outgrow
+    the factor's buffer more than twice and shrinks at the first, a
+    middle and the last row and column of A_RK^-1: after each, the
+    factor equals the copying formulas of ``_copying_update`` bit for
+    bit (``==`` holds -0.0 equal to 0.0, the one difference the sparse
+    updates allow) and ``np.linalg.inv`` of A_RK within 1e-10. The
+    factor a state holds after its solve is exactly k x k."""
+    rng = np.random.default_rng(11)
+    n, m = 30, 24
+    a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+    inst = build(rng.normal(size=n), a, ["="] * m, rng.normal(size=m),
+                 [0.0] * n, [5.0] * n)
+    sx = lp._Simplex(lp.LpState(inst))
+    sx.add_units(np.arange(m), rng.choice([-1.0, 1.0], m))
+    dense = np.zeros((m, sx.n))
+    dense[sx.entry_row, sx.entry_col] = sx.entry_val
+    # three structural basics; every other row covered by its slack or
+    # its artificial
+    covered = np.arange(3, m)
+    sx.install_basis(np.concatenate(
+        [[0, 1, 2], covered + rng.choice([n, n + m], m - 3)]))
+    border, shrink = _SWAPS[1], _SWAPS[2]
+    plan = ([border] * 6 + list(_SWAPS) + [border] * 8
+            + [(shrink, where) for where in ("first", "middle", "last")]
+            + list(_SWAPS) + [border] * 3)
+    sizes = [len(sx.buf)]
+    for swap, want in enumerate(plan):
+        kind, where = want if isinstance(want, tuple) else (want, None)
+        nonbasic = np.setdiff1d(np.arange(sx.n), sx.basis)
+        pairs = [(r, q) for r in range(sx.m) for q in nonbasic
+                 if _swap_kind(sx, r, q)[0] == kind
+                 and (where is None or _shrink_at(sx, r, q, where))]
+        for at in rng.permutation(len(pairs)):
+            r, q = pairs[at]
+            new = sx.basis.copy()
+            new[r] = q
+            if np.linalg.cond(dense[:, new]) < 1e6:
+                break
+        else:
+            raise AssertionError(f"no well-conditioned {want} swap")
+        d = sx.column(q)
+        rho = sx.inverse_row(r) if swap % 2 else None
+        expected = _copying_update(sx, r, q, d, rho)
+        sx._replace(r, q, d, rho)
+        assert np.array_equal(sx.inv, expected), (swap, want)
+        a_rk = dense[np.ix_(sx.rrow, sx.basis[sx.kpos])]
+        assert np.abs(sx.inv - np.linalg.inv(a_rk)).max() <= 1e-10
+        sizes.append(len(sx.buf))
+    assert sum(after > before for before, after in zip(sizes, sizes[1:])) > 2
+
+    state = lp.LpState(_sparse_feasible_lp(5))
+    for moved in (0.0, 1.0):
+        state.set_rhs(range(state.n_rows), state.rhs + moved)
+        sol = lp.solve(state)
+        assert sol.status == lp.OPTIMAL and sol.iterations > 0
+        held = state.sx.inv
+        k = len(state.sx.kpos)
+        assert k > 10
+        assert (held if held.base is None else held.base).size == k * k
+
+
 def _sparse_feasible_lp(seed):
     """A random sparse LP of 40 rows and 30 columns, boxed and feasible
     at a random point of its box: with more rows than columns, every
@@ -990,16 +1100,18 @@ def _sparse_feasible_lp(seed):
 
 def test_simplex_holds_no_m_by_m_array(monkeypatch):
     """Through a cold solve and a restart after the right-hand sides
-    move, no array the simplex holds has m x m entries: its largest is
-    the k x k block inverse or the column data."""
+    move, no array the simplex holds, nor the buffer under one that is
+    a view, has m x m entries: its largest is the buffer of the k x k
+    block inverse or the column data."""
     inst = _sparse_feasible_lp(5)
     seen = []
 
     def spy(raw):
         def checked(self, *args):
             out = raw(self, *args)
-            sizes = [v.size for v in vars(self).values()
-                     if isinstance(v, np.ndarray)]
+            sizes = [a.size for v in vars(self).values()
+                     if isinstance(v, np.ndarray)
+                     for a in (v, v.base) if isinstance(a, np.ndarray)]
             seen.append((len(self.kpos), self.m, max(sizes)))
             return out
         return checked

@@ -14,7 +14,9 @@ with the weather of ``instances.scaling_stage_weather`` drawn from
 capacity decision. The script solves it
 
 * cold, once timed and once under ``tracemalloc`` (``peak_mb`` is the
-  peak of traced allocations over that cold solve);
+  peak of traced allocations over that cold solve); ``held_factor_mb``
+  is the size of the factor the timed solve's ``lp.LpState`` keeps for
+  its next solve, counting the whole buffer it lives in;
 * warm from the cold solve's own basis, which takes 0 pivots;
 * warm from the same basis after the incoming storage level moves
   from 30 to 20 GWh (``moved_pivots`` counts its pivots);
@@ -28,10 +30,11 @@ capacity decision. The script solves it
   to that state (``cut_s``, ``cut_dual_pivots`` and
   ``cut_primal_pivots``).
 
-On a tree without ``lp.LpState`` the figures of the last two solves are
-null.
+On a tree without ``lp.LpState`` the held factor and the figures of the
+last two solves are null.
 
-It prints one line per H and, last, a JSON list with one object per H.
+It prints one line per H and, last, a JSON list with one object per H;
+it stops quietly when its reader closes the pipe (``... | head -2``).
 Each figure is one run, so expect machine noise of tens of percent.
 """
 from __future__ import annotations
@@ -58,6 +61,18 @@ def _timed(fn):
     start = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - start
+
+
+def held_factor_mb(state):
+    """MiB of the buffer under the factor ``state`` keeps, or None when
+    it keeps none."""
+    sx = getattr(state, "sx", None)
+    if sx is None:
+        return None
+    inv = sx.inv
+    while inv.base is not None:
+        inv = inv.base
+    return inv.nbytes / 2**20
 
 
 def measure(h: int) -> dict:
@@ -98,8 +113,9 @@ def measure(h: int) -> dict:
            "persistent_s": None, "persistent_pivots": None,
            "persistent_refactors": None, "cut_s": None,
            "cut_dual_pivots": None, "cut_primal_pivots": None,
-           "peak_mb": peak / 2**20}
+           "peak_mb": peak / 2**20, "held_factor_mb": None}
     if state is not inst:
+        row.update(held_factor_mb=held_factor_mb(state))
         rows = list(problem.fishing_rows)
         state.set_rhs(rows, moved.rhs[rows])
         again, again_s = _timed(lambda: lp.solve(state))
@@ -133,24 +149,36 @@ def main(argv=None) -> int:
         raise SystemExit(f"imported {lp.__file__}, not the package under "
                          f"{root}")
     rows = []
-    for h in args.periods:
-        row = measure(h)
-        rows.append(row)
-        print(f"H={h}: {row['rows']} rows, {row['cols']} cols, "
-              f"{row['pivots']} pivots, cold {row['cold_s']:.3f} s, "
-              f"warm {row['warm_s'] * 1e3:.1f} ms ({row['warm_pivots']} "
-              f"pivots), moved {row['moved_s'] * 1e3:.1f} ms "
-              f"({row['moved_pivots']} pivots), "
-              + ("" if row["persistent_s"] is None else
-                 f"persistent {row['persistent_s'] * 1e3:.1f} ms "
-                 f"({row['persistent_pivots']} pivots, "
-                 f"{row['persistent_refactors']} refactors), "
-                 f"cut {row['cut_s'] * 1e3:.1f} ms "
-                 f"({row['cut_dual_pivots']} dual + "
-                 f"{row['cut_primal_pivots']} primal pivots), ")
-              + f"peak {row['peak_mb']:.1f} MB", flush=True)
-    print(json.dumps(rows))
+    try:
+        for h in args.periods:
+            rows.append(measure(h))
+            print(line(rows[-1]), flush=True)
+        print(json.dumps(rows))
+    except BrokenPipeError:
+        # the reader is gone; point stdout at the null device so that
+        # the interpreter's last flush at exit finds no pipe to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
+
+
+def line(row: dict) -> str:
+    """The printed line of one H."""
+    return (f"H={row['H']}: {row['rows']} rows, {row['cols']} cols, "
+            f"{row['pivots']} pivots, cold {row['cold_s']:.3f} s, "
+            f"warm {row['warm_s'] * 1e3:.1f} ms ({row['warm_pivots']} "
+            f"pivots), moved {row['moved_s'] * 1e3:.1f} ms "
+            f"({row['moved_pivots']} pivots), "
+            + ("" if row["persistent_s"] is None else
+               f"persistent {row['persistent_s'] * 1e3:.1f} ms "
+               f"({row['persistent_pivots']} pivots, "
+               f"{row['persistent_refactors']} refactors), "
+               f"cut {row['cut_s'] * 1e3:.1f} ms "
+               f"({row['cut_dual_pivots']} dual + "
+               f"{row['cut_primal_pivots']} primal pivots), ")
+            + f"peak {row['peak_mb']:.1f} MB"
+            + ("" if row["held_factor_mb"] is None else
+               f", held factor {row['held_factor_mb']:.2f} MB"))
 
 
 if __name__ == "__main__":
