@@ -24,11 +24,11 @@ Commands (each takes ``--config`` and ``--out``):
     (oracle optimum, trained lower bound, relative gap) to stdout and
     ``oracle.csv``.
 
-Every command writes ``resolved_config.yaml`` (the fully resolved
-configuration plus input content hashes) into the output directory, so
-a result folder documents exactly what produced it. All randomness is
-seeded from the config (``--seed`` overrides); reruns with identical
-inputs give identical outputs.
+Every command that succeeds writes ``resolved_config.yaml`` (the fully
+resolved configuration plus input content hashes) into the output
+directory, so a result folder documents exactly what produced it. All
+randomness is seeded from the config (``--seed`` overrides); reruns
+with identical inputs give identical outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver
 failure, 1 unexpected internal error. A solver failure in a stage
@@ -176,20 +176,19 @@ def _bound(policy: sddp.Policy) -> float:
     return sddp.lower_bound(policy)
 
 
-def _run_train(args, cfg: ScenarioConfig, out: Path) -> int:
+def _run_train(args, cfg: ScenarioConfig, out: Path) -> dict:
     options = _training_options(cfg, args, out)
     policy = sddp.train(cfg.catalog, cfg.scenario, cfg.lattice, options)
     policy_path = out / POLICY_FILE
     sddp.save_policy(policy, policy_path)
-    (out / "resolved_config.yaml").write_text(echo_text(cfg))
     lb = _bound(policy)
     print(f"trained {len(policy.training_log)} iterations, "
           f"lower bound {lb!r} MEUR, stopped: {policy.stopped_reason}")
     print(f"policy written to {policy_path}")
-    return 0
+    return {}
 
 
-def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> int:
+def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> dict:
     policy_path, policy = _load_policy(args, cfg, out)
     trajectories = _simulate_paths(args, cfg, policy)
 
@@ -220,46 +219,41 @@ def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> int:
     (out / "storage_values.csv").write_text(csv_text(
         ("path", "stage", "period", "storage", "value_eur_per_mwh"),
         value_rows))
-    (out / "resolved_config.yaml").write_text(
-        echo_text(cfg, {"policy_sha256": _sha256(policy_path)}))
     costs = np.array([t.total_cost for t in trajectories])
     se = costs.std(ddof=1) / np.sqrt(len(costs)) if len(costs) > 1 else 0.0
     print(f"simulated {len(costs)} paths: mean cost {costs.mean():.6e} MEUR "
           f"(se {se:.3e})")
-    return 0
+    return {"policy_sha256": _sha256(policy_path)}
 
 
-def _run_bench(args, cfg: ScenarioConfig, out: Path) -> int:
+def _run_bench(args, cfg: ScenarioConfig, out: Path) -> dict:
     ef = benchmarks.extensive_form(cfg.catalog, cfg.scenario, cfg.lattice)
     pf = benchmarks.perfect_foresight(cfg.catalog, cfg.scenario,
                                       benchmarks.enumerate_paths(cfg.lattice))
     for prefix, result in (("ef", ef), ("pf", pf)):
         for name, text in result.to_tables().items():
             (out / f"{prefix}_{name}.csv").write_text(text)
-    (out / "resolved_config.yaml").write_text(echo_text(cfg))
     print(f"scenario tree optimum {ef.objective:.6e} MEUR over "
           f"{cfg.lattice.path_count} paths")
     print(f"perfect foresight optimum {pf.objective:.6e} MEUR")
-    return 0
+    return {}
 
 
-def _run_acf(args, cfg: ScenarioConfig, out: Path) -> int:
+def _run_acf(args, cfg: ScenarioConfig, out: Path) -> dict:
     if cfg.analysis.series is None:
         raise ConfigError(["analysis.series: required by the acf command"])
     table = weather.ingest_series(cfg.analysis.series)
     report = weather.acf_test(table, stage_length=cfg.analysis.stage_length,
                               max_lag=cfg.analysis.max_lag)
     (out / "acf.csv").write_text(report.to_table())
-    (out / "resolved_config.yaml").write_text(
-        echo_text(cfg, {"series_sha256": _sha256(cfg.analysis.series)}))
     worst = max(float(np.max(np.abs(r)))
                 for r in report.correlations.values())
     print(f"acf over {report.n_samples} stage means, band "
           f"{report.band:.4f}, max |rho| {worst:.4f}")
-    return 0
+    return {"series_sha256": _sha256(cfg.analysis.series)}
 
 
-def _run_curves(args, cfg: ScenarioConfig, out: Path) -> int:
+def _run_curves(args, cfg: ScenarioConfig, out: Path) -> dict:
     policy_path, policy = _load_policy(args, cfg, out)
     if not cfg.catalog.long_duration_storages:
         raise DataError("curves need a long-duration storage in the catalog")
@@ -284,14 +278,12 @@ def _run_curves(args, cfg: ScenarioConfig, out: Path) -> int:
     e_ini = float(policy.capacities[policy.layout.position(f"ini:{name}")])
     bands = analysis.trajectory_stats(trajectories, e_ini, storage=name)
     (out / "bands.csv").write_text(bands.to_table())
-    (out / "resolved_config.yaml").write_text(
-        echo_text(cfg, {"policy_sha256": _sha256(policy_path)}))
     print(f"wrote bid curve ({len(bid_rows)} rows), duration curve, "
           f"and trajectory bands for {name!r}")
-    return 0
+    return {"policy_sha256": _sha256(policy_path)}
 
 
-def _run_oracle(args, cfg: ScenarioConfig, out: Path) -> int:
+def _run_oracle(args, cfg: ScenarioConfig, out: Path) -> dict:
     options = _training_options(cfg, args, out)
     policy = sddp.train(cfg.catalog, cfg.scenario, cfg.lattice, options)
     ef = benchmarks.extensive_form(cfg.catalog, cfg.scenario, cfg.lattice)
@@ -302,11 +294,12 @@ def _run_oracle(args, cfg: ScenarioConfig, out: Path) -> int:
         [(ef.objective, lb, gap)])
     (out / "oracle.csv").write_text(table)
     sddp.save_policy(policy, out / POLICY_FILE)
-    (out / "resolved_config.yaml").write_text(echo_text(cfg))
     print(table, end="")
-    return 0
+    return {}
 
 
+# Each runner writes its tables and returns the content hashes of the
+# inputs it read beyond the config, which main adds to the echo.
 _RUNNERS = {
     "train": _run_train,
     "simulate": _run_simulate,
@@ -324,7 +317,9 @@ def main(argv=None) -> int:
         cfg = validate_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[args.command](args, cfg, out)
+        hashes = _RUNNERS[args.command](args, cfg, out)
+        (out / "resolved_config.yaml").write_text(echo_text(cfg, hashes))
+        return 0
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

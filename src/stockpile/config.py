@@ -46,13 +46,15 @@ reported at the section path. Each lower bound is declared once, in
 Hand-written rules: mandatory seeds, one lattice source,
 ``period_hours > 0``, ``grid_step > 0``, ``stage_length``,
 ``first_month <= 12``, the inline realizations, the preset fill and the
-lattice echo.
+inline lattice echo.
 
 Validation reports every violation found, not just the first, each
 prefixed with the field path. ``echo_text`` renders the fully resolved
 configuration (defaults applied, content hashes attached) as
 deterministic YAML so an output directory records exactly what ran;
-every section but the lattice is echoed as its dataclass.
+every section but an inline lattice is echoed as its dataclass. A
+series lattice is echoed by its keys, the series file being pinned by
+its SHA-256 in ``source``, and an inline one by its loaded values.
 """
 from __future__ import annotations
 
@@ -422,34 +424,37 @@ def _parse_inline_lattice(node, errors) -> SamplingLattice | None:
 def _parse_series_lattice(node, errors):
     source = _read(_SeriesLattice, node, "lattice", errors)
     if source is None:
-        return None, None
+        return None, None, None
     if source.first_month > 12:
         errors.append("lattice.first_month: must be in 1..12")
-        return None, None
+        return None, None, None
     try:
         table = weather.aggregate(weather.ingest_series(source.series),
                                   source.block)
         lattice = weather.build_lattice(table, first_month=source.first_month)
     except (StockpileError, ValueError) as exc:
         errors.append(f"lattice.series: {exc}")
-        return None, None
+        return None, None, None
     with open(source.series, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    return lattice, digest
+    return lattice, source, digest
 
 
 def _parse_lattice(raw, errors):
+    """The lattice, the :class:`_SeriesLattice` it was read from (None
+    for an inline one) and the SHA-256 of its series file (None
+    likewise); all None when it is invalid."""
     node = _require_mapping(raw, "lattice", errors)
     if node is None:
-        return None, None
+        return None, None, None
     has_inline = "stages" in node
     has_series = "series" in node
     if has_inline == has_series:
         errors.append("lattice: provide exactly one of 'stages' or 'series'")
-        return None, None
+        return None, None, None
     if has_inline:
         _check_unknown(node, {"stages", "period_hours"}, "lattice", errors)
-        return _parse_inline_lattice(node, errors), None
+        return _parse_inline_lattice(node, errors), None, None
     return _parse_series_lattice(node, errors)
 
 
@@ -491,16 +496,14 @@ def _plain(value):
     return value
 
 
-def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, training,
-                   simulation, analysis, rate, series_hash) -> dict:
+def _lattice_echo(lattice) -> dict:
+    """An inline lattice as its loaded values, stage by stage."""
     stages = []
     for t in range(1, lattice.n_stages + 1):
         reals = []
         for i, vec in enumerate(lattice.realizations(t)):
-            label = (lattice.year_labels[t - 1][i]
-                     if lattice.year_labels is not None else f"sample-{i}")
             reals.append({
-                "year_label": label,
+                "year_label": lattice.year_labels[t - 1][i],
                 "demand": vec.demand,
                 "capacity_factors": dict(vec.capacity_factors),
                 "heat_demand": vec.heat_demand,
@@ -508,6 +511,12 @@ def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, training,
             })
         stages.append({"realizations": reals})
     period_hours = lattice.realizations(1)[0].period_hours
+    return {"period_hours": period_hours, "stages": stages}
+
+
+def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, series,
+                   training, simulation, analysis, rate,
+                   series_hash) -> dict:
     training_node = None
     if training is not None:
         training_node = {key: getattr(training, key)
@@ -520,7 +529,8 @@ def _resolved_echo(cfg_bytes_hash, scenario, catalog, lattice, training,
         "scenario": asdict(scenario),
         "annualization_rate": rate,
         "catalog": asdict(catalog),
-        "lattice": {"period_hours": period_hours, "stages": stages},
+        "lattice": (_lattice_echo(lattice) if series is None
+                    else asdict(series)),
         "training": training_node,
         "simulation": asdict(simulation),
         "analysis": asdict(analysis),
@@ -572,8 +582,8 @@ def validate_config(path: str) -> ScenarioConfig:
         if "scenario" in node else None
     catalog = _parse_catalog(node["catalog"], rate, errors) \
         if "catalog" in node else None
-    lattice, series_hash = _parse_lattice(node["lattice"], errors) \
-        if "lattice" in node else (None, None)
+    lattice, series, series_hash = _parse_lattice(node["lattice"], errors) \
+        if "lattice" in node else (None, None, None)
     training = _parse_training(node["training"], errors) \
         if "training" in node else None
     simulation = _parse_simulation(node["simulation"], errors) \
@@ -594,8 +604,9 @@ def validate_config(path: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
     digest = hashlib.sha256(raw_bytes).hexdigest()
-    resolved = _resolved_echo(digest, scenario, catalog, lattice, training,
-                              simulation, analysis, rate, series_hash)
+    resolved = _resolved_echo(digest, scenario, catalog, lattice, series,
+                              training, simulation, analysis, rate,
+                              series_hash)
     return ScenarioConfig(scenario=scenario, catalog=catalog,
                           lattice=lattice, training=training,
                           simulation=simulation, analysis=analysis,

@@ -736,7 +736,8 @@ class _Simplex:
         self.x[self.basis] = self._ftran(self.b - self.times(xn))
 
     def _leave(self, j, upper):
-        """Make basic column ``j`` nonbasic at its upper or lower bound."""
+        """Make column ``j``, leaving the basis or flipping its bound,
+        nonbasic at its upper or lower bound."""
         self.x[j] = self.upper[j] if upper else self.lower[j]
         if self.lower[j] == self.upper[j]:
             self.status[j] = _FIXED
@@ -898,24 +899,30 @@ class _Simplex:
         if t_flip <= lim_min:
             # bound flip: entering jumps to its other bound, basis unchanged
             self.x[self.basis] = xb + delta * t_flip
-            self.x[q] = self.upper[q] if direction > 0 else self.lower[q]
-            self.status[q] = _AT_UPPER if direction > 0 else _AT_LOWER
+            self._leave(q, direction > 0)
             self._count_step()
             return t_flip
         tie = limits <= lim_min + _RATIO_TIE * (1.0 + lim_min)
         usable = tie & moving
         cand = (usable if usable.any() else tie).nonzero()[0]
         r = int(cand[np.argmin(self.basis[cand])])
-        t = limits[r]
-        leaving = int(self.basis[r])
+        self._pivot(r, q, d, xb, direction * limits[r], delta[r] >= 0.0)
+        return limits[r]
+
+    def _pivot(self, r, q, d, xb, t, upper, rho=None):
+        """Swap column ``q`` into basis position ``r``: move ``q`` by
+        ``t`` and the basics, at ``xb`` before the step, by ``-t d``
+        (``d`` is ``q``'s column times the current inverse), send the
+        leaving column to its upper bound if ``upper``, else to its
+        lower one, and update the factor (``rho`` as for
+        :meth:`_replace`)."""
         if abs(d[r]) < _PIVOT_TOL:
             raise NumericalFailure("pivot element below tolerance")
-        self.x[self.basis] = xb + delta * t
-        self.x[q] = self.x[q] + direction * t
-        self._leave(leaving, delta[r] >= 0.0)
-        self._replace(r, q, d)
+        self.x[self.basis] = xb - d * t
+        self.x[q] = self.x[q] + t
+        self._leave(self.basis[r], upper)
+        self._replace(r, q, d, rho)
         self._count_step()
-        return t
 
     def dual_run(self, limit):
         """Bounded dual simplex pivots until the basis is primal feasible.
@@ -957,15 +964,10 @@ class _Simplex:
             d = self.column(q)
             if abs(d[r]) < _PIVOT_TOL:
                 raise NumericalFailure("pivot element below tolerance")
-            leaving = int(self.basis[r])
+            leaving = self.basis[r]
             target = self.lower[leaving] if rise else self.upper[leaving]
-            t = (xb[r] - target) / d[r]
-            self.x[self.basis] = xb - d * t
-            self.x[q] = self.x[q] + t
-            self._leave(leaving, not rise)
-            self._replace(r, q, d, rho)
+            self._pivot(r, q, d, xb, (xb[r] - target) / d[r], not rise, rho)
             self.dual_pivots += 1
-            self._count_step()
 
     def _count_step(self):
         self.pivots += 1

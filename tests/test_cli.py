@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import textwrap
 from datetime import datetime, timedelta
@@ -257,6 +258,40 @@ def test_bad_year_label_exits_2(tmp_path, capsys, labels, message):
         f"config error: lattice: {message}"]
 
 
+def test_simulate_without_a_seed_exits_2_and_writes_no_echo(tmp_path,
+                                                           capsys):
+    """With no simulation block and no --seed, simulate stops at the
+    seed, and a run that stops writes no resolved-config echo."""
+    cfg, out = setup_run(tmp_path, CONFIG.split("simulation:")[0])
+    assert cli.main(["train", "--config", cfg, "--out", out,
+                     "--max-iterations", "0"]) == 0
+    capsys.readouterr()
+    other = tmp_path / "other"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(other),
+                     "--policy", str(Path(out) / "policy.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: simulation.seed: required by this command"]
+    assert not (other / "resolved_config.yaml").exists()
+
+
+def test_acf_without_a_series_exits_2(tmp_path, capsys):
+    cfg, out = setup_run(tmp_path)
+    assert cli.main(["acf", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: analysis.series: required by the acf command"]
+
+
+def test_curves_without_long_duration_storage_exits_3(tmp_path, capsys):
+    cfg, out = setup_run(tmp_path, CONFIG.replace("long_duration: true",
+                                                  "long_duration: false"))
+    assert cli.main(["train", "--config", cfg, "--out", out,
+                     "--max-iterations", "0"]) == 0
+    capsys.readouterr()
+    assert cli.main(["curves", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: curves need a long-duration storage in the catalog"]
+
+
 def test_missing_config_file_exits_3(tmp_path):
     rc = cli.main(["train", "--config", str(tmp_path / "nope.yaml"),
                    "--out", str(tmp_path / "out")])
@@ -285,6 +320,10 @@ def test_curves_writes_bid_duration_and_bands(tmp_path):
     assert duration[0] == "rank,share,price"
     bands = (tmp_path / "out" / "bands.csv").read_text().splitlines()
     assert bands[0] == "stage,stat,value"
+    echo = yaml.safe_load((tmp_path / "out" / "resolved_config.yaml")
+                          .read_text())
+    assert echo["source"]["policy_sha256"] == hashlib.sha256(
+        (tmp_path / "out" / "policy.json").read_bytes()).hexdigest()
 
 
 def test_acf_command_writes_report(tmp_path):
@@ -310,6 +349,10 @@ def test_acf_command_writes_report(tmp_path):
     table = (tmp_path / "out" / "acf.csv").read_text().splitlines()
     assert table[0] == "variable,lag,rho,band"
     assert len(table) == 1 + 2 * 6
+    echo = yaml.safe_load((tmp_path / "out" / "resolved_config.yaml")
+                          .read_text())
+    assert echo["source"]["series_sha256"] == hashlib.sha256(
+        series.read_bytes()).hexdigest()
 
 
 def _exit_code(argv):

@@ -1,6 +1,7 @@
 """Tests for YAML run-configuration validation and the provenance echo."""
 
 import dataclasses
+import hashlib
 import textwrap
 from datetime import datetime, timedelta
 
@@ -192,7 +193,8 @@ def test_echo_is_deterministic_and_carries_hashes(tmp_path):
 
 def test_series_lattice_from_file(tmp_path):
     """A one-year hourly series with a block size builds a 12-stage
-    monthly lattice and records the series content hash."""
+    monthly lattice, and the echo names the series by its keys and
+    content hash, with none of its values."""
     start = datetime(1990, 7, 1)
     rows = ["timestamp,demand,cf_wind"]
     rng = np.random.default_rng(0)
@@ -218,7 +220,11 @@ def test_series_lattice_from_file(tmp_path):
     assert cfg.lattice.n_stages == 12
     assert cfg.lattice.branch_count(1) == 1
     assert cfg.lattice.periods(1) == 31
-    assert "series_sha256" in cfg.resolved["source"]
+    echo = yaml.safe_load(config.echo_text(cfg))
+    assert echo["lattice"] == {"series": str(series), "block": 24,
+                               "first_month": 7}
+    assert echo["source"]["series_sha256"] == hashlib.sha256(
+        series.read_bytes()).hexdigest()
 
 
 def test_lattice_requires_exactly_one_source(tmp_path):

@@ -397,6 +397,33 @@ def test_policy_roundtrip(tmp_path):
         sddp.load_policy(path, other, scenario, lattice)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("format_version", 99, "unsupported policy format 99"),
+    ("state_labels", ["gen:wind"],
+     "policy state layout does not match the catalog"),
+    ("n_stages", 3, "policy stage count does not match the lattice"),
+])
+def test_load_policy_rejects_a_foreign_layout(tmp_path, key, value,
+                                              message):
+    """A policy file of another format, state layout or stage count is
+    a data error at load."""
+    catalog = wind_ldes_catalog()
+    scenario = model.MarketScenario(name="ni", voll=1000.0)
+    lattice = two_stage_lattice()
+    policy = sddp.train(catalog, scenario, lattice,
+                        sddp.TrainOptions(max_iterations=0, seed=8))
+    path = tmp_path / "policy.json"
+    sddp.save_policy(policy, path)
+    payload = json.loads(path.read_text())
+    assert payload[key] != value
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError) as info:
+        sddp.load_policy(path, catalog, scenario, lattice)
+    assert info.type is DataError
+    assert str(info.value) == message
+
+
 def test_training_log_file(tmp_path):
     catalog = wind_ldes_catalog()
     scenario = model.MarketScenario(name="ni", voll=1000.0)

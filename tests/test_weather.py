@@ -85,6 +85,34 @@ def test_ingest_rejects_unprintable_column_names():
         weather.ingest_series(io.StringIO(text))
 
 
+_HEADER = "timestamp,cf_wind,demand\n"
+_ROWS = "2000-07-01 00:00,0.5,1.0\n2000-07-01 01:00,0.5,1.0\n"
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("", ParseError, "empty table"),
+    ("time,cf_wind\n2000-07-01 00:00,0.5\n", ParseError,
+     "first column must be 'timestamp'"),
+    ("timestamp,demand,demand\n" + _ROWS, ParseError,
+     "column names must be unique and at least one"),
+    (_HEADER + _ROWS + "2000-07-01 02:00,0.5\n", ParseError,
+     "row 4: expected 3 fields, got 2"),
+    (_HEADER + "noon,0.5,1.0\n", ParseError, "row 2: bad timestamp 'noon'"),
+    (_HEADER + _ROWS.splitlines()[0] + "\n", ParseError,
+     "need at least two rows"),
+    (_HEADER + _ROWS + "2000-07-01 01:00,0.5,1.0\n", GapDetected,
+     "timestamps not increasing at 2000-07-01T01:00:00"),
+    (_HEADER + _ROWS.replace("0.5,1.0\n", "0.5,nan\n", 1), OutOfRange,
+     "column 'demand' contains non-finite values"),
+], ids=["empty", "no-timestamp", "repeated-name", "short-row",
+        "bad-timestamp", "one-row", "not-increasing", "non-finite"])
+def test_ingest_rejects_malformed_tables(text, error, message):
+    with pytest.raises(DataError) as info:
+        weather.ingest_series(io.StringIO(text))
+    assert info.type is error
+    assert str(info.value) == message
+
+
 def test_aggregate_takes_block_means():
     """Hourly values 1,2,3,4 averaged in one 4-hour block give 2.5."""
     table = weather.ingest_series(
