@@ -9,8 +9,13 @@ upper bound.
 
 Cut pools are keyed by the stage they approximate: pool ``t`` holds
 cuts on the cost-to-go variable of problem ``t - 1``, which stands in
-for the expected cost of stages ``t`` onward. Pools only grow; no
-pruning is attempted, which is fine at desk scale.
+for the expected cost of stages ``t`` onward. Pools only grow, and
+each keeps a distinct cut once: a backward pass that derives a cut
+with the intercept and slope of one already in its pool adds nothing,
+since the copy would be the same LP row. The pool keeps the first
+copy, with its trial state and iteration. Once training settles,
+forward passes revisit the same trial states, so most derived cuts are
+copies. No other pruning is attempted, which is fine at desk scale.
 
 Persistent stage problems: between two solves of one (stage,
 realization) only the fishing-row right-hand sides change and cut rows
@@ -50,9 +55,11 @@ its own factor would give. Within training this hands the
 constructor's and the lower bound's capacity-stage solves to the next
 forward pass and the latter to the capacity decision (at gap checks
 and at the end of :func:`train`), and the forward pass's last-stage
-solve to the backward pass; in simulation, paths that share a prefix
-share its solves. The dict holds one state per lattice node and one
-basis per dispatch stage.
+solve to the backward pass. A backward pass that adds no cut to a pool
+also leaves the solves on that pool served: the lower bound, when pool
+1 did not grow, and each child solve that repeats its problem's last
+solve. In simulation, paths that share a prefix share its solves. The
+dict holds one state per lattice node and one basis per dispatch stage.
 
 Determinism: with a fixed seed, training twice yields bit-identical
 logs and policies. Threaded backward passes keep determinism because
@@ -471,10 +478,15 @@ def _child_solve(policy: Policy, t: int, node: int, x_in, bases):
 def backward_pass(policy: Policy, trajectory: Trajectory,
                   iteration: int = 0, threads: int = 1,
                   bases=None) -> None:
-    """Add one cut per stage from the trajectory's trial states.
+    """Derive one cut per stage from the trajectory's trial states,
+    and add it to its pool unless the pool already holds a cut with an
+    equal intercept and slope.
 
     Walks stages last to first; at each stage the child problems
-    already contain the cuts added deeper in this same pass. Children
+    already contain the cuts added deeper in this same pass. A pass
+    that adds nothing to a pool leaves its length, and so the stamp of
+    every solve on it, as it was: repeated solves are then served
+    (see :meth:`Policy._solve`) rather than restarted. Children
     across realizations may solve in parallel; their results are
     averaged in realization order either way. Solves restart from and
     update ``bases`` as in :meth:`Policy._solve`.
@@ -496,7 +508,10 @@ def backward_pass(policy: Policy, trajectory: Trajectory,
         cut = average_cut(child, values, slopes, x_trial, iteration)
         if cut.slope.shape != (policy.layout.size,):
             raise DimensionMismatch("cut slope does not match state size")
-        policy.pools[child].append(cut)
+        cuts = policy.pools[child]
+        if not any(c.intercept == cut.intercept
+                   and np.array_equal(c.slope, cut.slope) for c in cuts):
+            cuts.append(cut)
 
 
 def lower_bound(policy: Policy, bases=None) -> float:

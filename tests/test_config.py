@@ -1,5 +1,6 @@
 """Tests for YAML run-configuration validation and the provenance echo."""
 
+import builtins
 import dataclasses
 import hashlib
 import textwrap
@@ -191,10 +192,11 @@ def test_echo_is_deterministic_and_carries_hashes(tmp_path):
     assert yaml.safe_load(merged)["source"]["policy_sha256"] == "abc"
 
 
-def test_series_lattice_from_file(tmp_path):
+def test_series_lattice_from_file(tmp_path, monkeypatch):
     """A one-year hourly series with a block size builds a 12-stage
     monthly lattice, and the echo names the series by its keys and
-    content hash, with none of its values."""
+    content hash, with none of its values. The series file is opened
+    once, so the hash pins the bytes the lattice was built from."""
     start = datetime(1990, 7, 1)
     rows = ["timestamp,demand,cf_wind"]
     rng = np.random.default_rng(0)
@@ -216,7 +218,17 @@ def test_series_lattice_from_file(tmp_path):
       series: {series}
       block: 24
     """)
+    raw_open = builtins.open
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return raw_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
     cfg = config.validate_config(write(tmp_path, text))
+    monkeypatch.undo()
+    assert opened.count(str(series)) == 1
     assert cfg.lattice.n_stages == 12
     assert cfg.lattice.branch_count(1) == 1
     assert cfg.lattice.periods(1) == 31
@@ -225,6 +237,13 @@ def test_series_lattice_from_file(tmp_path):
                                "first_month": 7}
     assert echo["source"]["series_sha256"] == hashlib.sha256(
         series.read_bytes()).hexdigest()
+
+
+def test_missing_series_file_is_a_config_error(tmp_path):
+    text = MINIMAL.split("lattice:")[0] + (
+        f"lattice:\n  series: {tmp_path / 'gone.csv'}\n  block: 24\n")
+    with pytest.raises(ConfigError, match="lattice.series: .*gone.csv"):
+        config.validate_config(write(tmp_path, text))
 
 
 def test_lattice_requires_exactly_one_source(tmp_path):

@@ -551,9 +551,11 @@ def test_no_restart_falls_back_on_canonical_instance(canonical, monkeypatch):
     # sibling's basis by _warm, which ends in _restart
     for name in ("_warm", "_restart"):
         monkeypatch.setattr(lp.LpState, name, spy(getattr(lp.LpState, name)))
-    # repeated solves are served without a restart, so it takes 60
-    # iterations to restart more than 400 times
-    policy = _train_canonical(canonical, 60)
+    # repeated solves are served without a restart, and a backward pass
+    # that derives only copies leaves its pools and so its solves'
+    # stamps as they were, so it takes 120 iterations to restart more
+    # than 400 times
+    policy = _train_canonical(canonical, 120)
     sddp.simulate(policy, canonical["paths"])
     assert len(finished) > 400
     assert all(finished)
@@ -689,12 +691,16 @@ def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
 
     monkeypatch.setattr(lp, "solve_optimal", count)
     monkeypatch.setattr(sddp.Policy, "_solve", stage)
-    _train_canonical(canonical, 40)
+    policy = _train_canonical(canonical, 40)
     last = canonical["lattice"].n_stages
     # the constructor's capacity solve opens the first forward pass, the
     # lower bound's opens each later one and fixes the final capacities,
-    # and each backward pass repeats the forward pass's last-stage solve
-    assert sum(t == 0 for t, _, _, _ in hits) == 41
+    # a lower bound repeats the forward pass's capacity solve when the
+    # backward pass added no cut to pool 1 (each pool 1 cut came from
+    # its own iteration), and each backward pass repeats the forward
+    # pass's last-stage solve
+    capacity_hits = sum(t == 0 for t, _, _, _ in hits)
+    assert capacity_hits == 41 + 40 - len(policy.pools[1])
     assert sum(t == last for t, _, _, _ in hits) >= 40
     for _, problem, served, inst in hits:
         again = lp.solve(_fresh_state(problem, inst), basis=served.basis)
@@ -705,6 +711,71 @@ def test_memo_hits_match_a_restart_from_the_stored_basis(canonical,
                              (again.reduced_costs, served.reduced_costs),
                              *zip(again.basis, served.basis)):
             assert mine.tobytes() == theirs.tobytes()
+
+
+def test_trained_pools_hold_each_cut_once(canonical_policy):
+    """After 200 canonical iterations, most of whose backward passes
+    derive cuts already in their pools, no pool holds two cuts with an
+    equal intercept and slope."""
+    for cuts in canonical_policy["policy"].pools.values():
+        assert cuts
+        for i, a in enumerate(cuts):
+            assert not any(a.intercept == b.intercept
+                           and np.array_equal(a.slope, b.slope)
+                           for b in cuts[:i])
+
+
+def test_repeated_backward_pass_adds_no_cut_and_solves_nothing(canonical,
+                                                               monkeypatch):
+    """A backward pass run again on the same trajectory, with the same
+    dict of last solves, derives only cuts its pools hold already: it
+    adds none, so every child solve repeats its problem's last solve
+    and is served without an LP solve."""
+    bases = {}
+    policy = sddp.Policy(canonical["catalog"], canonical["scenario"],
+                         canonical["lattice"], _solves=bases)
+    path = sample_path(canonical["lattice"], np.random.default_rng(5))
+    trajectory = sddp.forward_pass(policy, path, bases)
+    sddp.backward_pass(policy, trajectory, iteration=1, bases=bases)
+    pools = {t: list(cuts) for t, cuts in policy.pools.items()}
+    assert all(len(cuts) == 1 for cuts in pools.values())
+    solves = []
+    raw_solve = lp.solve_optimal
+
+    def count(*args, **kwargs):
+        solves.append(1)
+        return raw_solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_optimal", count)
+    sddp.backward_pass(policy, trajectory, iteration=2, bases=bases)
+    assert solves == []
+    for t, cuts in policy.pools.items():
+        assert len(cuts) == 1 and cuts[0] is pools[t][0]
+
+
+def test_policy_file_with_a_copied_cut_loads_and_simulates(canonical,
+                                                           tmp_path):
+    """A policy file whose pool holds a cut twice, as files written
+    before pools kept each cut once do, loads with the copy kept and
+    simulates; the copy is the same LP row, so the bound stays."""
+    policy = _train_canonical(canonical, 10)
+    path = tmp_path / "policy.json"
+    sddp.save_policy(policy, path)
+    payload = json.loads(path.read_text())
+    payload["pools"]["1"].append(dict(payload["pools"]["1"][0], iteration=11))
+    path.write_text(json.dumps(payload))
+    loaded = sddp.load_policy(path, canonical["catalog"],
+                              canonical["scenario"], canonical["lattice"])
+    cuts = loaded.pools[1]
+    assert len(cuts) == len(policy.pools[1]) + 1
+    assert cuts[-1].intercept == cuts[0].intercept
+    assert np.array_equal(cuts[-1].slope, cuts[0].slope)
+    assert cuts[-1].iteration == 11
+    assert sddp.lower_bound(loaded) == pytest.approx(
+        sddp.lower_bound(policy), rel=1e-12)
+    runs = sddp.simulate(loaded, canonical["paths"])
+    assert len(runs) == len(canonical["paths"])
+    assert all(np.isfinite(run.total_cost) for run in runs)
 
 
 def _distinct_incoming_states(policy, paths):

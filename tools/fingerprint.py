@@ -32,15 +32,17 @@ three groups and prints SHA-256 digests:
     dropped before hashing. These runs come after the ``lp.solve`` spy
     is removed, so their solves are in no other digest.
 
-It also prints the number of those solves, split by the path that
-produced each (``LpSolution.start``: cold, warm, or fallback, a cold
-solve after a restart that could not finish; "unlabelled" on a tree
-whose solutions do not say), and the totals of the solve counters
-(dual and primal pivots and refactors; "n/a" on a tree without them),
-and the longest restart, the most pivots any solve with ``start`` warm
-took, beside ``lp._PIVOT_LIMIT``, the pivots a restart may take before
-it falls back to a cold solve ("n/a" on a tree whose solutions do not
-say how they started). None of these is part of a digest.
+It also prints the cut count of each pool of every canonical policy
+(by training seed) and of the sector policy, then the number of those
+solves, split by the path that produced each (``LpSolution.start``:
+cold, warm, or fallback, a cold solve after a restart that could not
+finish; "unlabelled" on a tree whose solutions do not say), and the
+totals of the solve counters (dual and primal pivots and refactors;
+"n/a" on a tree without them), and the longest restart, the most
+pivots any solve with ``start`` warm took, beside ``lp._PIVOT_LIMIT``,
+the pivots a restart may take before it falls back to a cold solve
+("n/a" on a tree whose solutions do not say how they started). None of
+these is part of a digest.
 
 Two trees that print the same digests solved every LP of these runs to
 the same bits; a group's digest alone tells which groups a change
@@ -143,12 +145,14 @@ def _outputs(root: Path, cli) -> dict:
     return {"all": digest.hexdigest(), **files}
 
 
-def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict, tuple]:
-    """The results digest of each group and over all of them, the
-    solves digest, the KKT digest with the periods checked and the
-    violations, the solve count by ``start``, the totals of the solve
-    counters, the outputs digests, and the pivots of the longest restart
-    with the restart budget, of the tree at ``root``."""
+def run(root: Path) -> tuple[dict, dict, str, tuple, dict, dict, dict,
+                             tuple]:
+    """The results digest of each group and over all of them, the cut
+    count of each pool of each trained policy, the solves digest, the
+    KKT digest with the periods checked and the violations, the solve
+    count by ``start``, the totals of the solve counters, the outputs
+    digests, and the pivots of the longest restart with the restart
+    budget, of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import instances
     from stockpile import analysis, benchmarks, cli, lp, sddp
@@ -159,6 +163,7 @@ def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict, tuple]:
         raise SystemExit(f"imported {source}, not the package under {root}")
 
     results = {"all": hashlib.sha256()}
+    pools = {}
     solves = hashlib.sha256()
     count = dict.fromkeys(("cold", "warm", "fallback"), 0)
     totals = dict.fromkeys(COUNTERS, 0)
@@ -192,6 +197,8 @@ def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict, tuple]:
             policy = sddp.train(catalog, scenario, lattice, sddp.TrainOptions(
                 max_iterations=CANONICAL_ITERATIONS, seed=seed, threads=1))
             feed("canonical", policy.to_payload())
+            pools[f"canonical {seed}"] = [
+                len(cuts) for cuts in policy.pools.values()]
 
         catalog = instances.sector_catalog()
         scenario = instances.sector_scenario()
@@ -201,6 +208,7 @@ def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict, tuple]:
             max_iterations=SECTOR_ITERATIONS, seed=SECTOR_TRAIN_SEED,
             threads=1))
         feed("sector", policy.to_payload())
+        pools["sector"] = [len(cuts) for cuts in policy.pools.values()]
         rng = np.random.default_rng(SECTOR_PATH_SEED)
         paths = [sample_path(lattice, rng) for _ in range(SECTOR_PATHS)]
         trajectories = sddp.simulate(policy, paths)
@@ -224,7 +232,7 @@ def run(root: Path) -> tuple[dict, str, tuple, dict, dict, dict, tuple]:
     digests = {key: h.hexdigest() for key, h in results.items()}
     restart = ("n/a" if "unlabelled" in count else max(restarts),
                getattr(lp, "_PIVOT_LIMIT", "n/a"))
-    return (digests, solves.hexdigest(), kkt, count, totals,
+    return (digests, pools, solves.hexdigest(), kkt, count, totals,
             _outputs(root, cli), restart)
 
 
@@ -234,11 +242,13 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    results, solves, kkt, count, totals, outputs, restart = run(
+    results, pools, solves, kkt, count, totals, outputs, restart = run(
         root.resolve())
     print(f"results {results.pop('all')}")
     for group, digest in results.items():
         print(f"  {group:<10} {digest}")
+    print("pools   " + ", ".join(f"{name}: {'/'.join(map(str, sizes))}"
+                                 for name, sizes in pools.items()))
     split = ", ".join(f"{n} {start}" for start, n in count.items())
     work = ", ".join(f"{'n/a' if n is None else n} {name.replace('_', ' ')}"
                      for name, n in totals.items())

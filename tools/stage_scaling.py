@@ -5,8 +5,9 @@
 ROOT (default: the checkout that holds this script) is a tree with the
 package in ``src/stockpile`` and the benchmark inputs in
 ``perfbench/instances.py``; both are imported from ROOT and only read,
-so the same script measures any checkout. BLAS is pinned to one thread
-before numpy loads.
+so the same script measures any checkout. Run as a script, it pins BLAS
+to one thread before numpy loads; imported, it leaves the environment
+alone, and ``main`` restores ``sys.path`` when it returns.
 
 For each H the stage is the canonical catalog's dispatch stage 1 of 2
 with the weather of ``instances.scaling_stage_weather`` drawn from
@@ -46,9 +47,6 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 DECISION = dict(generation={"wind": 12.0}, storage_power_out={"cavern": 6.0},
                 storage_power_in={"cavern": 6.0},
@@ -143,13 +141,14 @@ def main(argv=None) -> int:
     parser.add_argument("periods", type=int, nargs="+", metavar="H")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    saved_path = list(sys.path)
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from stockpile import lp
-    if not Path(lp.__file__).resolve().is_relative_to(root / "src"):
-        raise SystemExit(f"imported {lp.__file__}, not the package under "
-                         f"{root}")
-    rows = []
     try:
+        from stockpile import lp
+        if not Path(lp.__file__).resolve().is_relative_to(root / "src"):
+            raise SystemExit(f"imported {lp.__file__}, not the package "
+                             f"under {root}")
+        rows = []
         for h in args.periods:
             rows.append(measure(h))
             print(line(rows[-1]), flush=True)
@@ -159,6 +158,8 @@ def main(argv=None) -> int:
         # the interpreter's last flush at exit finds no pipe to fail on
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        sys.path[:] = saved_path
     return 0
 
 
@@ -182,4 +183,6 @@ def line(row: dict) -> str:
 
 
 if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
     sys.exit(main())
