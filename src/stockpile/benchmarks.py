@@ -5,9 +5,11 @@ their own constraint assembly (independent of the stagewise builder,
 so the two formulations cross-check each other):
 
 * :func:`extensive_form` unrolls the whole sampling lattice into a
-  scenario tree with explicit node cloning and equality state links.
-  Its optimum is the exact value the training lower bound approaches
-  from below. Desk scale only; guarded at 10,000 paths.
+  scenario tree, one dispatch block per node. Every block reads the
+  shared capacity columns and opens its long-duration stores at its
+  parent's closing levels, so each decision is one column. Its optimum
+  is the exact value the training lower bound approaches from below.
+  Desk scale only; guarded at 10,000 paths.
 * :func:`perfect_foresight` shares one capacity decision across a set
   of weather years, each dispatched with full knowledge of its own
   year, averaged with equal weights.
@@ -287,27 +289,6 @@ class _Block:
         return duals / self.weight / model._ENERGY_COST_SCALE
 
 
-def _clone_state(b, catalog, layout, prefix, parent_of):
-    """Node-local copies of the state vector, pinned to the parent.
-
-    ``parent_of(label)`` returns either a column index (link by
-    equality row) or a float (pin to a constant).
-    """
-    cols = {}
-    for label in layout.labels:
-        cols[label] = b.add_variable(f"{prefix}:in:{label}",
-                                     lower=-np.inf)
-        parent = parent_of(label)
-        if isinstance(parent, (int, np.integer)):
-            b.add_row(f"{prefix}:link:{label}",
-                      [(cols[label], 1.0), (int(parent), -1.0)],
-                      lp.EQUAL, 0.0)
-        else:
-            b.add_row(f"{prefix}:link:{label}", [(cols[label], 1.0)],
-                      lp.EQUAL, float(parent))
-    return cols
-
-
 def _tree_nodes(lattice, start_stage):
     """Breadth-first scenario-tree enumeration from ``start_stage``.
 
@@ -327,34 +308,26 @@ def _tree_nodes(lattice, start_stage):
             yield nid, t, nid[-1], parent, prob
 
 
-def _unroll_tree(b, catalog, scenario, lattice, start_stage, root_parent_of):
-    """Add a cloned state and a dispatch block for every tree node.
+def _unroll_tree(b, catalog, scenario, lattice, start_stage, root_state):
+    """Add a dispatch block for every tree node from ``start_stage`` on.
 
-    Nodes of ``start_stage`` pin their incoming state through
-    ``root_parent_of`` (see :func:`_clone_state`); deeper nodes link to
-    their parent's state clone, with long-duration levels taken from
-    the parent block's closing energy. Returns node id -> block.
+    Every block reads its incoming state from the columns that hold the
+    decision: ``root_state(label)`` names the column of each state
+    entry, except that below ``start_stage`` a long-duration store
+    opens at its parent block's closing energy. Returns node id ->
+    block.
     """
-    layout = model.StateLayout(catalog)
-    states = {}
     blocks = {}
     T = lattice.n_stages
     for nid, t, i, parent, prob in _tree_nodes(lattice, start_stage):
-        prefix = "n" + "-".join(map(str, nid))
-        if parent == ():
-            parent_of = root_parent_of
-        else:
-            def parent_of(label, _s=states[parent], _b=blocks[parent]):
+        state_col = root_state
+        if parent != ():
+            def state_col(label, _closing=blocks[parent].closing_energy):
                 kind, _, name = label.partition(":")
-                if kind == "level":
-                    return _b.closing_energy[name]
-                return _s[label]
-        state = _clone_state(b, catalog, layout, prefix, parent_of)
-        weather = lattice.realizations(t)[i]
-        blocks[nid] = _Block(b, catalog, scenario, weather, prefix, prob,
-                             lambda lab, _s=state: _s[lab],
+                return _closing[name] if kind == "level" else root_state(label)
+        blocks[nid] = _Block(b, catalog, scenario, lattice.realizations(t)[i],
+                             "n" + "-".join(map(str, nid)), prob, state_col,
                              terminal=(t == T))
-        states[nid] = state
     return blocks
 
 
@@ -376,9 +349,11 @@ def extensive_form(catalog: model.TechnologyCatalog,
                    lattice: SamplingLattice) -> BenchmarkResult:
     """Solve the deterministic equivalent of the whole lattice.
 
-    Every scenario-tree node gets its own dispatch block and a cloned
-    copy of the incoming state, linked by equality rows to its parent;
-    the optimum is the exact expected-cost benchmark for training.
+    Every scenario-tree node gets its own dispatch block, which reads
+    the capacity columns directly and opens each long-duration store at
+    the capacity stage's opening level (first stage) or at its parent
+    block's closing level; the optimum is the exact expected-cost
+    benchmark for training.
 
     Raises:
         TreeTooLarge: more than 10,000 leaf paths.
@@ -399,8 +374,7 @@ def extensive_form(catalog: model.TechnologyCatalog,
     for leaf in leaves:
         chain = [leaf[:k] for k in range(1, T + 1)]
         costs.append(sum(blocks[n].raw_cost(sol.primal) for n in chain))
-        weights.append(math.prod(1.0 / lattice.branch_count(t)
-                                 for t in range(1, T + 1)))
+        weights.append(blocks[leaf].weight)
         prices.append(np.concatenate(
             [blocks[n].price_series(sol) for n in chain]))
         labels.append("path-" + "-".join(map(str, leaf)))
@@ -417,13 +391,15 @@ def expected_cost_to_go(catalog: model.TechnologyCatalog,
                         state) -> float:
     """Brute-force expected cost of stages ``stage`` onward.
 
-    Unrolls the subtree rooted at every stage-``stage`` realization
-    with the incoming state pinned to ``state``, and averages. This is
-    the exact function the trained cut pool for ``stage``
-    under-approximates, so any valid cut evaluates at or below it.
-    Raises :class:`UnknownStage` for a stage outside
-    1..``lattice.n_stages`` and :class:`DimensionMismatch` for a state
-    that is not one value per entry of the catalog's state layout.
+    Pins ``state`` once, as one fixed column per state-layout entry,
+    unrolls the subtree rooted at every stage-``stage`` realization on
+    those columns, and averages. This is the exact function the trained
+    cut pool for ``stage`` under-approximates, so any valid cut
+    evaluates at or below it. Raises :class:`UnknownStage` for a stage
+    outside 1..``lattice.n_stages``, :class:`DimensionMismatch` for a
+    state that is not one value per entry of the catalog's state layout,
+    and ``ValueError`` for a state entry that is not finite, before any
+    solve.
     """
     if not 1 <= stage <= lattice.n_stages:
         raise UnknownStage(f"stage {stage} outside 1..{lattice.n_stages}")
@@ -438,8 +414,9 @@ def expected_cost_to_go(catalog: model.TechnologyCatalog,
         raise TreeTooLarge(
             f"{subtree} subtree paths exceed the {_TREE_LIMIT} limit")
     b = lp.LpBuilder()
-    _unroll_tree(b, catalog, scenario, lattice, stage,
-                 lambda label: float(x[layout.position(label)]))
+    pinned = {label: b.add_variable(f"in:{label}", lower=v, upper=v)
+              for label, v in zip(layout.labels, x.tolist())}
+    _unroll_tree(b, catalog, scenario, lattice, stage, pinned.__getitem__)
     sol = lp.solve_optimal(b.build(), f"cost-to-go subtree at stage {stage}")
     return float(sol.objective)
 

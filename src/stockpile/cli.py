@@ -242,7 +242,7 @@ def _run_bench(args, cfg: ScenarioConfig, out: Path) -> dict:
 def _run_acf(args, cfg: ScenarioConfig, out: Path) -> dict:
     if cfg.analysis.series is None:
         raise ConfigError(["analysis.series: required by the acf command"])
-    table = weather.ingest_series(cfg.analysis.series)
+    table, digest = weather.read_series(cfg.analysis.series)
     report = weather.acf_test(table, stage_length=cfg.analysis.stage_length,
                               max_lag=cfg.analysis.max_lag)
     (out / "acf.csv").write_text(report.to_table())
@@ -250,7 +250,7 @@ def _run_acf(args, cfg: ScenarioConfig, out: Path) -> dict:
                 for r in report.correlations.values())
     print(f"acf over {report.n_samples} stage means, band "
           f"{report.band:.4f}, max |rho| {worst:.4f}")
-    return {"series_sha256": _sha256(cfg.analysis.series)}
+    return {"series_sha256": digest}
 
 
 def _run_curves(args, cfg: ScenarioConfig, out: Path) -> dict:

@@ -59,7 +59,6 @@ its SHA-256 in ``source``, and an inline one by its loaded values.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -429,17 +428,14 @@ def _parse_series_lattice(node, errors):
     if source.first_month > 12:
         errors.append("lattice.first_month: must be in 1..12")
         return None, None, None
-    # one read: the hash pins the very bytes the lattice is built from
     try:
-        with open(source.series, "rb") as fh:
-            data = fh.read()
-        text = io.TextIOWrapper(io.BytesIO(data), newline="")
-        table = weather.aggregate(weather.ingest_series(text), source.block)
-        lattice = weather.build_lattice(table, first_month=source.first_month)
-    except (StockpileError, ValueError, OSError) as exc:
+        table, digest = weather.read_series(source.series)
+        lattice = weather.build_lattice(weather.aggregate(table, source.block),
+                                        first_month=source.first_month)
+    except (StockpileError, ValueError) as exc:
         errors.append(f"lattice.series: {exc}")
         return None, None, None
-    return lattice, source, hashlib.sha256(data).hexdigest()
+    return lattice, source, digest
 
 
 def _parse_lattice(raw, errors):

@@ -230,6 +230,9 @@ class LpInstance:
             raise ValueError("objective coefficients must be finite")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise ValueError("bounds must not be NaN")
+        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+            raise ValueError("a lower bound of +inf or an upper bound of -inf "
+                             "leaves a variable no finite value")
         if np.any(self.lower > self.upper):
             bad = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"lower > upper for variable {self.var_labels[bad]!r}")

@@ -70,7 +70,7 @@ class Generator:
         capital_cost: Annualized capacity cost in EUR per kW-yr.
         marginal_cost: Variable cost in EUR per MWh generated.
         max_capacity: Upper capacity bound in GW.
-        min_capacity: Lower capacity bound in GW.
+        min_capacity: Lower capacity bound in GW; finite and >= 0.
         availability: Constant availability factor in [0, 1], or None
             for a weather-driven generator whose factors come from the
             weather vector under this generator's name.
@@ -88,11 +88,12 @@ class Generator:
         if not _cost_ok(self.capital_cost, self.marginal_cost):
             raise OutOfRange(
                 f"generator {self.name!r} has a negative or infinite cost")
+        if not 0 <= self.min_capacity < np.inf:
+            raise OutOfRange(
+                f"generator {self.name!r} has a negative or infinite lower bound")
         if self.min_capacity > self.max_capacity:
             raise InconsistentBounds(
                 f"generator {self.name!r} capacity bounds are inverted")
-        if self.min_capacity < 0:
-            raise OutOfRange(f"generator {self.name!r} has a negative lower bound")
         if self.availability is not None and not 0.0 <= self.availability <= 1.0:
             raise OutOfRange(
                 f"generator {self.name!r} availability not in [0, 1]")

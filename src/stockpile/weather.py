@@ -20,6 +20,8 @@ entirely, which is how small test systems are built.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -57,21 +59,33 @@ class SeriesTable:
         return len(self.timestamps)
 
 
+def read_series(path) -> tuple[SeriesTable, str]:
+    """The series table in the file at ``path`` and the SHA-256 of its
+    bytes.
+
+    The file is read once, so the hash pins the very bytes the table is
+    parsed from. Every failure to read or parse it is a
+    :class:`~stockpile.errors.DataError`, as in :func:`ingest_series`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read series: {exc}") from exc
+    table = ingest_series(io.TextIOWrapper(io.BytesIO(data), newline=""))
+    return table, hashlib.sha256(data).hexdigest()
+
+
 def ingest_series(source) -> SeriesTable:
     """Read and validate a delimited series table.
 
-    ``source`` is a path or an open text file. Timestamps must be
-    uniformly spaced with no gaps; capacity-factor columns must lie in
-    [0, 1] up to 1e-9 slack and are clamped to the interval. Every
-    failure to read or parse the table is a
-    :class:`~stockpile.errors.DataError`.
+    ``source`` is an open text file. Timestamps must be uniformly spaced
+    with no gaps; capacity-factor columns must lie in [0, 1] up to 1e-9
+    slack and are clamped to the interval. Every failure to read or
+    parse the table is a :class:`~stockpile.errors.DataError`.
     """
     try:
-        if hasattr(source, "read"):
-            rows = list(csv.reader(source))
-        else:
-            with open(source, newline="") as fh:
-                rows = list(csv.reader(fh))
+        rows = list(csv.reader(source))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read series: {exc}") from exc
     if not rows:

@@ -4,7 +4,7 @@ single-year runs) and their orderings against trained policies."""
 import numpy as np
 import pytest
 
-from conftest import make_vector
+from conftest import make_vector, sector_catalog, sector_lattice
 from stockpile import benchmarks, lp, model, presets, sddp, weather
 from stockpile.errors import (DimensionMismatch, SolverFailure, TreeTooLarge,
                               UnknownStage)
@@ -299,6 +299,123 @@ def test_cost_to_go_rejects_unknown_stages_and_wrong_state_lengths(
         with pytest.raises(DimensionMismatch):
             benchmarks.expected_cost_to_go(catalog, scenario, lattice, 1,
                                            np.zeros(length))
+
+
+def _sector_instance():
+    """The sector catalog under constrained imports on a 3 stages x 2
+    realizations x 2 periods lattice."""
+    return (sector_catalog(), presets.scenario("constrained_imports"),
+            sector_lattice(1, 3, 2, 2))
+
+
+def _solved_instances(monkeypatch):
+    """Every instance ``lp.solve`` is called on from now on, in order."""
+    solved = []
+    raw = lp.solve
+
+    def spy(problem, **kwargs):
+        solved.append(problem)
+        return raw(problem, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", spy)
+    return solved
+
+
+def test_extensive_form_is_capacity_rows_plus_node_blocks(monkeypatch):
+    """Tree nodes read the capacity columns and their parent's closing
+    level: the extensive form holds no state copy (``:in:``) and no link
+    row (``:link:``), only the capacity stage's rows and columns plus
+    those of one dispatch block per node."""
+    catalog, scenario, lattice = _sector_instance()
+    solved = _solved_instances(monkeypatch)
+    benchmarks.extensive_form(catalog, scenario, lattice)
+    (ef,) = solved
+    assert not [lab for lab in ef.var_labels if ":in:" in lab]
+    assert not [lab for lab in ef.row_labels if ":link:" in lab]
+
+    def size(t=None):
+        b = lp.LpBuilder()
+        state = benchmarks._capacity_state(
+            benchmarks._add_capacity_variables(b, catalog))
+        if t is not None:
+            benchmarks._Block(b, catalog, scenario, lattice.realizations(t)[0],
+                              "x", 1.0, state,
+                              terminal=(t == lattice.n_stages))
+        inst = b.build()
+        return np.array([inst.n_rows, inst.n_vars])
+
+    capacity = size()
+    nodes = 1
+    expected = capacity.copy()
+    for t in range(1, lattice.n_stages + 1):
+        nodes *= lattice.branch_count(t)
+        expected += nodes * (size(t) - capacity)
+    assert (ef.n_rows, ef.n_vars) == tuple(expected)
+
+
+@pytest.mark.parametrize("instance", ["canonical", "sector"])
+def test_cost_to_go_at_the_tree_capacities_is_its_dispatch_cost(canonical,
+                                                                instance):
+    """The subtree on pinned state columns and the tree on shared
+    capacity columns are one program: at the tree's optimal capacities
+    the stage-1 cost-to-go is the tree's dispatch part."""
+    if instance == "canonical":
+        catalog, scenario, lattice = (canonical["catalog"],
+                                      canonical["scenario"],
+                                      canonical["lattice"])
+    else:
+        catalog, scenario, lattice = _sector_instance()
+    ef = benchmarks.extensive_form(catalog, scenario, lattice)
+    state = ef.capacities.to_state(model.StateLayout(catalog))
+    ctg = benchmarks.expected_cost_to_go(catalog, scenario, lattice, 1, state)
+    assert ctg == pytest.approx(ef.objective - ef.capital_cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cost_to_go_rejects_a_state_that_is_not_finite(canonical,
+                                                       monkeypatch, value):
+    """A NaN or infinite state entry is refused before any solve, rather
+    than pinned into a program that would solve to inf or NaN."""
+    catalog = canonical["catalog"]
+    layout = model.StateLayout(catalog)
+    x = np.zeros(layout.size)
+    x[layout.position("level:cavern")] = value
+    solved = _solved_instances(monkeypatch)
+    with pytest.raises(ValueError):
+        benchmarks.expected_cost_to_go(catalog, canonical["scenario"],
+                                       canonical["lattice"], 1, x)
+    assert solved == []
+
+
+def test_leaf_prices_lie_between_one_sided_differences(canonical,
+                                                       monkeypatch):
+    """A reported price is a subgradient of the tree optimum in its
+    balance row's demand: along one leaf's chain, each lies between the
+    backward and forward differences of the objective in that row's
+    right-hand side (equal where the optimum is smooth)."""
+    lattice = canonical["lattice"]
+    solved = _solved_instances(monkeypatch)
+    result = benchmarks.extensive_form(canonical["catalog"],
+                                       canonical["scenario"], lattice)
+    (ef,) = solved
+    monkeypatch.undo()
+    base = result.objective
+    leaf = result.labels.index("path-0-1-1")
+    prices = result.prices[leaf]
+    H = lattice.periods(1)
+    step = 1e-4
+    for k, node in enumerate(("n0", "n0-1", "n0-1-1")):
+        weight = 0.5 ** (k + 1)
+        for h in range(H):
+            row = ef.row_index[f"{node}:balance:{h}"]
+            rhs = ef.rhs[row]
+            up, down = (lp.solve(lp.replace_rhs(ef, [row], [rhs + d])).objective
+                        for d in (step, -step))
+            scale = weight * model._ENERGY_COST_SCALE * step
+            backward, forward = (base - down) / scale, (up - base) / scale
+            price = prices[k * H + h]
+            tol = 1e-6 * max(1.0, abs(price))
+            assert backward - tol <= price <= forward + tol, (node, h)
 
 
 def test_training_reaches_tree_with_imports_contract_and_battery():

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end (in-process)."""
 
+import builtins
 import copy
 import csv
 import hashlib
@@ -355,6 +356,28 @@ def test_acf_command_writes_report(tmp_path):
         series.read_bytes()).hexdigest()
 
 
+def test_acf_reads_its_series_once(tmp_path, monkeypatch):
+    """The acf command opens its series file once, so the echoed hash
+    pins the bytes the report was computed from."""
+    cfg, out = setup_run(tmp_path, _series_config(tmp_path))
+    series = str(tmp_path / "daily.csv")
+    raw_open = builtins.open
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return raw_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    assert cli.main(["acf", "--config", cfg, "--out", out]) == 0
+    monkeypatch.undo()
+    assert opened.count(series) == 1
+    echo = yaml.safe_load((tmp_path / "out" / "resolved_config.yaml")
+                          .read_text())
+    assert echo["source"]["series_sha256"] == hashlib.sha256(
+        Path(series).read_bytes()).hexdigest()
+
+
 def _exit_code(argv):
     """The exit code of cli.main, argparse's rejections included."""
     try:
@@ -443,15 +466,18 @@ _INFINITE_COSTS = [
      "scenario: spot price must be finite and >= 0"),
     (("catalog", "ltc_price"),
      "catalog: contract price must be finite and >= 0"),
+    (("catalog", "generators", 0, "min_capacity"),
+     "catalog.generators[0]: generator 'wind' has a negative or infinite "
+     "lower bound"),
 ]
 
 
 @pytest.mark.parametrize("path,message", _INFINITE_COSTS,
                          ids=[_dotted(path) for path, _ in _INFINITE_COSTS])
 def test_infinite_cost_exits_2(tmp_path, capsys, path, message):
-    """An infinite cost or price is rejected by the model constructor
-    and reported at its entry's path (exit 2); an infinite capacity
-    bound stays legal."""
+    """An infinite cost or price, or an infinite lower capacity bound,
+    is rejected by the model constructor and reported at its entry's
+    path (exit 2); an infinite upper capacity bound stays legal."""
     doc = _with(CHECKED, ("catalog", "generators", 0, "max_capacity"),
                 float("inf"))
     cfg, out = setup_run(tmp_path, yaml.safe_dump(_with(doc, path,
@@ -500,6 +526,8 @@ DATA_ERRORS = {
     "series under three years": lambda tmp: (
         "acf", _series_config(tmp, years=2), []),
     "series not text": lambda tmp: ("acf", _binary_series_config(tmp), []),
+    "series missing": lambda tmp: (
+        "acf", CONFIG + f"analysis:\n  series: {tmp / 'gone.csv'}\n", []),
     "policy is a list": lambda tmp: (
         "simulate", CONFIG, _policy(tmp, lambda payload: [payload])),
     "policy without pools": lambda tmp: (

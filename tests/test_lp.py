@@ -780,11 +780,17 @@ def test_csr_instance_is_read_only_and_matches_scipy_sparse():
     ({"lower": np.array([0.0, np.nan])}, "NaN"),
     ({"lower": np.array([5.0, 0.0]), "upper": np.array([1.0, 1.0])},
      "lower > upper for variable 'x'"),
+    # a variable with no finite value, which a solve would report optimal
+    # at objective inf (lower = +inf) or infeasible (upper = -inf)
+    ({"lower": np.array([0.0, np.inf])}, "no finite value"),
+    ({"lower": np.array([0.0, -np.inf]), "upper": np.array([np.inf, -np.inf])},
+     "no finite value"),
     ({"var_labels": ("x", "x")}, "duplicate variable label 'x'"),
     ({"row_labels": ("a", "a")}, "duplicate row label 'a'"),
 ], ids=["indptr_start", "indptr_decreases", "indptr_end", "indptr_length",
         "value_count", "column_range", "negative_column", "nan_coefficient",
         "unknown_sense", "infinite_rhs", "nan_bound", "lower_above_upper",
+        "infinite_lower", "negative_infinite_upper",
         "duplicate_variable", "duplicate_row"])
 def test_csr_instance_rejects_inconsistent_data(changes, message):
     with pytest.raises(ValueError, match=message):

@@ -54,11 +54,16 @@ def state_of(catalog, wind=10.0, pout=5.0, pin=5.0, energy=50.0, ini=20.0,
 
 
 def test_validation_rejects_bad_technology_data():
-    """Negative costs, inverted bounds, and efficiencies outside (0, 1]
-    are caught at construction time."""
+    """Negative costs, inverted bounds, a lower capacity bound that no
+    finite capacity meets (even under an infinite upper one), and
+    efficiencies outside (0, 1] are caught at construction time."""
     with pytest.raises(OutOfRange):
         model.Generator("g", capital_cost=-1.0, marginal_cost=0.0,
                         max_capacity=1.0)
+    for lower in (np.inf, np.nan):
+        with pytest.raises(OutOfRange, match="infinite lower bound"):
+            model.Generator("g", capital_cost=1.0, marginal_cost=0.0,
+                            max_capacity=np.inf, min_capacity=lower)
     with pytest.raises(InconsistentBounds):
         model.Generator("g", capital_cost=1.0, marginal_cost=0.0,
                         max_capacity=1.0, min_capacity=2.0)

@@ -48,8 +48,10 @@ Two trees that print the same digests solved every LP of these runs to
 the same bits; a group's digest alone tells which groups a change
 moved. To check that a refactor changes no number, run the script on a
 checkout of the parent commit and on the change, on the same machine,
-and compare the two outputs. BLAS is pinned to one thread before numpy
-loads, because the simplex's pivot sequence can depend on it.
+and compare the two outputs. Run as a script, it pins BLAS to one
+thread before numpy loads, because the simplex's pivot sequence can
+depend on it; imported, it leaves the environment alone, and ``run``
+restores ``sys.path`` when it returns or raises.
 """
 from __future__ import annotations
 
@@ -63,8 +65,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
 
@@ -153,7 +156,17 @@ def run(root: Path) -> tuple[dict, dict, str, tuple, dict, dict, dict,
     count by ``start``, the totals of the solve counters, the outputs
     digests, and the pivots of the longest restart with the restart
     budget, of the tree at ``root``."""
+    saved_path = list(sys.path)
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    try:
+        return _run(root)
+    finally:
+        sys.path[:] = saved_path
+
+
+def _run(root: Path) -> tuple:
+    """:func:`run`, with ``root``'s ``src`` and ``perfbench`` first on
+    ``sys.path``."""
     import instances
     from stockpile import analysis, benchmarks, cli, lp, sddp
     from stockpile.weather import sample_path
