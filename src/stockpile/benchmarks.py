@@ -155,9 +155,12 @@ class _Block:
     """One weather block of dispatch variables inside a monolithic LP.
 
     ``prefix`` namespaces the labels, ``weight`` scales the cost
-    coefficients (scenario probability), and ``opening`` defines where
-    each long-duration store starts: a column, or a (column, None)
-    marker for year-start linking handled by the caller.
+    coefficients (scenario probability), and ``state_col`` maps the
+    label of each incoming-state entry to its column: the capacities,
+    the ``ini:<s>`` targets, and ``level:<s>``, where long-duration
+    store ``s`` opens the block. ``terminal`` adds, for each
+    long-duration store, a row that makes its closing level reach its
+    ``ini:<s>`` target or pay for the slip at the value of lost load.
     """
 
     def __init__(self, b, catalog, scenario, weather, prefix, weight,

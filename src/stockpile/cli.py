@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import sys
 from pathlib import Path
 
@@ -131,11 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _training_options(cfg: ScenarioConfig, args,
                       out: Path) -> sddp.TrainOptions:
     if cfg.training is None:
@@ -148,11 +142,11 @@ def _training_options(cfg: ScenarioConfig, args,
 
 
 def _load_policy(args, cfg: ScenarioConfig, out: Path):
-    """The path of the policy file named by ``--policy`` (default
-    ``<out>/policy.json``) and the policy read from it."""
+    """The policy in the file named by ``--policy`` (default
+    ``<out>/policy.json``) and the SHA-256 of the bytes it was read
+    from."""
     path = Path(args.policy) if args.policy else out / POLICY_FILE
-    return path, sddp.load_policy(path, cfg.catalog, cfg.scenario,
-                                  cfg.lattice)
+    return sddp.load_policy(path, cfg.catalog, cfg.scenario, cfg.lattice)
 
 
 def _simulate_paths(args, cfg: ScenarioConfig, policy) -> list:
@@ -189,7 +183,7 @@ def _run_train(args, cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> dict:
-    policy_path, policy = _load_policy(args, cfg, out)
+    policy, policy_sha256 = _load_policy(args, cfg, out)
     trajectories = _simulate_paths(args, cfg, policy)
 
     (out / "capacities.csv").write_text(csv_text(
@@ -223,7 +217,7 @@ def _run_simulate(args, cfg: ScenarioConfig, out: Path) -> dict:
     se = costs.std(ddof=1) / np.sqrt(len(costs)) if len(costs) > 1 else 0.0
     print(f"simulated {len(costs)} paths: mean cost {costs.mean():.6e} MEUR "
           f"(se {se:.3e})")
-    return {"policy_sha256": _sha256(policy_path)}
+    return {"policy_sha256": policy_sha256}
 
 
 def _run_bench(args, cfg: ScenarioConfig, out: Path) -> dict:
@@ -254,7 +248,7 @@ def _run_acf(args, cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_curves(args, cfg: ScenarioConfig, out: Path) -> dict:
-    policy_path, policy = _load_policy(args, cfg, out)
+    policy, policy_sha256 = _load_policy(args, cfg, out)
     if not cfg.catalog.long_duration_storages:
         raise DataError("curves need a long-duration storage in the catalog")
     name = cfg.catalog.long_duration_storages[0].name
@@ -280,7 +274,7 @@ def _run_curves(args, cfg: ScenarioConfig, out: Path) -> dict:
     (out / "bands.csv").write_text(bands.to_table())
     print(f"wrote bid curve ({len(bid_rows)} rows), duration curve, "
           f"and trajectory bands for {name!r}")
-    return {"policy_sha256": _sha256(policy_path)}
+    return {"policy_sha256": policy_sha256}
 
 
 def _run_oracle(args, cfg: ScenarioConfig, out: Path) -> dict:

@@ -28,13 +28,14 @@ CSR rows.
 
 The simplex kernel is sparse and never forms a dense copy of the
 constraint matrix. Presolve, alone, sums a column repeated within a row
-and drops zeros as it turns the CSR rows into compressed sparse columns,
-then equilibrates them on their nonzeros. It drops no row: row i of an
-instance is row i of the simplex, and a row with no entry holds its
-slack alone. Slack and phase-1 artificial columns are unit columns,
-stored as a row and a sign. Every product with the matrix (pricing
-``y @ A``, the leaving row of the tableau, ``A @ x``) is one
-``np.bincount`` over the nonzeros.
+and drops zeros, then equilibrates the rows on their nonzeros. It drops
+no row: row i of an instance is row i of the simplex, and a row with no
+entry holds its slack alone. Slack and phase-1 artificial columns are
+unit columns, one entry each. The nonzeros are one list in row order,
+each row closed by its slack's entry, and a column is read as the
+entries that name it. Every product with the matrix (pricing ``y @ A``,
+the leaving row of the tableau, ``A @ x``) is one ``np.bincount`` over
+that list.
 
 Nor does it form an m x m basis inverse. Each basic unit column covers
 its own row; with K the structural basics, R the rows no basic unit
@@ -466,14 +467,15 @@ class _Simplex:
     of its last optimal basis.
 
     The columns are those of an :class:`LpState`: its ``ns``
-    structural columns in compressed sparse column form, one slack per
-    row, and then any artificials :meth:`add_units` appends. A slack or
-    an artificial is a unit column, +1 or -1 in a single row. The
-    entries of all columns form one coordinate list (``entry_col``,
-    ``entry_row``, ``entry_val``) in column order, column j's at
-    ``colptr[j]:colptr[j + 1]``, so a unit column is the one entry at
-    ``colptr[j]``. Every product with the constraint matrix is built
-    from that list; there is no dense copy of it.
+    structural columns, one slack per row, and then any artificials
+    :meth:`add_units` appends. A slack or an artificial is a unit
+    column, +1 or -1 in a single row. The entries of all columns form
+    the state's one coordinate list (``entry_row``, ``entry_col``,
+    ``entry_val``) in row order, row i's at ``rowptr[i]:rowptr[i + 1]``
+    with its slack's entry last, followed by the artificials' entries.
+    ``unit_entry[t]`` is the position of the entry of unit column
+    ``ns + t``. Every product with the constraint matrix is built from
+    that list; there is no dense copy of it and no column-ordered one.
 
     The basis inverse is held in partitioned form and never as an
     m x m matrix. A basic unit column covers its own row. With K the
@@ -529,11 +531,11 @@ class _Simplex:
         self.m = p.n_rows
         self.ns = p.n
         self.n = p.n + self.m
-        self.colptr = p.colptr
+        self.rowptr = p.rowptr
         self.entry_col = p.entry_col
         self.entry_row = p.entry_row
         self.entry_val = p.entry_val
-        self.rowptr, self.row_col, self.row_val = p.rowptr, p.row_col, p.row_val
+        self.unit_entry = p.rowptr[1:] - 1      # each slack closes its row
         self.b = p.b_s
         self.c = p.c
         self.lower = p.lower.copy()
@@ -561,12 +563,10 @@ class _Simplex:
         """Forget the artificial columns :meth:`add_units` appended, none
         of them basic, so that slacks of appended rows can follow the
         row slacks."""
-        n = self.ns + self.m
-        self.colptr = self.colptr[:n + 1]
-        nz = self.colptr[-1]
-        self.entry_col = self.entry_col[:nz]
-        self.entry_row = self.entry_row[:nz]
-        self.entry_val = self.entry_val[:nz]
+        n, nz = self.ns + self.m, self.rowptr[-1]
+        for name in ("entry_col", "entry_row", "entry_val"):
+            setattr(self, name, getattr(self, name)[:nz])
+        self.unit_entry = self.unit_entry[:self.m]
         for name in ("c", "lower", "upper", "x", "status", "kslot"):
             setattr(self, name, getattr(self, name)[:n])
         self.n = n
@@ -588,8 +588,8 @@ class _Simplex:
         """Append unit columns, column t being ``signs[t]`` in row
         ``rows[t]``, at zero cost and nonbasic at their lower bound 0."""
         k = len(rows)
-        self.colptr = np.concatenate([self.colptr,
-                                      self.colptr[-1] + np.arange(1, k + 1)])
+        self.unit_entry = np.concatenate([self.unit_entry,
+                                          len(self.entry_col) + np.arange(k)])
         self.entry_col = np.concatenate([self.entry_col,
                                          np.arange(self.n, self.n + k)])
         self.entry_row = np.concatenate([self.entry_row, rows])
@@ -647,8 +647,8 @@ class _Simplex:
     def column(self, j):
         """Column ``j`` times the current inverse."""
         v = np.zeros(self.m)
-        nz = slice(self.colptr[j], self.colptr[j + 1])
-        v[self.entry_row[nz]] = self.entry_val[nz]
+        at = self.entry_col == j
+        v[self.entry_row[at]] = self.entry_val[at]
         return self._ftran(v)
 
     def inverse_row(self, r):
@@ -667,11 +667,12 @@ class _Simplex:
 
     def _row_block(self, s):
         """A_sK A_RK^-1: the entries of row ``s`` in the structural
-        basics' columns times the block inverse."""
+        basics' columns times the block inverse; the row's slack is no
+        structural basic."""
         nz = slice(self.rowptr[s], self.rowptr[s + 1])
-        t = self.kslot[self.row_col[nz]]
+        t = self.kslot[self.entry_col[nz]]
         basic = t >= 0
-        return self.row_val[nz][basic] @ self.inv[t[basic]]
+        return self.entry_val[nz][basic] @ self.inv[t[basic]]
 
     def _leaving_row_block(self, r, rho):
         """A_sK A_RK^-1 for the row s of the unit in basis position
@@ -695,7 +696,8 @@ class _Simplex:
         raise :class:`NumericalFailure`."""
         m, basis = self.m, self.basis
         unit = basis >= self.ns
-        at = self.colptr[basis]             # a unit column's one entry
+        # a unit column's one entry
+        at = self.unit_entry[np.where(unit, basis - self.ns, 0)]
         self.urow = np.where(unit, self.entry_row[at], 0)
         self.usign = np.where(unit, self.entry_val[at], 0.0)
         hits = np.bincount(self.urow, unit, m)
@@ -704,23 +706,17 @@ class _Simplex:
         self.kpos = (~unit).nonzero()[0]
         self.rrow = (hits == 0).nonzero()[0]
         k = len(self.kpos)
-        struct = basis[self.kpos]
         self.kslot = np.full(self.n, -1, dtype=np.intp)
-        self.kslot[struct] = np.arange(k)
+        self.kslot[basis[self.kpos]] = np.arange(k)
         self.rslot = np.full(m, -1, dtype=np.intp)
         self.rslot[self.rrow] = np.arange(k)
         self.inv = self.buf = None      # the old factor goes first
         block = np.zeros((k, k))
         if k:
-            first = self.colptr[struct]
-            count = self.colptr[struct + 1] - first
-            end = count.cumsum()
-            # the entries of the structural basics, one column after another
-            at = np.arange(end[-1]) + (first - end + count).repeat(count)
-            rows = self.rslot[self.entry_row[at]]
-            cols = np.arange(k).repeat(count)
-            open_ = rows >= 0
-            block[rows[open_], cols[open_]] = self.entry_val[at[open_]]
+            rows = self.rslot[self.entry_row]
+            cols = self.kslot[self.entry_col]
+            open_ = (rows >= 0) & (cols >= 0)
+            block[rows[open_], cols[open_]] = self.entry_val[open_]
             try:
                 block = np.linalg.inv(block)
             except np.linalg.LinAlgError:
@@ -796,7 +792,7 @@ class _Simplex:
             self.urow[r] = 0
             self.usign[r] = 0.0
             return
-        at = self.colptr[q]
+        at = self.unit_entry[q - self.ns]
         i, sign = self.entry_row[at], self.entry_val[at]
         slot = self.rslot[i]
         if t >= 0:
@@ -1084,11 +1080,9 @@ class LpState:
     slack alone; phase 1, or a restart's dual simplex, proves it
     infeasible when its right-hand side lies outside the bounds its
     sense sets on the slack. The entries of all columns are one
-    coordinate list: the scaled structural entries column by column,
-    column j's at ``colptr[j]:colptr[j + 1]``, then the slacks' unit
-    entries, which ``colptr`` spans too. The scaled structural entries
-    are also kept row by row, row i's in the columns
-    ``row_col[rowptr[i]:rowptr[i + 1]]``.
+    coordinate list (``entry_row``, ``entry_col``, ``entry_val``) in
+    row order: row i's at ``rowptr[i]:rowptr[i + 1]``, its scaled
+    structural entries as they arrived and then its slack's unit entry.
 
     Between solves, :meth:`set_rhs` rewrites right-hand sides in place
     and :meth:`append_rows` appends rows, each scaled by its own max-norm
@@ -1115,12 +1109,9 @@ class LpState:
         self.lower = instance.lower * self.dscale
         self.upper = instance.upper * self.dscale
         # no rows yet; _add_rows replaces these arrays and writes none
-        self.colptr = np.zeros(self.n + 1, dtype=np.intp)
         self.rowptr = np.zeros(1, dtype=np.intp)
-        self.entry_col = self.entry_row = self.row_col = np.zeros(
-            0, dtype=np.intp)
-        self.entry_val = self.row_val = self.rscale = self.b_s = \
-            self.rhs = np.zeros(0)
+        self.entry_col = self.entry_row = np.zeros(0, dtype=np.intp)
+        self.entry_val = self.rscale = self.b_s = self.rhs = np.zeros(0)
         self.row_index = {}
         self._add_rows(row, col, a, r, instance.rhs, instance.senses,
                        instance.row_labels)
@@ -1187,28 +1178,26 @@ class LpState:
         state: entry t, in row order, is the scaled value ``a[t]`` in
         row ``row[t]`` (counted from 0) and column ``col[t]``, and
         ``r`` scales each row. Each row gets a slack column, a row with
-        no entry too. A held factor takes the new rows with their slacks
-        basic."""
+        no entry too, and its unit entry closes the row; the new entries
+        follow those held, which stay as they are. A held factor takes
+        the new rows with their slacks basic."""
         n, first, k = self.n, self.n_rows, len(labels)
         m = first + k
-        nz = self.colptr[n]
-        ecol = np.concatenate([self.entry_col[:nz], col])
-        erow = np.concatenate([self.entry_row[:nz], first + row])
-        eval_ = np.concatenate([self.entry_val[:nz], a])
-        by_col = ecol.argsort(kind="stable")
         # slack columns are exactly unit columns after scaling (their own
-        # column scale cancels the row scale) and follow the structurals
-        self.colptr = np.concatenate(
-            [[0], np.bincount(ecol, minlength=n).cumsum(),
-             len(ecol) + np.arange(1, m + 1)])
-        self.entry_col = np.concatenate([ecol[by_col], np.arange(n, n + m)])
-        self.entry_row = np.concatenate([erow[by_col], np.arange(m)])
-        self.entry_val = np.concatenate([eval_[by_col], np.ones(m)])
-        count = np.bincount(row, minlength=k)
-        self.rowptr = np.concatenate([self.rowptr,
-                                      self.rowptr[-1] + count.cumsum()])
-        self.row_col = np.concatenate([self.row_col, col])
-        self.row_val = np.concatenate([self.row_val, a])
+        # column scale cancels the row scale); each closes its row, so
+        # entry t moves past the slacks of the rows before its own
+        count = np.bincount(row, minlength=k) + 1
+        ends = count.cumsum()
+        at = np.arange(len(row)) + row
+        ecol = np.empty(len(row) + k, dtype=np.intp)
+        eval_ = np.ones(len(row) + k)
+        ecol[at], eval_[at] = col, a
+        ecol[ends - 1] = np.arange(n + first, n + m)
+        self.rowptr = np.concatenate([self.rowptr, self.rowptr[-1] + ends])
+        self.entry_row = np.concatenate([self.entry_row,
+                                         np.arange(first, m).repeat(count)])
+        self.entry_col = np.concatenate([self.entry_col, ecol])
+        self.entry_val = np.concatenate([self.entry_val, eval_])
         self.rscale = np.concatenate([self.rscale, r])
         self.b_s = np.concatenate([self.b_s, rhs / r])
         self.c = np.concatenate([self.c, np.zeros(k)])

@@ -364,18 +364,21 @@ def save_policy(policy: Policy, path) -> None:
 
 def load_policy(path, catalog: model.TechnologyCatalog,
                 scenario: model.MarketScenario,
-                lattice: SamplingLattice) -> Policy:
-    """Rebuild a policy from :func:`save_policy` output.
+                lattice: SamplingLattice) -> tuple[Policy, str]:
+    """Rebuild a policy from the :func:`save_policy` output at ``path``;
+    returns it with the SHA-256 of the file's bytes.
 
-    The stored catalog hash must match the supplied catalog and
-    scenario; mismatches raise :class:`~stockpile.errors.DataError`,
+    The file is read once, so the hash pins the very bytes the policy is
+    parsed from. The stored catalog hash must match the supplied catalog
+    and scenario; mismatches raise :class:`~stockpile.errors.DataError`,
     as does a file that cannot be read or parsed, whose structure is
     not that of a saved policy, or whose capacities are not one finite
     number per state entry.
     """
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        payload = json.loads(data)
         if payload.get("format_version") != POLICY_FORMAT_VERSION:
             raise DataError(f"unsupported policy format "
                             f"{payload.get('format_version')!r}")
@@ -415,7 +418,7 @@ def load_policy(path, catalog: model.TechnologyCatalog,
             DimensionMismatch) as exc:
         raise DataError(f"cannot read policy {str(path)!r}: "
                         f"{type(exc).__name__}: {exc}") from exc
-    return policy
+    return policy, hashlib.sha256(data).hexdigest()
 
 
 def _rollout(policy: Policy, path: WeatherPath, first: StageRecord,

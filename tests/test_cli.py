@@ -378,6 +378,31 @@ def test_acf_reads_its_series_once(tmp_path, monkeypatch):
         Path(series).read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("command", ["simulate", "curves"])
+def test_policy_commands_read_the_policy_once(tmp_path, monkeypatch,
+                                              command):
+    """simulate and curves open the policy file once, so the echoed
+    hash pins the bytes the policy was read from."""
+    cfg, out = setup_run(tmp_path)
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 0
+    policy = str(tmp_path / "out" / "policy.json")
+    raw_open = builtins.open
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return raw_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    assert cli.main([command, "--config", cfg, "--out", out]) == 0
+    monkeypatch.undo()
+    assert opened.count(policy) == 1
+    echo = yaml.safe_load((tmp_path / "out" / "resolved_config.yaml")
+                          .read_text())
+    assert echo["source"]["policy_sha256"] == hashlib.sha256(
+        Path(policy).read_bytes()).hexdigest()
+
+
 def _exit_code(argv):
     """The exit code of cli.main, argparse's rejections included."""
     try:
@@ -533,7 +558,19 @@ DATA_ERRORS = {
     "policy without pools": lambda tmp: (
         "simulate", CONFIG, _policy(tmp, lambda payload: {
             k: v for k, v in payload.items() if k != "pools"})),
+    "policy missing": lambda tmp: (
+        "curves", CONFIG, ["--policy", str(tmp / "gone.json")]),
+    "policy a directory": lambda tmp: (
+        "simulate", CONFIG, ["--policy", str(tmp)]),
+    "policy not JSON": lambda tmp: (
+        "curves", CONFIG, ["--policy", _write(tmp / "bad.json", "{not")]),
 }
+
+
+def _write(path, text):
+    """Write ``text`` to ``path`` and return the path as a string."""
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.mark.parametrize("case", DATA_ERRORS)

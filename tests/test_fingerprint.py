@@ -40,3 +40,14 @@ def test_run_restores_sys_path_when_it_raises(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="not the package under"):
         fingerprint.run(tmp_path)
     assert sys.path == path
+
+
+def test_stages_digest_repeats(monkeypatch):
+    """The stages line solves each of its three stages cold, after the
+    level move and after the cut, and two runs give one digest."""
+    fingerprint = _load()
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from stockpile import lp
+    first = fingerprint._stages(lp)
+    assert first[1] == 3 * len(fingerprint.STAGE_PERIODS)
+    assert fingerprint._stages(lp) == first

@@ -896,7 +896,7 @@ def _swap_kind(sx, r, q):
         return (_SWAPS[1], 1) if unit_out else (_SWAPS[0], 0)
     if not unit_out:
         return _SWAPS[2], -1
-    same = sx.urow[r] == sx.entry_row[sx.colptr[q]]
+    same = sx.urow[r] == sx.entry_row[sx.unit_entry[q - sx.ns]]
     return (_SWAPS[3] if same else _SWAPS[4]), 0
 
 
@@ -1000,7 +1000,7 @@ def _copying_update(sx, r, q, d, rho):
         new[k, :k] = h
         new[k, k] = 1.0 / delta
         return new
-    i = sx.entry_row[sx.colptr[q]]
+    i = sx.entry_row[sx.unit_entry[q - sx.ns]]
     slot = sx.rslot[i]
     if t >= 0:
         keep_k = np.arange(k) != t
@@ -1022,7 +1022,7 @@ def _shrink_at(sx, r, q, where):
     k = len(sx.kpos)
     at = {"first": 0, "middle": k // 2, "last": k - 1}[where]
     return (sx.kslot[sx.basis[r]] == at
-            and sx.rslot[sx.entry_row[sx.colptr[q]]] == at)
+            and sx.rslot[sx.entry_row[sx.unit_entry[q - sx.ns]]] == at)
 
 
 def test_in_place_factor_updates_match_copying_formulas():
@@ -1448,9 +1448,8 @@ def test_rows_appended_one_at_a_time_solve_as_rows_appended_at_once():
     whole.append_rows(np.arange(7) * 4, np.concatenate([r[0] for r in rows]),
                       np.concatenate([r[1] for r in rows]), ["<="] * 6,
                       [r[2] for r in rows], [r[3] for r in rows])
-    for name in ("colptr", "entry_col", "entry_row", "entry_val", "rowptr",
-                 "row_col", "row_val", "b_s", "c", "lower", "upper",
-                 "rscale"):
+    for name in ("rowptr", "entry_row", "entry_col", "entry_val", "b_s", "c",
+                 "lower", "upper", "rscale"):
         assert getattr(one, name).tobytes() == getattr(whole, name).tobytes()
     a, b = lp.solve(one), lp.solve(whole)
     _same_solution(a, b)
@@ -1525,15 +1524,36 @@ def test_state_checks_empty_rows_at_each_solve(monkeypatch):
     assert sol.objective == lp.solve(state.instance()).objective
 
 
+def test_append_keeps_the_held_entries_as_a_prefix():
+    """An append adds its rows' entries after those held and moves none
+    of them: the arrays held before are an unchanged prefix of the
+    arrays after."""
+    state = lp.LpState(_sparse_feasible_lp(11))
+    lp.solve(state)
+    held = [getattr(state, name).copy()
+            for name in ("rowptr", "entry_row", "entry_col", "entry_val")]
+    state.append_rows([0, 3, 5], [4, 0, 2, 9, 1], [1.0, -2.0, 0.5, 3.0, 1.0],
+                      ["<=", ">="], [8.0, -1.0], ["c0", "c1"])
+    for before, name in zip(held, ("rowptr", "entry_row", "entry_col",
+                                   "entry_val")):
+        after = getattr(state, name)
+        assert len(after) > len(before)
+        assert after[:len(before)].tobytes() == before.tobytes()
+    assert lp.solve(state).objective == pytest.approx(
+        lp.solve(state.instance()).objective, rel=1e-9)
+
+
 def test_template_and_appended_rows_take_one_row_path():
     """The template's rows and appended ones go into a state by one
     path. A template with an empty row, an explicit zero and a column
     repeated within a row, grown by two blocks that hold a row whose
-    entries cancel and an empty row, ends with one consistent store: the
-    column-ordered entries are the row-ordered ones, rows ascend within
-    each column, the slacks' unit entries come last and ``colptr`` spans
-    them, every row is a simplex row, an empty one holding only its
-    slack, and each row's slack bounds are those its sense sets."""
+    entries cancel and an empty row, ends with one entry list in row
+    order: each row holds its entries as they arrived (a template row
+    as ``_entries`` gives it, an appended one by column) and then its
+    slack's unit entry, an empty row its slack alone, and a cold
+    simplex's artificials come after the last row. Every row is a
+    simplex row, and each row's slack bounds are those its sense
+    sets."""
     inst = lp.LpInstance(
         objective=np.ones(3), indptr=np.array([0, 3, 3, 5]),
         indices=np.array([0, 1, 1, 0, 2]),
@@ -1552,29 +1572,30 @@ def test_template_and_appended_rows_take_one_row_path():
         "r0", "r1", "r2", "a0", "a1", "b0", "b1"]
     assert lp._Simplex(state).m == len(state.b_s) == len(state.rscale) == m
 
-    nz = state.colptr[n]
-    by_col = set(zip(state.entry_row[:nz].tolist(),
-                     state.entry_col[:nz].tolist(),
-                     state.entry_val[:nz].tolist()))
-    row = np.arange(m).repeat(np.diff(state.rowptr))
-    by_row = set(zip(row.tolist(), state.row_col.tolist(),
-                     state.row_val.tolist()))
-    assert by_col == by_row and len(by_col) == nz == state.rowptr[-1] == 7
-    for j in range(n):
-        col = slice(state.colptr[j], state.colptr[j + 1])
-        assert (state.entry_col[col] == j).all()
-        assert (np.diff(state.entry_row[col]) > 0).all()
+    assert (np.diff(state.entry_row) >= 0).all()
+    assert state.rowptr.tolist() == [0, 3, 4, 6, 9, 10, 11, 14]
+    assert len(state.entry_row) == len(state.entry_col) \
+        == len(state.entry_val) == state.rowptr[-1]
+    cols = [[0, 1], [], [2], [0, 1], [], [], [0, 2]]
+    for i, want in enumerate(cols):
+        nz = slice(state.rowptr[i], state.rowptr[i + 1])
+        assert (state.entry_row[nz] == i).all()
+        assert state.entry_col[nz].tolist() == want + [n + i]
+        assert state.entry_val[nz][-1] == 1.0
+    structural = state.entry_col < n
+    assert (state.entry_val[structural] != 0.0).all()
+    row, col, _ = lp._entries(inst.indptr, inst.indices, inst.values)
+    assert state.entry_row[structural][:len(row)].tolist() == row.tolist()
+    assert state.entry_col[structural][:len(col)].tolist() == col.tolist()
 
-    assert len(state.colptr) == n + m + 1
-    assert state.colptr[-1] == len(state.entry_col) == nz + m
-    assert state.colptr[n:].tolist() == list(range(nz, nz + m + 1))
-    assert state.entry_col[nz:].tolist() == list(range(n, n + m))
-    assert state.entry_row[nz:].tolist() == list(range(m))
-    assert state.entry_val[nz:].tolist() == [1.0] * m
-
-    for i in (1, 4, 5):                         # the empty rows
-        (at,) = (state.entry_row == i).nonzero()[0]
-        assert (state.entry_col[at], state.entry_val[at]) == (n + i, 1.0)
+    sx = lp._Simplex(state)
+    assert sx.unit_entry.tolist() == (state.rowptr[1:] - 1).tolist()
+    sx.add_units(np.array([1, 4]), np.array([1.0, -1.0]))
+    end = state.rowptr[-1]
+    assert sx.entry_row[end:].tolist() == [1, 4]
+    assert sx.entry_col[end:].tolist() == [n + m, n + m + 1]
+    assert sx.entry_val[end:].tolist() == [1.0, -1.0]
+    assert sx.unit_entry[m:].tolist() == [end, end + 1]
 
     bounds = {"<=": (0.0, np.inf), ">=": (-np.inf, 0.0), "=": (0.0, 0.0)}
     assert list(zip(state.lower[n:].tolist(), state.upper[n:].tolist())) \

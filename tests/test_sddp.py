@@ -1,5 +1,6 @@
 """Tests for the nested-decomposition training engine."""
 
+import hashlib
 import json
 import sys
 
@@ -374,8 +375,9 @@ def test_fishing_duals_match_finite_differences():
 
 
 def test_policy_roundtrip(tmp_path):
-    """Save and reload must preserve capacities, pools and the bound;
-    a different catalog must be rejected."""
+    """Save and reload must preserve capacities, pools and the bound,
+    and the reload hashes the bytes it read; a different catalog must
+    be rejected."""
     catalog = wind_ldes_catalog()
     scenario = model.MarketScenario(name="ni", voll=1000.0)
     lattice = two_stage_lattice()
@@ -383,7 +385,8 @@ def test_policy_roundtrip(tmp_path):
                         sddp.TrainOptions(max_iterations=6, seed=8))
     path = tmp_path / "policy.json"
     sddp.save_policy(policy, path)
-    loaded = sddp.load_policy(path, catalog, scenario, lattice)
+    loaded, digest = sddp.load_policy(path, catalog, scenario, lattice)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert np.array_equal(loaded.capacities, policy.capacities)
     assert sddp.lower_bound(loaded) == pytest.approx(
         sddp.lower_bound(policy), rel=1e-12)
@@ -527,8 +530,8 @@ def test_simulation_is_bit_reproducible(canonical, tmp_path):
     policy = _train_canonical(canonical, 15)
     path = tmp_path / "policy.json"
     sddp.save_policy(policy, path)
-    loaded = sddp.load_policy(path, canonical["catalog"],
-                              canonical["scenario"], canonical["lattice"])
+    loaded, _ = sddp.load_policy(path, canonical["catalog"],
+                                 canonical["scenario"], canonical["lattice"])
     paths = canonical["paths"] * 2
     first = _costs_and_prices(sddp.simulate(policy, paths))
     assert _costs_and_prices(sddp.simulate(policy, paths)) == first
@@ -764,8 +767,8 @@ def test_policy_file_with_a_copied_cut_loads_and_simulates(canonical,
     payload = json.loads(path.read_text())
     payload["pools"]["1"].append(dict(payload["pools"]["1"][0], iteration=11))
     path.write_text(json.dumps(payload))
-    loaded = sddp.load_policy(path, canonical["catalog"],
-                              canonical["scenario"], canonical["lattice"])
+    loaded, _ = sddp.load_policy(path, canonical["catalog"],
+                                 canonical["scenario"], canonical["lattice"])
     cuts = loaded.pools[1]
     assert len(cuts) == len(policy.pools[1]) + 1
     assert cuts[-1].intercept == cuts[0].intercept

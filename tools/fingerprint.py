@@ -31,6 +31,15 @@ three groups and prints SHA-256 digests:
     alone. The wall-clock ``seconds`` column of ``training_log.csv`` is
     dropped before hashing. These runs come after the ``lp.solve`` spy
     is removed, so their solves are in no other digest.
+``stages``
+    over the solves of the dispatch stages ``tools/stage_scaling.py``
+    solves through one ``lp.LpState`` at H = 24, 96 and 192 periods,
+    with its weather, decision, level move and cut: cold, after the
+    incoming level moves and after the cut is appended, each solve's
+    status, objective, primal, duals and reduced costs. These LPs have
+    the rows of a full stage, with many entries each. It is printed
+    apart, with the count of those solves and the totals of their
+    counters, and is in no other digest.
 
 It also prints the cut count of each pool of every canonical policy
 (by training seed) and of the sector policy, then the number of those
@@ -59,6 +68,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import os
 import sys
@@ -83,6 +93,7 @@ REFERENCE_SHAPE = (3, 2, 2)
 REFERENCE_SEEDS = (1, 2, 3)
 README_CONFIG = "A complete config for a toy two-stage system:\n\n```yaml\n"
 COMMANDS = ("train", "simulate", "bench", "curves", "oracle")
+STAGE_PERIODS = (24, 96, 192)
 
 
 def _feed(h, obj) -> None:
@@ -148,14 +159,42 @@ def _outputs(root: Path, cli) -> dict:
     return {"all": digest.hexdigest(), **files}
 
 
+def _stages(lp) -> tuple[str, int, dict]:
+    """The stages digest (see the module docstring), the number of its
+    solves and the totals of their counters, solved by the package
+    ``lp``."""
+    spec = importlib.util.spec_from_file_location(
+        "stage_scaling", Path(__file__).resolve().parent / "stage_scaling.py")
+    stage_scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_scaling)
+    digest = hashlib.sha256()
+    sols = []
+    for h in STAGE_PERIODS:
+        problem, inst, moved = stage_scaling.stage_lps(h)
+        state = lp.LpState(inst)
+        sols.append(lp.solve(state))
+        rows = list(problem.fishing_rows)
+        state.set_rhs(rows, moved.rhs[rows])
+        sols.append(lp.solve(state))
+        stage_scaling.append_cut(state, problem)
+        sols.append(lp.solve(state))
+    for sol in sols:
+        _feed(digest, (sol.status, sol.objective, sol.primal, sol.duals,
+                       sol.reduced_costs))
+    totals = {name: sum(getattr(sol, name) for sol in sols)
+              for name in COUNTERS}
+    return digest.hexdigest(), len(sols), totals
+
+
 def run(root: Path) -> tuple[dict, dict, str, tuple, dict, dict, dict,
-                             tuple]:
+                             tuple, tuple]:
     """The results digest of each group and over all of them, the cut
     count of each pool of each trained policy, the solves digest, the
     KKT digest with the periods checked and the violations, the solve
     count by ``start``, the totals of the solve counters, the outputs
-    digests, and the pivots of the longest restart with the restart
-    budget, of the tree at ``root``."""
+    digests, the pivots of the longest restart with the restart budget,
+    and the stages digest with its solve count and counter totals, of
+    the tree at ``root``."""
     saved_path = list(sys.path)
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     try:
@@ -246,7 +285,7 @@ def _run(root: Path) -> tuple:
     restart = ("n/a" if "unlabelled" in count else max(restarts),
                getattr(lp, "_PIVOT_LIMIT", "n/a"))
     return (digests, pools, solves.hexdigest(), kkt, count, totals,
-            _outputs(root, cli), restart)
+            _outputs(root, cli), restart, _stages(lp))
 
 
 def main(argv=None) -> int:
@@ -255,16 +294,15 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    results, pools, solves, kkt, count, totals, outputs, restart = run(
-        root.resolve())
+    (results, pools, solves, kkt, count, totals, outputs, restart,
+     stages) = run(root.resolve())
     print(f"results {results.pop('all')}")
     for group, digest in results.items():
         print(f"  {group:<10} {digest}")
     print("pools   " + ", ".join(f"{name}: {'/'.join(map(str, sizes))}"
                                  for name, sizes in pools.items()))
     split = ", ".join(f"{n} {start}" for start, n in count.items())
-    work = ", ".join(f"{'n/a' if n is None else n} {name.replace('_', ' ')}"
-                     for name, n in totals.items())
+    work = _work(totals)
     print(f"solves  {solves} ({sum(count.values())} solves: {split}; "
           f"{work})")
     print(f"restart {restart[0]} pivots at the longest, of a budget of "
@@ -274,7 +312,14 @@ def main(argv=None) -> int:
     print(f"outputs {outputs.pop('all')} ({len(outputs)} files)")
     for name, digest in outputs.items():
         print(f"  {name:<32} {digest}")
+    print(f"stages  {stages[0]} ({stages[1]} solves; {_work(stages[2])})")
     return 0
+
+
+def _work(totals: dict) -> str:
+    """The totals of the solve counters as printed."""
+    return ", ".join(f"{'n/a' if n is None else n} {name.replace('_', ' ')}"
+                     for name, n in totals.items())
 
 
 if __name__ == "__main__":

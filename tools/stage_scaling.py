@@ -73,11 +73,12 @@ def held_factor_mb(state):
     return inv.nbytes / 2**20
 
 
-def measure(h: int) -> dict:
-    """The figures of one stage with ``h`` periods."""
+def stage_lps(h: int) -> tuple:
+    """The stage with ``h`` periods: the stage problem, and its
+    instance at the incoming level ``LEVEL`` and at ``MOVED_LEVEL``."""
     import numpy as np
     import instances
-    from stockpile import lp, model
+    from stockpile import model
 
     catalog, scenario, _ = instances.canonical_instance()
     weather = instances.scaling_stage_weather(np.random.default_rng(h), h)
@@ -90,7 +91,24 @@ def measure(h: int) -> dict:
         return model.apply_incoming_state(
             problem, decision.to_state(problem.layout)).instance
 
-    inst, moved = stage(LEVEL), stage(MOVED_LEVEL)
+    return problem, stage(LEVEL), stage(MOVED_LEVEL)
+
+
+def append_cut(state, problem) -> None:
+    """Append ``CUT`` on the closing level to ``state``, an
+    ``lp.LpState`` of the stage ``problem``."""
+    from stockpile import lp
+
+    level = problem.state_columns[problem.layout.position("level:cavern")]
+    state.append_rows([0, 2], [problem.theta_column, level], CUT[:2],
+                      [lp.GREATER_EQUAL], [CUT[2]], ["cut:0"])
+
+
+def measure(h: int) -> dict:
+    """The figures of one stage with ``h`` periods."""
+    from stockpile import lp
+
+    problem, inst, moved = stage_lps(h)
     # a state built from one instance solves it as lp.solve does
     state = lp.LpState(inst) if hasattr(lp, "LpState") else inst
     cold, cold_s = _timed(lambda: lp.solve(state))
@@ -122,9 +140,7 @@ def measure(h: int) -> dict:
                                f"{again.status} ({again.start})")
         row.update(persistent_s=again_s, persistent_pivots=again.iterations,
                    persistent_refactors=again.refactors)
-        level = problem.state_columns[problem.layout.position("level:cavern")]
-        state.append_rows([0, 2], [problem.theta_column, level], CUT[:2],
-                          [lp.GREATER_EQUAL], [CUT[2]], ["cut:0"])
+        append_cut(state, problem)
         cut, cut_s = _timed(lambda: lp.solve(state))
         if cut.status != lp.OPTIMAL or cut.start != "warm":
             raise RuntimeError(f"H={h}: solve after the cut ended "
