@@ -622,8 +622,15 @@ class _Simplex:
 
     def _ftran(self, v):
         """``B^-1 v`` for ``v`` over rows, as a vector over basis
-        positions: d_K = A_RK^-1 v_R, then d_U = sigma (v_S - A_SK d_K)."""
-        dk = self.inv @ v[self.rrow]
+        positions: d_K = A_RK^-1 v_R, then d_U = sigma (v_S - A_SK d_K).
+        A column with no entry on R, as most unit columns are, has v_R
+        zero, so d_K is zero and d_U is sigma v_S."""
+        vr = v[self.rrow]
+        if not np.count_nonzero(vr):
+            d = self.usign * v[self.urow]
+            d[self.kpos] = 0.0
+            return d
+        dk = self.inv @ vr
         xk = np.zeros(self.n)
         xk[self.basis[self.kpos]] = dk
         d = self.usign * (v - self.times(xk))[self.urow]
@@ -645,9 +652,14 @@ class _Simplex:
         return y
 
     def column(self, j):
-        """Column ``j`` times the current inverse."""
+        """Column ``j`` times the current inverse. A unit column's one
+        entry is read at ``unit_entry``, a structural's found by a mask
+        over the entry list."""
         v = np.zeros(self.m)
-        at = self.entry_col == j
+        if j >= self.ns:
+            at = self.unit_entry[j - self.ns]
+        else:
+            at = self.entry_col == j
         v[self.entry_row[at]] = self.entry_val[at]
         return self._ftran(v)
 

@@ -43,9 +43,14 @@ ones; :func:`backward_pass` and :func:`lower_bound` only read those.
 :func:`train` keeps one dict, which the capacity solve that sets the
 new :class:`Policy`'s capacities enters first, and passes it to
 :func:`forward_pass`, :func:`backward_pass` and :func:`lower_bound`.
-Each :func:`simulate` call starts a fresh one, so a simulation solves
-one problem per dispatch stage cold, on its first path. The states die
-with their dict; none is stored on the policy or in its JSON.
+Wherever it sets the policy's capacities, it also copies the dict's
+per-stage bases to the policy's ``stage_bases``, which ``policy.json``
+carries. Each :func:`simulate` call starts a fresh dict holding those
+bases alone, so the first visit of every (stage, realization) restarts
+from a basis and none is solved cold. A policy without stage bases,
+one loaded from a version-1 file, solves one problem per dispatch
+stage cold, on its first path. The states die with their dict; none
+is stored on the policy or in its JSON.
 
 The same dict serves repeated solves. A solve whose incoming state has
 the same bytes, and whose pool the same length, as the last solve of its
@@ -88,7 +93,12 @@ from .errors import DataError, DimensionMismatch, SolverFailure
 from .tables import csv_text
 from .weather import SamplingLattice, WeatherPath, sample_path
 
-POLICY_FORMAT_VERSION = 1
+POLICY_FORMAT_VERSION = 2
+# version 1 files carry no stage bases; their policies simulate cold
+_READABLE_FORMATS = (1, POLICY_FORMAT_VERSION)
+# basis statuses are saved as these digits, status s as digit s; status
+# 0 is basic (see stockpile.lp)
+_STATUS_DIGITS = "01234"
 
 
 @dataclass(frozen=True)
@@ -236,6 +246,13 @@ class Policy:
     constructor solves the capacity stage under the empty pools, in
     :func:`train` through the run's dict of last solves ``_solves``, so
     that the first forward pass is served that solve.
+
+    ``stage_bases`` maps each dispatch stage to the
+    :attr:`stockpile.lp.LpSolution.basis` of the last solve of that
+    stage that a training rollout made, as of the capacity decision:
+    :func:`train` sets the two together, and :func:`simulate` starts
+    from these bases. It is empty for an untrained policy and for one
+    loaded from a version-1 file.
     """
 
     def __init__(self, catalog: model.TechnologyCatalog,
@@ -250,6 +267,7 @@ class Policy:
             t: [] for t in range(1, self.n_stages + 1)}
         self.training_log: list[tuple[int, float, float]] = []
         self.stopped_reason: str | None = None
+        self.stage_bases: dict[int, tuple] = {}
         self._templates: dict = {}
         self.capacities = (model.extract_state(*self._solve(0, 0,
                                                             bases=_solves))
@@ -282,10 +300,11 @@ class Policy:
         fishing right-hand sides, appends the cuts added to the pool
         since its last solve and restarts from the factor the state
         kept. A key with no entry yet gets a state built from the stage
-        template, which restarts from the stage's basis stored by
-        :func:`_rollout`, if any, and else solves cold. The solve then
-        stores its state and solution under its key; it never writes the
-        stage's entry. When the incoming state's bytes and the pool
+        template, which restarts from the stage's basis in ``bases``
+        (stored by :func:`_rollout`, or taken from the policy's
+        ``stage_bases`` by :func:`simulate`), if any, and else solves
+        cold. The solve then stores its state and solution under its
+        key; it never writes the stage's entry. When the incoming state's bytes and the pool
         length both equal those of the stored solve, the problem is the
         same, so the stored (problem, solution) pair is returned without
         solving; the state's restart from its own factor would
@@ -343,7 +362,51 @@ class Policy:
             "pools": pools,
             "training_log": [list(row) for row in self.training_log],
             "stopped_reason": self.stopped_reason,
+            "stage_bases": {
+                str(t): {"columns": _status_text(cols),
+                         "rows": _status_text(rows)}
+                for t, (cols, rows) in self.stage_bases.items()},
         }
+
+    def _check_stage_basis(self, t: int, cols, rows) -> None:
+        """Raise :class:`~stockpile.errors.DataError` unless ``(cols,
+        rows)`` can be a basis of dispatch stage ``t`` under the pools:
+        one status per variable of the stage, one per row of its
+        template and of at most every cut of its pool, and as many basic
+        statuses as rows."""
+        if t not in self.pools:
+            raise DataError(f"policy has a stage basis for stage {t!r}, "
+                            f"outside 1..{self.n_stages}")
+        instance = self._template(t, 0).instance
+        if len(cols) != instance.n_vars:
+            raise DataError(f"policy stage basis {t} has {len(cols)} column "
+                            f"statuses for the stage's {instance.n_vars} "
+                            f"variables")
+        most = instance.n_rows + len(self.pools.get(t + 1, ()))
+        if not instance.n_rows <= len(rows) <= most:
+            raise DataError(f"policy stage basis {t} has {len(rows)} row "
+                            f"statuses, outside the stage's "
+                            f"{instance.n_rows}..{most} rows")
+        basic = int((cols == 0).sum() + (rows == 0).sum())
+        if basic != len(rows):
+            raise DataError(f"policy stage basis {t} has {basic} basic "
+                            f"statuses for its {len(rows)} rows")
+
+
+def _status_text(status) -> str:
+    """Basis statuses as a string of digits, one per status."""
+    return (np.asarray(status, dtype=np.uint8) + ord("0")).tobytes().decode()
+
+
+def _status_array(text, t: int) -> np.ndarray:
+    """The read-only statuses a :func:`_status_text` string of stage
+    ``t``'s basis holds."""
+    if not isinstance(text, str) or not set(text) <= set(_STATUS_DIGITS):
+        raise DataError(f"policy stage basis {t} holds a status that is "
+                        f"not one of the digits {_STATUS_DIGITS}")
+    status = np.frombuffer(text.encode(), dtype=np.int8) - ord("0")
+    status.setflags(write=False)
+    return status
 
 
 def catalog_fingerprint(catalog: model.TechnologyCatalog,
@@ -374,14 +437,23 @@ def load_policy(path, catalog: model.TechnologyCatalog,
     as does a file that cannot be read or parsed, whose structure is
     not that of a saved policy, or whose capacities are not one finite
     number per state entry.
+
+    Format version 2 stores the policy's ``stage_bases``: per dispatch
+    stage, its column and row statuses as digit strings. A basis of a
+    stage outside 1..T, with a status outside 0-4, with other than one
+    column status per stage variable, with fewer row statuses than the
+    stage template has rows or more than those plus the cuts of the
+    stage's pool, or with other than one basic status per row is a
+    :class:`~stockpile.errors.DataError`. A version-1 file still loads,
+    as a policy with no stage bases.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         payload = json.loads(data)
-        if payload.get("format_version") != POLICY_FORMAT_VERSION:
-            raise DataError(f"unsupported policy format "
-                            f"{payload.get('format_version')!r}")
+        version = payload.get("format_version")
+        if version not in _READABLE_FORMATS:
+            raise DataError(f"unsupported policy format {version!r}")
         if payload["catalog_hash"] != catalog_fingerprint(catalog, scenario):
             raise DataError(
                 "policy was trained on a different catalog/scenario")
@@ -414,6 +486,14 @@ def load_policy(path, catalog: model.TechnologyCatalog,
                                 f"state size {size}")
         policy.training_log = [tuple(row) for row in payload["training_log"]]
         policy.stopped_reason = payload["stopped_reason"]
+        # pools first: a stage basis may have a row per cut of its pool
+        bases = payload["stage_bases"] if version > 1 else {}
+        for t_str, basis in bases.items():
+            t = int(t_str)
+            cols = _status_array(basis["columns"], t)
+            rows = _status_array(basis["rows"], t)
+            policy._check_stage_basis(t, cols, rows)
+            policy.stage_bases[t] = (cols, rows)
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             DimensionMismatch) as exc:
         raise DataError(f"cannot read policy {str(path)!r}: "
@@ -541,13 +621,17 @@ def simulate(policy: Policy, paths) -> list:
     follows the learned cost-to-go pools. Each stage solve restarts
     from the basis of the last solve of its (stage, realization) within
     this call, or, on that realization's first visit, from the last
-    solve of its stage; so only the first path's solves start cold.
+    solve of its stage, in this call or else in training (the policy's
+    ``stage_bases``). So no solve starts cold, except, for a policy
+    without stage bases, the first path's. Each call starts from the
+    policy's stage bases alone, so two calls on the same paths agree
+    bit for bit.
     """
     x0 = np.asarray(policy.capacities, dtype=float)
     first = StageRecord(stage=0, node=None, incoming=None, outgoing=x0,
                         stage_cost=_capital_cost(policy, x0), theta=None,
                         dispatch=None)
-    bases = {}
+    bases = dict(policy.stage_bases)
     return [_rollout(policy, path, first, bases) for path in paths]
 
 
@@ -565,6 +649,15 @@ def upper_bound_estimate(policy: Policy, n_paths: int,
                       n_paths=n_paths)
 
 
+def _decide(policy: Policy, bases) -> None:
+    """Set the policy's capacities to the capacity-stage optimum under
+    its pools, and its stage bases to those of ``bases``, a run's dict
+    of last solves."""
+    policy.capacities = model.extract_state(*policy._solve(0, 0, bases=bases))
+    policy.stage_bases = {t: basis for t, basis in bases.items()
+                          if isinstance(t, int)}
+
+
 def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
           lattice: SamplingLattice,
           options: TrainOptions | None = None) -> Policy:
@@ -576,7 +669,10 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
     pass. All training solves restart from, and are served by, one dict
     of last solves (see :meth:`Policy._solve`). The final capacity
     decision is the capacity-stage optimum under the final pool, which
-    the last bound solve already found.
+    the last bound solve already found. With each capacity decision, at
+    the end and at each gap check, the policy takes the dict's stage
+    bases, so the gap check's simulation, and every later one, starts
+    from where the training rollouts ended.
     """
     opt = options or TrainOptions()
     bases = {}
@@ -594,8 +690,7 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
         policy.training_log.append((k, lb, forward_cost))
         log_rows.append((k, time.monotonic() - start, lb, forward_cost))
         if opt.stop_on_gap and k % opt.gap_check_every == 0:
-            policy.capacities = model.extract_state(
-                *policy._solve(0, 0, bases=bases))
+            _decide(policy, bases)
             ub = upper_bound_estimate(policy, opt.gap_paths,
                                       rng_seed=opt.seed + k)
             if lb >= ub.mean - 2 * ub.std_error:
@@ -605,7 +700,7 @@ def train(catalog: model.TechnologyCatalog, scenario: model.MarketScenario,
                 time.monotonic() - start) > opt.time_limit:
             policy.stopped_reason = "time_limit"
             break
-    policy.capacities = model.extract_state(*policy._solve(0, 0, bases=bases))
+    _decide(policy, bases)
     if opt.log_path:
         with open(opt.log_path, "w") as fh:
             fh.write(csv_text(

@@ -558,6 +558,9 @@ DATA_ERRORS = {
     "policy without pools": lambda tmp: (
         "simulate", CONFIG, _policy(tmp, lambda payload: {
             k: v for k, v in payload.items() if k != "pools"})),
+    "policy without stage bases": lambda tmp: (
+        "simulate", CONFIG, _policy(tmp, lambda payload: {
+            k: v for k, v in payload.items() if k != "stage_bases"})),
     "policy missing": lambda tmp: (
         "curves", CONFIG, ["--policy", str(tmp / "gone.json")]),
     "policy a directory": lambda tmp: (

@@ -375,9 +375,9 @@ def test_fishing_duals_match_finite_differences():
 
 
 def test_policy_roundtrip(tmp_path):
-    """Save and reload must preserve capacities, pools and the bound,
-    and the reload hashes the bytes it read; a different catalog must
-    be rejected."""
+    """Save and reload must preserve capacities, pools, stage bases and
+    the bound, and the reload hashes the bytes it read; a different
+    catalog must be rejected."""
     catalog = wind_ldes_catalog()
     scenario = model.MarketScenario(name="ni", voll=1000.0)
     lattice = two_stage_lattice()
@@ -395,29 +395,63 @@ def test_policy_roundtrip(tmp_path):
         for a, b in zip(loaded.pools[t], policy.pools[t]):
             assert a.intercept == b.intercept
             assert np.array_equal(a.slope, b.slope)
+    assert loaded.stage_bases.keys() == policy.stage_bases.keys() == {1, 2}
+    for t, basis in policy.stage_bases.items():
+        for a, b in zip(loaded.stage_bases[t], basis, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
     other = wind_ldes_catalog(wind_capital=6.0)
     with pytest.raises(DataError):
         sddp.load_policy(path, other, scenario, lattice)
 
 
+def _edit_basis(part, edit):
+    """The change to a payload's stage bases that applies ``edit`` to
+    the ``part`` string ("columns" or "rows") of stage 1's basis."""
+    def change(bases):
+        return dict(bases, **{"1": dict(bases["1"],
+                                        **{part: edit(bases["1"][part])})})
+    return change
+
+
+# After two iterations on the two-stage lattice, stage 1 has 18 variables
+# and 19 template rows, and pool 2 holds two cuts; stage 1's basis, from
+# the last rollout, has a row for the one cut pool 2 held then.
 @pytest.mark.parametrize("key,value,message", [
     ("format_version", 99, "unsupported policy format 99"),
     ("state_labels", ["gen:wind"],
      "policy state layout does not match the catalog"),
     ("n_stages", 3, "policy stage count does not match the lattice"),
+    ("stage_bases", _edit_basis("columns", lambda s: "5" + s[1:]),
+     "policy stage basis 1 holds a status that is not one of the digits "
+     "01234"),
+    ("stage_bases", lambda bases: dict(bases, **{"3": bases["1"]}),
+     "policy has a stage basis for stage 3, outside 1..2"),
+    ("stage_bases", _edit_basis("columns", lambda s: s + "1"),
+     "policy stage basis 1 has 19 column statuses for the stage's 18 "
+     "variables"),
+    ("stage_bases", _edit_basis("rows", lambda s: s[:18]),
+     "policy stage basis 1 has 18 row statuses, outside the stage's "
+     "19..21 rows"),
+    ("stage_bases", _edit_basis("rows", lambda s: s + "00"),
+     "policy stage basis 1 has 22 row statuses, outside the stage's "
+     "19..21 rows"),
+    ("stage_bases", _edit_basis("columns", lambda s: s.replace("3", "0", 1)),
+     "policy stage basis 1 has 21 basic statuses for its 20 rows"),
 ])
 def test_load_policy_rejects_a_foreign_layout(tmp_path, key, value,
                                               message):
-    """A policy file of another format, state layout or stage count is
-    a data error at load."""
+    """A policy file of another format, state layout or stage count, or
+    with a stage basis that is not one of its stage, is a data error at
+    load."""
     catalog = wind_ldes_catalog()
     scenario = model.MarketScenario(name="ni", voll=1000.0)
     lattice = two_stage_lattice()
     policy = sddp.train(catalog, scenario, lattice,
-                        sddp.TrainOptions(max_iterations=0, seed=8))
+                        sddp.TrainOptions(max_iterations=2, seed=8))
     path = tmp_path / "policy.json"
     sddp.save_policy(policy, path)
     payload = json.loads(path.read_text())
+    value = value(payload[key]) if callable(value) else value
     assert payload[key] != value
     payload[key] = value
     path.write_text(json.dumps(payload))
@@ -525,8 +559,9 @@ def _costs_and_prices(runs):
 
 
 def test_simulation_is_bit_reproducible(canonical, tmp_path):
-    """Simulation warm-starts only within one call: a second call and a
-    reloaded policy give bit-identical costs and prices."""
+    """Simulation starts from the policy's stage bases, which its file
+    carries: a second call and a reloaded policy give bit-identical
+    costs and prices."""
     policy = _train_canonical(canonical, 15)
     path = tmp_path / "policy.json"
     sddp.save_policy(policy, path)
@@ -818,9 +853,21 @@ def test_sibling_basis_restarts_every_stage_warm(sector):
                                                        rel=1e-9)
 
 
+def _as_version_1(policy, path, catalog, scenario, lattice):
+    """``policy`` written to ``path`` as a version-1 file, which carries
+    no stage bases, and loaded back."""
+    payload = policy.to_payload()
+    del payload["stage_bases"]
+    payload["format_version"] = 1
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+    return sddp.load_policy(path, catalog, scenario, lattice)[0]
+
+
 def test_simulation_solves_one_stage_problem_cold_per_stage(sector,
-                                                            monkeypatch):
-    """A simulation solves only its first path's stages cold; every other
+                                                            monkeypatch,
+                                                            tmp_path):
+    """A policy loaded from a version-1 file has no stage bases, so its
+    simulation solves only its first path's stages cold; every other
     first visit of a (stage, realization) restarts from a sibling's
     basis, without a fallback. The first path is the all-cold rollout
     bit for bit, and every stage solve of every path is optimal: its
@@ -832,7 +879,11 @@ def test_simulation_solves_one_stage_problem_cold_per_stage(sector,
     end at another level from another start, and later stages differ
     from there on.
     """
-    policy, paths = sector["policy"], sector["paths"]
+    policy = _as_version_1(sector["policy"], tmp_path / "policy.json",
+                           sector["catalog"], sector["scenario"],
+                           sector["lattice"])
+    assert policy.stage_bases == {}
+    paths = sector["paths"]
     starts = []
     raw = lp.solve
 
@@ -857,6 +908,50 @@ def test_simulation_solves_one_stage_problem_cold_per_stage(sector,
             assert sol.start == "cold"
             objective = rec.stage_cost + (rec.theta or 0.0)
             assert objective == pytest.approx(sol.objective, rel=1e-9)
+
+
+def test_simulation_starts_every_solve_warm_from_the_stage_bases(
+        sector, monkeypatch):
+    """A trained policy carries the basis of each dispatch stage's last
+    training rollout solve, and its simulation starts from those: no
+    solve is cold and none falls back, and every solve is optimal, its
+    objective within 1e-9 of a cold solve of the instance it solved and
+    its primal feasible for that instance."""
+    policy = sector["policy"]
+    assert sorted(policy.stage_bases) == list(range(1, policy.n_stages + 1))
+    seen = _state_solves(monkeypatch)
+    sddp.simulate(policy, sector["paths"])
+    monkeypatch.undo()
+    starts = [sol.start for _, sol in seen]
+    assert len(starts) > policy.n_stages
+    assert starts.count("cold") == starts.count("fallback") == 0
+    for inst, sol in seen:
+        cold = lp.solve(inst)
+        assert cold.start == "cold"
+        assert cold.status == sol.status == lp.OPTIMAL
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9,
+                                              abs=1e-9)
+        assert _feasibility_error(inst, sol.primal) <= lp.FEASIBILITY_TOL
+
+
+def test_version_1_policy_file_simulates_as_before(canonical, tmp_path):
+    """A version-1 policy file loads with its capacities and pools and
+    no stage bases, and simulates bit for bit as simulation did before
+    policies carried them: every path rolled out in turn from one dict
+    of last solves that starts empty."""
+    policy = _train_canonical(canonical, 15)
+    loaded = _as_version_1(policy, tmp_path / "policy.json",
+                           canonical["catalog"], canonical["scenario"],
+                           canonical["lattice"])
+    assert loaded.stage_bases == {}
+    assert np.array_equal(loaded.capacities, policy.capacities)
+    assert loaded.to_payload()["pools"] == policy.to_payload()["pools"]
+    paths = canonical["paths"] * 2
+    runs = sddp.simulate(loaded, paths)
+    bases = {}
+    before = [sddp._rollout(loaded, path, runs[0].record(0), bases)
+              for path in paths]
+    assert _costs_and_prices(runs) == _costs_and_prices(before)
 
 
 def test_backward_pass_leaves_the_stage_bases_alone(sector):

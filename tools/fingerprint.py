@@ -50,8 +50,9 @@ totals of the solve counters (dual and primal pivots and refactors;
 "n/a" on a tree without them), and the longest restart, the most
 pivots any solve with ``start`` warm took, beside ``lp._PIVOT_LIMIT``,
 the pivots a restart may take before it falls back to a cold solve
-("n/a" on a tree whose solutions do not say how they started). None of
-these is part of a digest.
+("n/a" on a tree whose solutions do not say how they started). A line
+of its own splits the sector simulation's solves alone the same way.
+None of these is part of a digest.
 
 Two trees that print the same digests solved every LP of these runs to
 the same bits; a group's digest alone tells which groups a change
@@ -186,15 +187,15 @@ def _stages(lp) -> tuple[str, int, dict]:
     return digest.hexdigest(), len(sols), totals
 
 
-def run(root: Path) -> tuple[dict, dict, str, tuple, dict, dict, dict,
+def run(root: Path) -> tuple[dict, dict, str, tuple, dict, dict, dict, dict,
                              tuple, tuple]:
     """The results digest of each group and over all of them, the cut
     count of each pool of each trained policy, the solves digest, the
     KKT digest with the periods checked and the violations, the solve
-    count by ``start``, the totals of the solve counters, the outputs
-    digests, the pivots of the longest restart with the restart budget,
-    and the stages digest with its solve count and counter totals, of
-    the tree at ``root``."""
+    count by ``start`` and that of the sector simulation alone, the
+    totals of the solve counters, the outputs digests, the pivots of
+    the longest restart with the restart budget, and the stages digest
+    with its solve count and counter totals, of the tree at ``root``."""
     saved_path = list(sys.path)
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     try:
@@ -263,7 +264,10 @@ def _run(root: Path) -> tuple:
         pools["sector"] = [len(cuts) for cuts in policy.pools.values()]
         rng = np.random.default_rng(SECTOR_PATH_SEED)
         paths = [sample_path(lattice, rng) for _ in range(SECTOR_PATHS)]
+        before = dict(count)
         trajectories = sddp.simulate(policy, paths)
+        simulated = {start: n - before.get(start, 0)
+                     for start, n in count.items()}
         feed("sector", trajectories)
         audits = [analysis.kkt_audit(t, catalog) for t in trajectories]
         kkt = hashlib.sha256()
@@ -284,7 +288,7 @@ def _run(root: Path) -> tuple:
     digests = {key: h.hexdigest() for key, h in results.items()}
     restart = ("n/a" if "unlabelled" in count else max(restarts),
                getattr(lp, "_PIVOT_LIMIT", "n/a"))
-    return (digests, pools, solves.hexdigest(), kkt, count, totals,
+    return (digests, pools, solves.hexdigest(), kkt, count, simulated, totals,
             _outputs(root, cli), restart, _stages(lp))
 
 
@@ -294,17 +298,18 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    (results, pools, solves, kkt, count, totals, outputs, restart,
+    (results, pools, solves, kkt, count, simulated, totals, outputs, restart,
      stages) = run(root.resolve())
     print(f"results {results.pop('all')}")
     for group, digest in results.items():
         print(f"  {group:<10} {digest}")
     print("pools   " + ", ".join(f"{name}: {'/'.join(map(str, sizes))}"
                                  for name, sizes in pools.items()))
-    split = ", ".join(f"{n} {start}" for start, n in count.items())
     work = _work(totals)
-    print(f"solves  {solves} ({sum(count.values())} solves: {split}; "
+    print(f"solves  {solves} ({sum(count.values())} solves: {_split(count)}; "
           f"{work})")
+    print(f"sim     {sum(simulated.values())} solves of the sector simulation: "
+          f"{_split(simulated)}")
     print(f"restart {restart[0]} pivots at the longest, of a budget of "
           f"{restart[1]}")
     print(f"kkt     {kkt[0]} ({kkt[1]} periods checked, "
@@ -314,6 +319,11 @@ def main(argv=None) -> int:
         print(f"  {name:<32} {digest}")
     print(f"stages  {stages[0]} ({stages[1]} solves; {_work(stages[2])})")
     return 0
+
+
+def _split(count: dict) -> str:
+    """A solve count by ``start`` as printed."""
+    return ", ".join(f"{n} {start}" for start, n in count.items())
 
 
 def _work(totals: dict) -> str:
