@@ -389,6 +389,12 @@ class StageProblem:
     entry, again in layout order; pass-through entries point at the
     incoming copies, and in the capacity stage the running-level slots
     point at the opening-level variables.
+
+    ``series_columns`` and ``series_rows`` map the label prefix of each
+    per-period variable and row that :func:`extract_dispatch` reads
+    (``g:<generator>``, ``shed``, ``balance``, ``sbal:<storage>``, ...)
+    to its column or row per period, in period order; they are empty
+    for the capacity stage.
     """
 
     stage: int
@@ -399,6 +405,10 @@ class StageProblem:
     theta_column: int | None
     n_periods: int
     period_hours: float = 1.0
+    series_columns: Mapping[str, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False)
+    series_rows: Mapping[str, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -608,11 +618,31 @@ def build_dispatch_stage(t: int, catalog: TechnologyCatalog,
             cols.append(inst.var_index[f"e:{name}:{horizon - 1}"])
         else:
             cols.append(copies[p])
+    columns = [f"g:{r.name}" for r in catalog.generators]
+    columns += [f"{kind}:{s.name}" for s in catalog.storages
+                for kind in "fhe"]
+    columns += ["shed"] + ["spot"] * has_spot + ["lift"] * has_ltc
+    rows = ["balance"] + [f"sbal:{s.name}" for s in catalog.storages]
     return StageProblem(stage=t, instance=inst, layout=layout,
                         fishing_rows=tuple(fishing),
                         state_columns=tuple(cols), theta_column=theta,
                         n_periods=horizon,
-                        period_hours=weather.period_hours)
+                        period_hours=weather.period_hours,
+                        series_columns=_series(inst.var_index, columns,
+                                               horizon),
+                        series_rows=_series(inst.row_index, rows, horizon))
+
+
+def _series(index: Mapping[str, int], prefixes, horizon: int) -> dict:
+    """Per label prefix, the positions of ``<prefix>:0`` ..
+    ``<prefix>:<horizon - 1>`` in ``index``, as one read-only array."""
+    series = {}
+    for prefix in prefixes:
+        at = np.array([index[f"{prefix}:{h}"] for h in range(horizon)],
+                      dtype=np.intp)
+        at.setflags(write=False)
+        series[prefix] = at
+    return series
 
 
 def incoming_rhs(problem: StageProblem, x_in) -> np.ndarray:
@@ -658,24 +688,21 @@ def extract_dispatch(problem: StageProblem, sol: lp.LpSolution,
     if sol.status != lp.OPTIMAL:
         raise NotOptimal(f"stage {problem.stage} solve is {sol.status}")
     inst = problem.instance
-    horizon = problem.n_periods
+    columns, rows = problem.series_columns, problem.series_rows
 
     def series(prefix: str) -> np.ndarray:
-        return np.array([sol.primal[inst.var_index[f"{prefix}:{h}"]]
-                         for h in range(horizon)])
+        return sol.primal[columns[prefix]]
 
     generation = {r.name: series(f"g:{r.name}") for r in catalog.generators}
     discharge = {s.name: series(f"f:{s.name}") for s in catalog.storages}
     charge = {s.name: series(f"h:{s.name}") for s in catalog.storages}
     level = {s.name: series(f"e:{s.name}") for s in catalog.storages}
     shed = series("shed")
-    spot = series("spot") if "spot:0" in inst.var_index else None
-    lift = series("lift") if "lift:0" in inst.var_index else None
-    prices = np.array([sol.duals[inst.row_index[f"balance:{h}"]]
-                       for h in range(horizon)]) / _ENERGY_COST_SCALE
+    spot = series("spot") if "spot" in columns else None
+    lift = series("lift") if "lift" in columns else None
+    prices = sol.duals[rows["balance"]] / _ENERGY_COST_SCALE
     storage_values = {
-        s.name: np.array([sol.duals[inst.row_index[f"sbal:{s.name}:{h}"]]
-                          for h in range(horizon)]) / _ENERGY_COST_SCALE
+        s.name: sol.duals[rows[f"sbal:{s.name}"]] / _ENERGY_COST_SCALE
         for s in catalog.storages}
     cost = sol.objective
     if problem.theta_column is not None:

@@ -49,8 +49,8 @@ carries. Each :func:`simulate` call starts a fresh dict holding those
 bases alone, so the first visit of every (stage, realization) restarts
 from a basis and none is solved cold. A policy without stage bases,
 one loaded from a version-1 file, solves one problem per dispatch
-stage cold, on its first path. The states die with their dict; none
-is stored on the policy or in its JSON.
+stage cold, on the path it rolls out first. The states die with their
+dict; none is stored on the policy or in its JSON.
 
 The same dict serves repeated solves. A solve whose incoming state has
 the same bytes, and whose pool the same length, as the last solve of its
@@ -63,7 +63,12 @@ and at the end of :func:`train`), and the forward pass's last-stage
 solve to the backward pass. A backward pass that adds no cut to a pool
 also leaves the solves on that pool served: the lower bound, when pool
 1 did not grow, and each child solve that repeats its problem's last
-solve. In simulation, paths that share a prefix share its solves. The
+solve. In simulation, paths that share a prefix share its solves:
+:func:`simulate` rolls its paths out in lexicographic order of their
+node indices, in which the longest prefix a path shares with any path
+before it is the one it shares with the path just before it, so every
+stage of that prefix repeats the last solve of its (stage,
+realization) and is served. A path given twice costs no solve. The
 dict holds one state per lattice node and one basis per dispatch stage.
 
 Determinism: with a fixed seed, training twice yields bit-identical
@@ -372,12 +377,14 @@ class Policy:
         """Raise :class:`~stockpile.errors.DataError` unless ``(cols,
         rows)`` can be a basis of dispatch stage ``t`` under the pools:
         one status per variable of the stage, one per row of its
-        template and of at most every cut of its pool, and as many basic
-        statuses as rows."""
+        template and of at most every cut of its pool, as many basic
+        statuses as rows, and no nonbasic status at a bound its variable
+        or row slack lacks, the test a restart from the basis makes."""
         if t not in self.pools:
             raise DataError(f"policy has a stage basis for stage {t!r}, "
                             f"outside 1..{self.n_stages}")
-        instance = self._template(t, 0).instance
+        problem = self._template(t, 0)
+        instance = problem.instance
         if len(cols) != instance.n_vars:
             raise DataError(f"policy stage basis {t} has {len(cols)} column "
                             f"statuses for the stage's {instance.n_vars} "
@@ -391,6 +398,14 @@ class Policy:
         if basic != len(rows):
             raise DataError(f"policy stage basis {t} has {basic} basic "
                             f"statuses for its {len(rows)} rows")
+        state = lp.LpState(instance)
+        cuts = self.pools.get(t + 1, ())[:len(rows) - instance.n_rows]
+        if cuts:
+            state.append_rows(*cut_block(problem, cuts))
+        if not lp._status_fits(np.concatenate([cols, rows]), state.lower,
+                               state.upper):
+            raise DataError(f"policy stage basis {t} holds a status at a "
+                            f"bound its variable or row lacks")
 
 
 def _status_text(status) -> str:
@@ -443,7 +458,8 @@ def load_policy(path, catalog: model.TechnologyCatalog,
     stage outside 1..T, with a status outside 0-4, with other than one
     column status per stage variable, with fewer row statuses than the
     stage template has rows or more than those plus the cuts of the
-    stage's pool, or with other than one basic status per row is a
+    stage's pool, with other than one basic status per row, or with a
+    status at a bound its variable or row slack lacks is a
     :class:`~stockpile.errors.DataError`. A version-1 file still loads,
     as a policy with no stage bases.
     """
@@ -618,21 +634,35 @@ def simulate(policy: Policy, paths) -> list:
     """Run the trained policy over given paths with frozen capacities.
 
     Every trajectory shares the policy's capacity decision; dispatch
-    follows the learned cost-to-go pools. Each stage solve restarts
-    from the basis of the last solve of its (stage, realization) within
-    this call, or, on that realization's first visit, from the last
-    solve of its stage, in this call or else in training (the policy's
-    ``stage_bases``). So no solve starts cold, except, for a policy
-    without stage bases, the first path's. Each call starts from the
-    policy's stage bases alone, so two calls on the same paths agree
-    bit for bit.
+    follows the learned cost-to-go pools. The paths are rolled out in
+    lexicographic order of their ``node_indices``, not in the order
+    given, and the trajectories are returned in the order given. In
+    that order each path shares its longest prefix with the path
+    rolled out just before it, so each stage of that prefix repeats the
+    last solve of its (stage, realization) and is served without a
+    solve (see :meth:`Policy._solve`); a path given twice costs none.
+    Each other stage solve restarts from the basis of the last solve of
+    its (stage, realization) within this call, or, on that
+    realization's first visit, from the last solve of its stage, in
+    this call or else in training (the policy's ``stage_bases``). So no
+    solve starts cold, except, for a policy without stage bases, those
+    of the path rolled out first.
+
+    Each call starts from the policy's stage bases alone, and the order
+    of rollout depends only on the set of paths given, so a path's
+    trajectory does not depend on the order of the input or on
+    repeated paths, and two calls on the same paths agree bit for bit.
     """
     x0 = np.asarray(policy.capacities, dtype=float)
     first = StageRecord(stage=0, node=None, incoming=None, outgoing=x0,
                         stage_cost=_capital_cost(policy, x0), theta=None,
                         dispatch=None)
     bases = dict(policy.stage_bases)
-    return [_rollout(policy, path, first, bases) for path in paths]
+    paths = list(paths)
+    runs = [None] * len(paths)
+    for i in sorted(range(len(paths)), key=lambda i: paths[i].node_indices):
+        runs[i] = _rollout(policy, paths[i], first, bases)
+    return runs
 
 
 def upper_bound_estimate(policy: Policy, n_paths: int,

@@ -1,5 +1,6 @@
 """Tests for the nested-decomposition training engine."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -415,7 +416,8 @@ def _edit_basis(part, edit):
 
 # After two iterations on the two-stage lattice, stage 1 has 18 variables
 # and 19 template rows, and pool 2 holds two cuts; stage 1's basis, from
-# the last rollout, has a row for the one cut pool 2 held then.
+# the last rollout, has a row for the one cut pool 2 held then. Its
+# column 10, h:acc:0, has no upper bound and sits at its lower one.
 @pytest.mark.parametrize("key,value,message", [
     ("format_version", 99, "unsupported policy format 99"),
     ("state_labels", ["gen:wind"],
@@ -437,6 +439,9 @@ def _edit_basis(part, edit):
      "19..21 rows"),
     ("stage_bases", _edit_basis("columns", lambda s: s.replace("3", "0", 1)),
      "policy stage basis 1 has 21 basic statuses for its 20 rows"),
+    ("stage_bases", _edit_basis("columns", lambda s: s[:10] + "2" + s[11:]),
+     "policy stage basis 1 holds a status at a bound its variable or row "
+     "lacks"),
 ])
 def test_load_policy_rejects_a_foreign_layout(tmp_path, key, value,
                                               message):
@@ -867,11 +872,12 @@ def test_simulation_solves_one_stage_problem_cold_per_stage(sector,
                                                             monkeypatch,
                                                             tmp_path):
     """A policy loaded from a version-1 file has no stage bases, so its
-    simulation solves only its first path's stages cold; every other
-    first visit of a (stage, realization) restarts from a sibling's
-    basis, without a fallback. The first path is the all-cold rollout
-    bit for bit, and every stage solve of every path is optimal: its
-    objective is a cold solve's at the same incoming state.
+    simulation solves cold only the stages of the path it rolls out
+    first, the first in node order; every other first visit of a
+    (stage, realization) restarts from a sibling's basis, without a
+    fallback. That path is the all-cold rollout bit for bit, and every
+    stage solve of every path is optimal: its objective is a cold
+    solve's at the same incoming state.
 
     Paths are not compared with all-cold rollouts as a whole: a stage
     whose optimal face is not a point (here stage 2, where buying spot
@@ -900,8 +906,10 @@ def test_simulation_solves_one_stage_problem_cold_per_stage(sector,
     assert len(visited) > policy.n_stages
     monkeypatch.undo()
 
-    cold = sddp._rollout(policy, paths[0], runs[0].record(0), None)
-    assert _costs_and_prices([cold]) == _costs_and_prices(runs[:1])
+    first = min(range(len(paths)), key=lambda i: paths[i].node_indices)
+    assert first != 0
+    cold = sddp._rollout(policy, paths[first], runs[first].record(0), None)
+    assert _costs_and_prices([cold]) == _costs_and_prices([runs[first]])
     for run in runs:
         for rec in run.records[1:]:
             _, sol = policy._solve(rec.stage, rec.node, rec.incoming)
@@ -932,6 +940,63 @@ def test_simulation_starts_every_solve_warm_from_the_stage_bases(
         assert sol.objective == pytest.approx(cold.objective, rel=1e-9,
                                               abs=1e-9)
         assert _feasibility_error(inst, sol.primal) <= lp.FEASIBILITY_TOL
+
+
+def _record_bits(run):
+    """Every field of every record of a trajectory, arrays by dtype,
+    shape and bytes and floats by their exact repr, so two runs compare
+    equal only if they agree bit for bit."""
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, dict):
+            return tuple((key, bits(value[key])) for key in sorted(value))
+        if dataclasses.is_dataclass(value):
+            return tuple((f.name, bits(getattr(value, f.name)))
+                         for f in dataclasses.fields(value))
+        return repr(value)
+    return [bits(rec) for rec in run.records]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_simulation_does_not_depend_on_the_order_of_its_paths(
+        sector, tmp_path, version):
+    """Paths roll out in node order whatever order they come in, so
+    each path's trajectory is the same, bit for bit, when the input is
+    reversed; with the policy's stage bases and without them."""
+    policy = sector["policy"]
+    if version == 1:
+        policy = _as_version_1(policy, tmp_path / "policy.json",
+                               sector["catalog"], sector["scenario"],
+                               sector["lattice"])
+    paths = sector["paths"]
+    forward = sddp.simulate(policy, paths)
+    backward = sddp.simulate(policy, paths[::-1])[::-1]
+    assert [_record_bits(run) for run in backward] == [
+        _record_bits(run) for run in forward]
+
+
+def test_duplicate_paths_make_no_solve(sector, monkeypatch):
+    """A path given twice is served from the solves of its first
+    rollout: simulating the paths twice over makes as many ``lp.solve``
+    calls as simulating them once, and each copy's trajectory is the
+    first's, bit for bit."""
+    policy, paths = sector["policy"], sector["paths"]
+    calls = []
+    raw = lp.solve
+
+    def spy(problem, **kwargs):
+        calls.append(1)
+        return raw(problem, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", spy)
+    once = sddp.simulate(policy, paths)
+    n_once = len(calls)
+    twice = sddp.simulate(policy, paths + paths)
+    assert n_once > 0
+    assert len(calls) - n_once == n_once
+    assert [_record_bits(run) for run in twice] == [
+        _record_bits(run) for run in once + once]
 
 
 def test_version_1_policy_file_simulates_as_before(canonical, tmp_path):

@@ -51,7 +51,10 @@ totals of the solve counters (dual and primal pivots and refactors;
 pivots any solve with ``start`` warm took, beside ``lp._PIVOT_LIMIT``,
 the pivots a restart may take before it falls back to a cold solve
 ("n/a" on a tree whose solutions do not say how they started). A line
-of its own splits the sector simulation's solves alone the same way.
+of its own splits the sector simulation's solves alone the same way,
+beside its stage visits (paths times stages): a visit whose solve
+repeats the last one of its stage and realization is served without
+one.
 None of these is part of a digest.
 
 Two trees that print the same digests solved every LP of these runs to
@@ -187,15 +190,16 @@ def _stages(lp) -> tuple[str, int, dict]:
     return digest.hexdigest(), len(sols), totals
 
 
-def run(root: Path) -> tuple[dict, dict, str, tuple, dict, dict, dict, dict,
+def run(root: Path) -> tuple[dict, dict, str, tuple, dict, tuple, dict, dict,
                              tuple, tuple]:
     """The results digest of each group and over all of them, the cut
     count of each pool of each trained policy, the solves digest, the
     KKT digest with the periods checked and the violations, the solve
-    count by ``start`` and that of the sector simulation alone, the
-    totals of the solve counters, the outputs digests, the pivots of
-    the longest restart with the restart budget, and the stages digest
-    with its solve count and counter totals, of the tree at ``root``."""
+    count by ``start`` and that of the sector simulation alone with its
+    stage visits, the totals of the solve counters, the outputs
+    digests, the pivots of the longest restart with the restart budget,
+    and the stages digest with its solve count and counter totals, of
+    the tree at ``root``."""
     saved_path = list(sys.path)
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     try:
@@ -266,8 +270,9 @@ def _run(root: Path) -> tuple:
         paths = [sample_path(lattice, rng) for _ in range(SECTOR_PATHS)]
         before = dict(count)
         trajectories = sddp.simulate(policy, paths)
-        simulated = {start: n - before.get(start, 0)
-                     for start, n in count.items()}
+        simulated = ({start: n - before.get(start, 0)
+                      for start, n in count.items()},
+                     len(paths) * policy.n_stages)
         feed("sector", trajectories)
         audits = [analysis.kkt_audit(t, catalog) for t in trajectories]
         kkt = hashlib.sha256()
@@ -308,8 +313,8 @@ def main(argv=None) -> int:
     work = _work(totals)
     print(f"solves  {solves} ({sum(count.values())} solves: {_split(count)}; "
           f"{work})")
-    print(f"sim     {sum(simulated.values())} solves of the sector simulation: "
-          f"{_split(simulated)}")
+    print(f"sim     {sum(simulated[0].values())} solves for {simulated[1]} "
+          f"stage visits of the sector simulation: {_split(simulated[0])}")
     print(f"restart {restart[0]} pivots at the longest, of a budget of "
           f"{restart[1]}")
     print(f"kkt     {kkt[0]} ({kkt[1]} periods checked, "
